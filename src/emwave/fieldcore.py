@@ -277,37 +277,44 @@ def constraint_residuals(amp: ConeAmplitude | _RawVectorField) -> tuple[np.ndarr
     return trans, curl
 
 
-def _gate_factor(p0: np.ndarray, s: float) -> np.ndarray:
-    """2 theta(p0 s) with theta(0) = 1/2, as an array over nodes."""
-    if s == 0.0:
-        return np.ones_like(p0)
-    return np.where(p0 * s > 0.0, 2.0, 0.0)
+def _gate_factor(p0: np.ndarray, s) -> np.ndarray:
+    """2 theta(p0 s) with theta(0) = 1/2, broadcast over nodes and scales."""
+    return np.where(s == 0.0, 1.0, np.where(p0 * s > 0.0, 2.0, 0.0))
 
 
 def _evaluate_many(
     amp: ConeAmplitude | _RawVectorField,
     xs: np.ndarray,
     t: float,
-    s: float = 0.0,
+    s: float | np.ndarray = 0.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Field values at many points, shape (K, 3), at complex time t - is."""
+    """Field values at many points at complex time t - is.
+
+    A scalar ``s`` gives shape (K, 3).  A 1-D array of scales gives shape
+    (len(s), K, 3), written into ``out`` when given: each chunk of
+    plane-wave phases is built once and contracted against every scale in
+    one matrix product.
+    """
     grid = amp.grid
     if len(grid) == 0:
         raise EmptyAmplitudeError("amplitude has no cone nodes")
     f = amplitude_vectors(amp)
     omega = np.linalg.norm(grid.nodes, axis=1)
     p0 = grid.sheets * omega
-    gate = _gate_factor(p0, s)
-    # per-node factor: weight * gate * exp(-i p0 t - p0 s) * f
-    coeff = (grid.weights * gate * np.exp(-p0 * (s + 1j * t)))[:, None] * f
+    scales = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
+    # per-node factor weight * gate * exp(-i p0 t - p0 s) * f, columns (scale, component)
+    factor = grid.weights * _gate_factor(p0, scales) * np.exp(-p0 * (scales + 1j * t))
+    coeff = (factor.T[:, :, None] * f[:, None, :]).reshape(len(grid), -1)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.empty((len(xs), 3), dtype=complex)
+    if out is None:
+        out = np.empty((len(scales), len(xs), 3), dtype=complex)
     chunk = max(1, int(4e6 // max(len(grid), 1)))
     for lo in range(0, len(xs), chunk):
         hi = min(lo + chunk, len(xs))
         phase = np.exp(1j * (xs[lo:hi] @ grid.nodes.T))
-        out[lo:hi] = phase @ coeff
-    return out
+        out[:, lo:hi] = (phase @ coeff).reshape(hi - lo, len(scales), 3).transpose(1, 0, 2)
+    return out if np.ndim(s) else out[0]
 
 
 def evaluate_field(

@@ -19,15 +19,17 @@ Conventions used throughout (fixed once here):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 from numpy.polynomial.legendre import leggauss
 
 from . import grids as _grids
@@ -63,6 +65,11 @@ def _default_workers() -> int:
         return max(1, int(os.environ.get("EMWAVE_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def _fft_workers(workers: int | None) -> int:
+    """``scipy.fft`` worker count: ``workers``, else ``EMWAVE_THREADS``; at least 1."""
+    return max(1, workers) if workers is not None else _default_workers()
 
 
 @dataclass(frozen=True)
@@ -158,11 +165,11 @@ def analyze(
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
     Per scale node s the cone amplitude is multiplied by
-    ``theta(+-s) e^{-+omega(s+it)} / omega`` per sheet and pushed through an
-    inverse FFT onto the spatial grid (amplitudes on the conjugate Cartesian
-    cone lattice), or evaluated densely otherwise.  Linear in ``amp``;
-    scale slices are computed in parallel over ``workers`` threads with a
-    worker-count-independent result.
+    ``theta(+-s) e^{-+omega(s+it)} / omega`` per sheet; amplitudes on the
+    conjugate Cartesian cone lattice are then pushed onto the spatial grid
+    by one in-place inverse FFT over all scale slices, other amplitudes are
+    evaluated densely.  Linear in ``amp``.  ``workers`` is the ``scipy.fft``
+    worker count; the result does not depend on it.
     """
     if ygrid.kind != "spatial" or sgrid.kind != "scale":
         raise GridMismatchError(
@@ -186,32 +193,21 @@ def analyze(
         inv_om = np.zeros_like(Omega)
         nz = Omega > 0.0
         inv_om[nz] = 1.0 / Omega[nz]
-        zero = np.zeros((N, N, N, 3), dtype=complex)
-
-        def _slice(i: int) -> None:
-            s = s_nodes[i]
+        for i, s in enumerate(s_nodes):
             sheet = 1 if s > 0 else -1
             f_lat = lattice_amp.get(sheet)
             if f_lat is None:
                 out[i] = 0.0
-                return
-            mult = inv_om * np.exp(-sheet * Omega * (s + 1j * t))
-            g = (mult * PH)[..., None] * f_lat
-            out[i] = (N**3 / L**3) * np.fft.ifftn(g, axes=(0, 1, 2))
-
+                continue
+            mult = (inv_om / L**3) * np.exp(-sheet * Omega * (s + 1j * t)) * PH
+            np.multiply(mult[..., None], f_lat, out=out[i])
+        # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
+        # factor is folded into mult); overwrite_x lets it run in place
+        out = scipy.fft.ifftn(
+            out, axes=(1, 2, 3), norm="forward", workers=_fft_workers(workers), overwrite_x=True
+        )
     else:
-        ys = ygrid.nodes
-
-        def _slice(i: int) -> None:
-            out[i] = _evaluate_many(amp, ys, t, s=float(s_nodes[i])).reshape(N, N, N, 3)
-
-    nworkers = workers if workers is not None else _default_workers()
-    if nworkers <= 1:
-        for i in range(len(s_nodes)):
-            _slice(i)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(_slice, range(len(s_nodes))))
+        _evaluate_many(amp, ygrid.nodes, t, s=s_nodes, out=out.reshape(len(s_nodes), N**3, 3))
 
     provenance = {
         "kind": type(amp).__name__,
@@ -247,41 +243,31 @@ def _synthesize_engine(
 
     Per scale node s the coefficient slice is pushed to the momentum
     lattice, multiplied by the band-limited wavelet symbol
-    ``gate(sigma, s) omega e^{-+omega((s+sigma) + i(t - t0))}``, and summed
-    at the probe points; slice contributions are reduced in fixed order.
+    ``gate(sigma, s) omega e^{-+omega((s+sigma) + i(t - t0))}`` and its
+    quadrature weight, and accumulated in fixed scale order into one
+    lattice array, which is then summed at the probe points.  ``workers``
+    is the ``scipy.fft`` worker count; the result does not depend on it.
     """
     P, Omega, PH = _lattice(coeffs.ygrid)
     N = coeffs.ygrid.meta["args"]["N"]
-    pts = np.atleast_2d(np.asarray(xs, dtype=float))
-    phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
     dt = t - coeffs.t
-    s_nodes = coeffs.sgrid.nodes
-    s_w = coeffs.sgrid.weights
-
-    def _slice(i: int) -> np.ndarray:
-        s = s_nodes[i]
+    nworkers = _fft_workers(workers)
+    G = np.zeros((N, N, N, 3), dtype=complex)
+    for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
         if sigma == 0.0:
             gate = 1.0
         else:
             gate = 2.0 if sigma * s > 0.0 else 0.0
         if gate == 0.0:
-            return np.zeros((len(pts), 3), dtype=complex)
+            continue
         sheet = 1.0 if s > 0 else -1.0
-        symbol = gate * Omega * np.exp(-sheet * Omega * ((s + sigma) + 1j * dt))
-        chat = PH[..., None] * np.fft.fftn(coeffs.values[i], axes=(0, 1, 2))
-        gk = (symbol[..., None] * chat).reshape(-1, 3)
-        return (s_w[i] / N**3) * (phases @ gk)
-
-    nworkers = workers if workers is not None else _default_workers()
-    if nworkers <= 1:
-        parts = [_slice(i) for i in range(len(s_nodes))]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(_slice, range(len(s_nodes))))
-    total = np.zeros((len(pts), 3), dtype=complex)
-    for part in parts:  # fixed-order reduction: worker-count independent
-        total += part
-    return total
+        symbol = (w * gate) * Omega * np.exp(-sheet * Omega * ((s + sigma) + 1j * dt)) * PH
+        chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=nworkers)
+        chat *= symbol[..., None]
+        G += chat
+    pts = np.atleast_2d(np.asarray(xs, dtype=float))
+    phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
+    return (phases @ G.reshape(-1, 3)) / N**3
 
 
 def synthesize_many(
@@ -302,11 +288,7 @@ def synthesize(coeffs: EuclideanCoefficients, x, t: float) -> FieldSample:
     real t is available from fixed-t coefficients.  The sample's
     ``truncation_estimate`` bounds the scale-quadrature error.
     """
-    x = np.asarray(x, dtype=float)
-    F = _synthesize_engine(coeffs, x[None, :], float(t), 0.0, None)[0]
-    return FieldSample(
-        F=F, x=x, t=complex(t), truncation_estimate=_scale_truncation_estimate(coeffs)
-    )
+    return reproduce_complex_time(coeffs, x, t, 0.0)
 
 
 def reproduce_complex_time(
@@ -450,8 +432,12 @@ def _cell_kernel(d, n: int = 14) -> float:
     return total
 
 
+@functools.cache
 def _cell_kernel_table(rng: int) -> dict:
-    """Exact interaction entries for canonical displacements |d|_inf <= rng."""
+    """Exact interaction entries for canonical displacements |d|_inf <= rng.
+
+    Fixed data, built once per process; callers must not mutate it.
+    """
     table = {}
     for i in range(rng + 1):
         for j in range(i, rng + 1):
@@ -504,8 +490,8 @@ def norm_nonlocal_t0(
     for c in range(3):
         pad = np.zeros((P, P, P), dtype=complex)
         pad[:N, :N, :N] = F[..., c]
-        spec = np.fft.fftn(pad)
-        corr += np.fft.ifftn(np.conj(spec) * spec)
+        spec = scipy.fft.fftn(pad)
+        corr += scipy.fft.ifftn(np.conj(spec) * spec)
 
     table = _cell_kernel_table(_TABLE_RANGE)
     idx = np.arange(P)
@@ -606,15 +592,37 @@ def save_coefficients(
     return path
 
 
+_MANIFEST_KEYS = ("payload", "payload_bytes", "payload_sha256", "shape", "t", "ygrid", "sgrid")
+
+
 def load_coefficients(manifest_path) -> EuclideanCoefficients:
-    """Rebuild coefficients from a manifest written by `save_coefficients`."""
+    """Rebuild coefficients from a manifest written by `save_coefficients`.
+
+    Every defect of the manifest or its payload raises `EmwaveError`: an
+    unreadable manifest, a missing key, a payload outside the manifest's
+    directory, a checksum or length mismatch, or a shape that disagrees
+    with the payload size.
+    """
     path = Path(manifest_path)
-    manifest = json.loads(path.read_text())
-    if manifest.get("format") != _MANIFEST_FORMAT:
+    try:
+        manifest = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise EmwaveError(f"cannot read coefficients manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise EmwaveError(f"{path} is not a coefficients manifest")
     if manifest.get("version") != _MANIFEST_VERSION:
         raise EmwaveError(f"unsupported manifest version {manifest.get('version')}")
-    payload = (path.parent / manifest["payload"]).read_bytes()
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise EmwaveError(f"manifest {path} lacks keys {missing}")
+    directory = path.parent.resolve()
+    payload_path = (directory / str(manifest["payload"])).resolve()
+    if not payload_path.is_relative_to(directory):
+        raise EmwaveError(f"payload {manifest['payload']!r} lies outside {directory}")
+    try:
+        payload = payload_path.read_bytes()
+    except OSError as exc:
+        raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
     digest = hashlib.sha256(payload).hexdigest()
     if digest != manifest["payload_sha256"]:
         raise EmwaveError(
@@ -623,9 +631,19 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
         )
     if len(payload) != manifest["payload_bytes"]:
         raise EmwaveError("payload length does not match manifest")
-    values = np.frombuffer(payload, dtype="<c16").reshape(manifest["shape"])
-    ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
-    sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
+    shape = manifest["shape"]
+    if not (
+        isinstance(shape, list)
+        and all(isinstance(n, int) and n >= 0 for n in shape)
+        and 16 * math.prod(shape) == len(payload)
+    ):
+        raise EmwaveError(f"manifest shape {shape!r} does not match {len(payload)} payload bytes")
+    values = np.frombuffer(payload, dtype="<c16").reshape(shape)
+    try:
+        ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
+        sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
+    except (KeyError, TypeError) as exc:
+        raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
     return EuclideanCoefficients(
         ygrid,
         sgrid,

@@ -1,5 +1,6 @@
 """Command-line interface: figure data, scenario pipelines, exit codes."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from emwave import __version__
+from emwave import __version__, oracle
 from emwave.cli import (
     CONVENTIONS,
     SCHEMA,
@@ -114,9 +115,22 @@ def test_verify_suite_passes_and_reports(tmp_path, capsys, suite):
     assert report["suite"] == suite and report["seed"] == 7
     assert report["records"]
     for rec in report["records"]:
-        assert set(rec) >= {"test", "value", "oracle", "estimate", "pass"}
-        assert rec["pass"] is True
+        assert set(rec) >= {"test", "value", "oracle", "estimate", "converged", "pass"}
+        assert rec["pass"] is True and rec["converged"] is True
     assert "[pass]" in capsys.readouterr().out
+
+
+def test_unconverged_oracle_fails_its_record(tmp_path, monkeypatch):
+    real = oracle.cone_inner_product
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(oracle, "cone_inner_product", unconverged)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "anchor", "--out", str(out)]) == 1
+    (rec,) = json.loads(out.read_text())["records"]
+    assert rec["converged"] is False and rec["pass"] is False
 
 
 def test_verify_rejects_unknown_suite(tmp_path, capsys):
@@ -171,7 +185,8 @@ def _write_cfg(tmp_path, cfg, name="scenario.json"):
     return path
 
 
-def test_norms_pipeline_passes_and_writes_manifest(tmp_path):
+def test_norms_pipeline_passes_and_writes_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("EMWAVE_THREADS", "2")
     path = _write_cfg(tmp_path, _norms_cfg("out"))
     assert main(["norms", "--scenario", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "norms.json").read_text())
@@ -182,6 +197,7 @@ def test_norms_pipeline_passes_and_writes_manifest(tmp_path):
     assert manifest["exit_status"] == 0
     assert manifest["conventions"] == CONVENTIONS
     assert manifest["package_version"] == __version__
+    assert manifest["workers"] == 2  # resolved from the environment default
     import hashlib
 
     assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,6 +1,7 @@
 """Scale-space analysis/synthesis: Parseval, round trips, norms, persistence."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,18 @@ def test_fft_path_matches_dense_evaluation():
     dense = analyze(ConeAmplitude(plain, amp.values), ygrid8, sgrid8, t=0.4)
     worst = np.max(np.abs(fast.values - dense.values))
     assert worst < 1e-12
+
+
+def test_analyze_peak_memory_stays_near_payload(amp_a, ygrid, sgrid):
+    # the output array plus the read-only copy the coefficients keep; an
+    # out-of-place batched inverse FFT would add a third payload (~3.1x)
+    tracemalloc.start()
+    try:
+        coeffs = analyze(amp_a, ygrid, sgrid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.15 * coeffs.values.nbytes
 
 
 def test_single_sheet_amplitudes_gate_scale_slices(ygrid, sgrid):
@@ -291,7 +304,7 @@ def test_deeper_continuation_damps(amp_a, coeffs_a):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
+def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid, monkeypatch):
     c1 = analyze(amp_a, ygrid, sgrid, workers=1)
     c8 = analyze(amp_a, ygrid, sgrid, workers=8)
     assert np.array_equal(c1.values, c8.values)
@@ -299,6 +312,22 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     s1 = synthesize_many(c1, probes, 0.7, workers=1)
     s8 = synthesize_many(c1, probes, 0.7, workers=8)
     assert np.array_equal(s1, s8)
+    # kernel reproduction takes its worker count from the environment
+    for sigma in (0.6, -0.4):
+        monkeypatch.setenv("EMWAVE_THREADS", "1")
+        r1 = reproduce_complex_time(c1, probes[0], 0.2, sigma)
+        monkeypatch.setenv("EMWAVE_THREADS", "8")
+        r8 = reproduce_complex_time(c1, probes[0], 0.2, sigma)
+        assert np.array_equal(r1.F, r8.F)
+    # single-sheet amplitude: the negative-scale slices are gated off
+    plus = grids.build_cartesian_cone_grid(ygrid, *BAND, sheets="plus")
+    single = amplitude_from_scalar(plus, _profile_a)
+    p1 = analyze(single, ygrid, sgrid, workers=1)
+    p8 = analyze(single, ygrid, sgrid, workers=8)
+    assert np.array_equal(p1.values, p8.values)
+    q1 = synthesize_many(p1, probes, 0.7, workers=1)
+    q8 = synthesize_many(p1, probes, 0.7, workers=8)
+    assert np.array_equal(q1, q8)
 
 
 def test_worker_default_comes_from_environment(amp_a, ygrid, sgrid, monkeypatch):
@@ -396,3 +425,23 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
     bad.write_text(json.dumps(meta))
     with pytest.raises(EmwaveError):
         load_coefficients(bad)
+
+
+@pytest.mark.parametrize(
+    "defect, needle",
+    [("missing-key", "lacks keys"), ("shape", "shape"), ("outside-payload", "outside")],
+)
+def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, needle):
+    manifest = save_coefficients(coeffs_a, tmp_path / "m", name="c")
+    meta = json.loads(manifest.read_text())
+    if defect == "missing-key":
+        del meta["payload_sha256"]
+    elif defect == "shape":
+        meta["shape"][0] += 1
+    else:
+        # a byte-exact copy with a matching checksum is still refused
+        (tmp_path / "outside.bin").write_bytes((tmp_path / "m" / "c.bin").read_bytes())
+        meta["payload"] = "../outside.bin"
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(EmwaveError, match=needle):
+        load_coefficients(manifest)
