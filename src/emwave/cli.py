@@ -49,17 +49,46 @@ def _fail(path: str, message: str):
     raise ConfigError(path, message)
 
 
-def _get(cfg: dict, path: str, default=None, required: bool = False):
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", list: "a list", dict: "an object"}
+
+
+def _is_kind(value, kind) -> bool:
+    """JSON type check: ``bool`` is no number, and a number must be finite."""
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _get(cfg: dict, path: str, default=None, kind=None, required: bool = False):
+    """Value at the dotted ``path``, or ``default`` when it is absent or null.
+
+    A value that is not of ``kind`` (a key of ``_KINDS``) is a config error
+    naming ``path``; numbers come back as ``float`` when ``kind`` is float.
+    """
+    parts = path.split(".")
     node = cfg
-    walked = []
-    for part in path.split("."):
-        walked.append(part)
-        if not isinstance(node, dict) or part not in node:
+    for i, part in enumerate(parts):
+        if not isinstance(node, dict):
+            _fail(".".join(parts[:i]), f"expected an object, got {node!r}")
+        node = node.get(part)
+        if node is None:
             if required:
-                _fail(".".join(walked), "missing required field")
+                _fail(".".join(parts[: i + 1]), "missing required field")
             return default
-        node = node[part]
-    return node
+    if kind is not None and not _is_kind(node, kind):
+        _fail(path, f"expected {_KINDS[kind]}, got {node!r}")
+    return float(node) if kind is float else node
+
+
+def _numbers(cfg: dict, path: str, default=None, length: int | None = None) -> list[float]:
+    """A list of numbers at ``path`` (of ``length`` if given); required when there is no default."""
+    values = _get(cfg, path, default, list, required=default is None)
+    if length not in (None, len(values)) or not all(_is_kind(v, float) for v in values):
+        _fail(path, f"expected a list of {length or 'any count of'} numbers, got {values!r}")
+    return [float(v) for v in values]
 
 
 def load_scenario(path) -> dict:
@@ -68,42 +97,42 @@ def load_scenario(path) -> dict:
         _fail(str(path), "scenario file not found")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         _fail(str(path), f"not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail(str(path), "scenario must be a JSON object")
     if cfg.get("schema") != SCHEMA:
         _fail("schema", f"expected {SCHEMA!r}, got {cfg.get('schema')!r}")
-    pipeline = _get(cfg, "pipeline", required=True)
+    pipeline = _get(cfg, "pipeline", kind=str, required=True)
     if pipeline not in PIPELINES:
         _fail("pipeline", f"unknown pipeline {pipeline!r}; expected one of {PIPELINES}")
-    for key, tol in (_get(cfg, "tolerances", {}) or {}).items():
-        if not isinstance(tol, (int, float)) or tol <= 0:
+    for key, tol in _get(cfg, "tolerances", {}, dict).items():
+        if not _is_kind(tol, float) or tol <= 0:
             _fail(f"tolerances.{key}", f"tolerance must be > 0, got {tol!r}")
+    if _get(cfg, "seed", 0, int) < 0:
+        _fail("seed", "seed must be >= 0")
     return cfg
 
 
 def _build_grids(cfg: dict):
-    N = _get(cfg, "grids.spatial.N", required=True)
-    L = _get(cfg, "grids.spatial.L", required=True)
+    # every value is read (and type-checked) before the builders run, so a
+    # type error is reported once, at its own path
+    N = _get(cfg, "grids.spatial.N", kind=int, required=True)
+    L = _get(cfg, "grids.spatial.L", kind=float, required=True)
+    band = _numbers(cfg, "grids.scale.omega_band", length=2)
+    nodes = _get(cfg, "grids.scale.nodes_per_sign", 24, int)
+    signs = _get(cfg, "grids.scale.signs", "both", str)
+    lo = _get(cfg, "grids.cone.omega_min", band[0], float)
+    hi = _get(cfg, "grids.cone.omega_max", band[1], float)
+    sheets = _get(cfg, "grids.cone.sheets", "both", str)
     try:
-        ygrid = grids.build_spatial_grid(int(N), float(L))
+        ygrid = grids.build_spatial_grid(N, L)
     except EmwaveError as exc:
         _fail("grids.spatial", str(exc))
-    band = _get(cfg, "grids.scale.omega_band", required=True)
-    if not (isinstance(band, list) and len(band) == 2):
-        _fail("grids.scale.omega_band", f"expected [omega_min, omega_max], got {band!r}")
     try:
-        sgrid = grids.build_scale_grid(
-            (float(band[0]), float(band[1])),
-            int(_get(cfg, "grids.scale.nodes_per_sign", 24)),
-            _get(cfg, "grids.scale.signs", "both"),
-        )
+        sgrid = grids.build_scale_grid(tuple(band), nodes, signs)
     except EmwaveError as exc:
         _fail("grids.scale", str(exc))
-    lo = float(_get(cfg, "grids.cone.omega_min", band[0]))
-    hi = float(_get(cfg, "grids.cone.omega_max", band[1]))
-    sheets = _get(cfg, "grids.cone.sheets", "both")
     try:
         cone = grids.build_cartesian_cone_grid(ygrid, lo, hi, sheets=sheets)
     except EmwaveError as exc:
@@ -111,15 +140,14 @@ def _build_grids(cfg: dict):
     return ygrid, sgrid, cone
 
 
-def _profile_gaussian(params: dict, where: str):
-    center = float(params.get("center", 2.0))
-    width = float(params.get("width", 0.4))
+def _profile_gaussian(cfg: dict, where: str):
+    center = _get(cfg, f"{where}.center", 2.0, float)
+    width = _get(cfg, f"{where}.width", 0.4, float)
     if width <= 0:
         _fail(f"{where}.width", "width must be positive")
-    ang = params.get("angular", {}) or {}
-    const = float(ang.get("const", 1.0))
-    cx, cy, cz = (float(ang.get(k, 0.0)) for k in ("nx", "ny", "nz"))
-    wplus, wminus = (float(w) for w in params.get("sheet_weights", [1.0, 1.0]))
+    const = _get(cfg, f"{where}.angular.const", 1.0, float)
+    cx, cy, cz = (_get(cfg, f"{where}.angular.{k}", 0.0, float) for k in ("nx", "ny", "nz"))
+    wplus, wminus = _numbers(cfg, f"{where}.sheet_weights", [1.0, 1.0], 2)
 
     def fn(om, nn, sheets):
         radial = np.exp(-0.5 * ((om - center) / width) ** 2)
@@ -130,11 +158,11 @@ def _profile_gaussian(params: dict, where: str):
     return fn
 
 
-def _profile_wavelet(params: dict, where: str):
-    s0 = float(params.get("s0", 1.0))
+def _profile_wavelet(cfg: dict, where: str):
+    s0 = _get(cfg, f"{where}.s0", 1.0, float)
     if s0 <= 0:
         _fail(f"{where}.s0", "s0 must be positive")
-    wplus, wminus = (float(w) for w in params.get("sheet_weights", [1.0, 0.0]))
+    wplus, wminus = _numbers(cfg, f"{where}.sheet_weights", [1.0, 0.0], 2)
 
     def fn(om, nn, sheets):
         sheet_w = np.where(sheets > 0, wplus, wminus)
@@ -150,22 +178,26 @@ AMPLITUDE_PROFILES = {
 
 
 def _build_amplitude(cfg: dict, cone) -> fieldcore.ConeAmplitude:
-    spec = _get(cfg, "amplitude", required=True)
-    name = spec.get("profile")
+    _get(cfg, "amplitude", kind=dict, required=True)
+    name = _get(cfg, "amplitude.profile", kind=str)
     if name not in AMPLITUDE_PROFILES:
         _fail(
             "amplitude.profile",
             f"unknown profile {name!r}; registry has {sorted(AMPLITUDE_PROFILES)}",
         )
-    fn = AMPLITUDE_PROFILES[name](spec, "amplitude")
+    fn = AMPLITUDE_PROFILES[name](cfg, "amplitude")
     return fieldcore.amplitude_from_scalar(cone, fn)
 
 
 def _draw_probes(cfg: dict, ygrid) -> tuple[np.ndarray, list[float]]:
-    seed = int(_get(cfg, "seed", 0))
-    count = int(_get(cfg, "probes.count", 50))
-    frac = float(_get(cfg, "probes.box_fraction", 0.35))
-    times = [float(t) for t in _get(cfg, "probes.times", [0.0, 1.0])]
+    seed = _get(cfg, "seed", 0, int)
+    count = _get(cfg, "probes.count", 50, int)
+    if count < 1:
+        _fail("probes.count", f"need at least one probe, got {count}")
+    frac = _get(cfg, "probes.box_fraction", 0.35, float)
+    if frac <= 0:
+        _fail("probes.box_fraction", f"box fraction must be positive, got {frac}")
+    times = _numbers(cfg, "probes.times", [0.0, 1.0])
     L = ygrid.meta["args"]["L"]
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-frac * L / 2.0, frac * L / 2.0, size=(count, 3))
@@ -326,7 +358,7 @@ def _cplx(z: complex) -> list[float]:
 
 
 def _out_dir(cfg: dict, base: Path) -> Path:
-    d = Path(_get(cfg, "outputs.directory", "."))
+    d = Path(_get(cfg, "outputs.directory", ".", str))
     return d if d.is_absolute() else base / d
 
 
@@ -336,38 +368,36 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _pipeline_wavelet_slices(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
-    s = _get(cfg, "wavelet.s", required=True)
+    s = _get(cfg, "wavelet.s", kind=float, required=True)
     r_values = _parse_range(str(_get(cfg, "wavelet.r", required=True)), "wavelet.r")
     t_values = _parse_range(str(_get(cfg, "wavelet.t", required=True)), "wavelet.t")
-    out = _out_dir(cfg, base) / _get(cfg, "outputs.csv", "wavelet.csv")
+    out = _out_dir(cfg, base) / _get(cfg, "outputs.csv", "wavelet.csv", str)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(emit_figure_data(float(s), r_values, t_values))
+    out.write_text(emit_figure_data(s, r_values, t_values))
     return 0, [out]
 
 
 def _pipeline_analyze(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    t = float(_get(cfg, "time", 0.0))
+    t = _get(cfg, "time", 0.0, float)
     coeffs = transform.analyze(amp, ygrid, sgrid, t=t, workers=workers)
-    name = _get(cfg, "outputs.coefficients", "coefficients")
+    name = _get(cfg, "outputs.coefficients", "coefficients", str)
     manifest = transform.save_coefficients(coeffs, _out_dir(cfg, base), name=name)
     return 0, [manifest, manifest.parent / f"{name}.bin"]
 
 
 def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
-    coeffs_path = _get(cfg, "coefficients")
+    coeffs_path = _get(cfg, "coefficients", kind=str)
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
     if coeffs_path is not None:
         cpath = Path(coeffs_path)
         coeffs = transform.load_coefficients(cpath if cpath.is_absolute() else base / cpath)
     else:
-        coeffs = transform.analyze(
-            amp, ygrid, sgrid, t=float(_get(cfg, "time", 0.0)), workers=workers
-        )
+        coeffs = transform.analyze(amp, ygrid, sgrid, t=_get(cfg, "time", 0.0, float), workers=workers)
     probes, times = _draw_probes(cfg, ygrid)
-    tol = float(_get(cfg, "tolerances.round_trip", 1e-2))
+    tol = _get(cfg, "tolerances.round_trip", 1e-2, float)
     rows = ["x,y,z,t,re_x,im_x,re_y,im_y,re_z,im_z"]
     checks = []
     for t in times:
@@ -379,10 +409,10 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
             nums = [p[0], p[1], p[2], t, v[0].real, v[0].imag, v[1].real, v[1].imag, v[2].real, v[2].imag]
             rows.append(",".join(f"{u:.17g}" for u in nums))
     outdir = _out_dir(cfg, base)
-    csv_path = outdir / _get(cfg, "outputs.csv", "reconstruction.csv")
+    csv_path = outdir / _get(cfg, "outputs.csv", "reconstruction.csv", str)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(rows) + "\n")
-    report_path = outdir / _get(cfg, "outputs.report", "report.json")
+    report_path = outdir / _get(cfg, "outputs.report", "report.json", str)
     _write_json(report_path, {"checks": checks, "tolerance": tol})
     status = 0 if all(c["pass"] for c in checks) else 1
     return status, [csv_path, report_path]
@@ -391,16 +421,16 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
 def _pipeline_norms(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=float(_get(cfg, "time", 0.0)), workers=workers)
+    coeffs = transform.analyze(amp, ygrid, sgrid, t=_get(cfg, "time", 0.0, float), workers=workers)
     nonlocal_grid = None
-    if _get(cfg, "norms.nonlocal", False):
+    if _get(cfg, "norms.nonlocal", False, bool):
         nonlocal_grid = ygrid
     report = transform.norm_report(amp, coeffs, nonlocal_grid=nonlocal_grid)
-    tol = float(_get(cfg, "tolerances.parseval", 1e-2))
+    tol = _get(cfg, "tolerances.parseval", 1e-2, float)
     gap = report.gap_euclidean
     checks = [_record("parseval-gap", gap, 0.0, gap, gap <= tol)]
     if report.nonlocal_t0 is not None:
-        nl_tol = float(_get(cfg, "tolerances.nonlocal", 5e-2))
+        nl_tol = _get(cfg, "tolerances.nonlocal", 5e-2, float)
         gap = report.gap_nonlocal
         checks.append(_record("nonlocal-gap", gap, 0.0, gap, gap <= nl_tol))
     payload = {
@@ -411,15 +441,16 @@ def _pipeline_norms(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
         "gap_nonlocal": report.gap_nonlocal,
         "checks": checks,
     }
-    report_path = _out_dir(cfg, base) / _get(cfg, "outputs.report", "norms.json")
+    report_path = _out_dir(cfg, base) / _get(cfg, "outputs.report", "norms.json", str)
     _write_json(report_path, payload)
     return (0 if all(c["pass"] for c in checks) else 1), [report_path]
 
 
 def _pipeline_verify(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
-    name = _get(cfg, "verify.suite", "kernel")
-    seed = int(_get(cfg, "seed", 0))
-    return _run_verify(name, seed, _get(cfg, "tolerances", {}) or {}, _out_dir(cfg, base) / _get(cfg, "outputs.report", "verify.json"))
+    name = _get(cfg, "verify.suite", "kernel", str)
+    seed = _get(cfg, "seed", 0, int)
+    out_path = _out_dir(cfg, base) / _get(cfg, "outputs.report", "verify.json", str)
+    return _run_verify(name, seed, _get(cfg, "tolerances", {}), out_path)
 
 
 def _run_verify(name: str, seed: int, tolerances: dict, out_path: Path) -> tuple[int, list[Path]]:
@@ -457,8 +488,7 @@ def run(config_path, workers: int | None = None) -> int:
     cfg = load_scenario(config_path)
     base = Path(config_path).resolve().parent
     if workers is None:
-        workers = _get(cfg, "workers")
-        workers = None if workers is None else int(workers)
+        workers = _get(cfg, "workers", kind=int)
     workers = transform._fft_workers(workers)
     pipeline = cfg["pipeline"]
     status, outputs = PIPELINE_RUNNERS[pipeline](cfg, base, workers)
@@ -557,7 +587,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except EmwaveError as exc:
+    except (EmwaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -374,12 +374,14 @@ def build_cartesian_cone_grid(
     p = P.reshape(-1, 3)[flat_indices]
     omega = Omega.ravel()[flat_indices]
     dp = TWO_PI / L
-    w = MEASURE_PREFACTOR * dp**3 / (2.0 * omega)
+    # checked before dp**3 is formed: a box so small that no lattice point
+    # lies in the band would overflow it
     if flat_indices.size == 0:
         raise EmwaveError(
             f"band [{omega_min}, {omega_max}] contains no lattice points "
             f"(lattice spacing {dp:.6g})"
         )
+    w = MEASURE_PREFACTOR * dp**3 / (2.0 * omega)
 
     blocks = {"both": (1, -1), "plus": (1,), "minus": (-1,)}[sheets]
     nodes = np.concatenate([p] * len(blocks), axis=0)

@@ -80,6 +80,9 @@ class EuclideanCoefficients:
     (matching the C-order raveling of the spatial grid), then vector
     component.  ``t`` records the real time at which the coefficients were
     generated; scale-space norms are independent of it.
+
+    The container takes ownership of ``values``: it freezes the array it is
+    given and does not copy it (only another dtype is converted first).
     """
 
     ygrid: QuadratureGrid
@@ -98,7 +101,6 @@ class EuclideanCoefficients:
         want = (len(self.sgrid), N, N, N, 3)
         if vals.shape != want:
             raise GridMismatchError(f"values shape {vals.shape} does not match grids {want}")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "t", float(self.t))
@@ -326,9 +328,8 @@ def norm_momentum(amp) -> float:
 def norm_euclidean(coeffs: EuclideanCoefficients) -> float:
     """Squared scale-space norm: INT d^3y ds |F(y, t - is)|^2."""
     dy3 = coeffs.ygrid.meta["spacing"] ** 3
-    per_slice = np.sum(
-        np.abs(coeffs.values.reshape(len(coeffs.sgrid), -1)) ** 2, axis=1
-    )
+    # one scale slice at a time, so no payload-sized |c|^2 is ever held
+    per_slice = np.array([np.sum(np.abs(c) ** 2) for c in coeffs.values])
     return float(np.sum(coeffs.sgrid.weights * per_slice) * dy3)
 
 
@@ -350,9 +351,7 @@ def inner_product(
             f"coefficients generated at different times: {coeffs_a.t} vs {coeffs_b.t}"
         )
     dy3 = coeffs_a.ygrid.meta["spacing"] ** 3
-    pair = np.sum(
-        np.conj(coeffs_a.values) * coeffs_b.values, axis=(1, 2, 3, 4)
-    )
+    pair = np.array([np.sum(np.conj(a) * b) for a, b in zip(coeffs_a.values, coeffs_b.values)])
     return complex(np.sum(coeffs_a.sgrid.weights * pair) * dy3)
 
 
@@ -562,15 +561,15 @@ def save_coefficients(
     """Write coefficients as a JSON manifest plus a flat binary payload.
 
     The payload is the values array in axis order (s, y_z, y_y, y_x,
-    vector component), C-order, as little-endian (re, im) float64 pairs —
-    exactly ``values.astype('<c16').tobytes()``.  The manifest records the
-    grid builders and arguments (sufficient to rebuild both grids), the
-    generation time, provenance, and the payload's SHA-256, so a reload
-    is byte-exact and self-validating.  Returns the manifest path.
+    vector component), C-order, as little-endian (re, im) float64 pairs,
+    written and hashed straight from the values' own buffer.  The manifest
+    records the grid builders and arguments (sufficient to rebuild both
+    grids), the generation time, provenance, and the payload's SHA-256, so
+    a reload is byte-exact and self-validating.  Returns the manifest path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = coeffs.values.astype("<c16").tobytes()
+    payload = np.ascontiguousarray(coeffs.values, dtype="<c16").reshape(-1).view(np.uint8)
     payload_name = f"{name}.bin"
     (directory / payload_name).write_bytes(payload)
     manifest = {
@@ -600,8 +599,9 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
 
     Every defect of the manifest or its payload raises `EmwaveError`: an
     unreadable manifest, a missing key, a payload outside the manifest's
-    directory, a checksum or length mismatch, or a shape that disagrees
-    with the payload size.
+    directory, a checksum or length mismatch, a shape that disagrees with
+    the payload size, a time that is no finite number, or a provenance
+    that is no object.  The checksummed bytes become the read-only values.
     """
     path = Path(manifest_path)
     try:
@@ -638,16 +638,15 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
         and 16 * math.prod(shape) == len(payload)
     ):
         raise EmwaveError(f"manifest shape {shape!r} does not match {len(payload)} payload bytes")
+    t, provenance = manifest["t"], manifest.get("provenance", {})
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
+        raise EmwaveError(f"manifest time {t!r} is not a finite number")
+    if not isinstance(provenance, dict):
+        raise EmwaveError(f"manifest provenance {provenance!r} is not an object")
     values = np.frombuffer(payload, dtype="<c16").reshape(shape)
     try:
         ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
         sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
     except (KeyError, TypeError) as exc:
         raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
-    return EuclideanCoefficients(
-        ygrid,
-        sgrid,
-        values.astype(complex),
-        t=manifest["t"],
-        provenance=manifest.get("provenance", {}),
-    )
+    return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)

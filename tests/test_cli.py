@@ -1,12 +1,17 @@
 """Command-line interface: figure data, scenario pipelines, exit codes."""
 
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emwave import __version__, oracle
 from emwave.cli import (
@@ -275,6 +280,19 @@ def test_missing_scenario_file_is_reported(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _put(cfg, path, value, pipeline=None):
+    *head, last = path.split(".")
+    node = cfg
+    for key in head:
+        node = node.setdefault(key, {})
+    node[last] = value
+    if pipeline is not None:
+        cfg["pipeline"] = pipeline
+
+
+COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "verify"}
+
+
 @pytest.mark.parametrize(
     "mutate, needle",
     [
@@ -284,15 +302,131 @@ def test_missing_scenario_file_is_reported(tmp_path, capsys):
         (lambda c: c["tolerances"].__setitem__("parseval", -1.0), "tolerances.parseval"),
         (lambda c: c["amplitude"].__setitem__("profile", "bogus"), "amplitude.profile"),
         (lambda c: c["grids"]["scale"].__setitem__("omega_band", [2.0]), "grids.scale"),
+        # wrongly typed values: each is reported at its own path, not as a traceback
+        (lambda c: _put(c, "grids.spatial.N", "abc"), "grids.spatial.N"),
+        (lambda c: _put(c, "grids.spatial.N", 8.7), "grids.spatial.N"),
+        (lambda c: _put(c, "grids.spatial.L", "x"), "grids.spatial.L"),
+        (lambda c: _put(c, "workers", "x"), "workers"),
+        (lambda c: _put(c, "time", "now"), "time"),
+        (lambda c: _put(c, "grids.scale.nodes_per_sign", "many"), "grids.scale.nodes_per_sign"),
+        (lambda c: _put(c, "grids.scale.omega_band", [0.5, "hi"]), "grids.scale.omega_band"),
+        (lambda c: _put(c, "amplitude", "gaussian"), "amplitude"),
+        (lambda c: _put(c, "amplitude.angular", 3), "amplitude.angular"),
+        (lambda c: _put(c, "amplitude.center", "c"), "amplitude.center"),
+        (lambda c: _put(c, "amplitude.sheet_weights", [1]), "amplitude.sheet_weights"),
+        (lambda c: _put(c, "tolerances", [1]), "tolerances"),
+        (lambda c: _put(c, "outputs.directory", 5), "outputs.directory"),
+        (lambda c: _put(c, "norms.nonlocal", "yes"), "norms.nonlocal"),
+        (lambda c: _put(c, "coefficients", 5, "reconstruct"), "coefficients"),
+        (lambda c: _put(c, "probes.count", "x", "reconstruct"), "probes.count"),
+        (lambda c: _put(c, "probes.count", -1, "reconstruct"), "probes.count"),
+        (lambda c: _put(c, "probes.times", "ab", "reconstruct"), "probes.times"),
+        (lambda c: _put(c, "verify.suite", ["kernel"], "verify-suite"), "verify.suite"),
     ],
 )
 def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, needle):
     cfg = _norms_cfg("out")
     mutate(cfg)
     path = _write_cfg(tmp_path, cfg)
-    assert main(["norms", "--scenario", str(path)]) == 2
+    assert main([COMMANDS.get(cfg.get("pipeline"), "norms"), "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
-    assert needle in err and "config error" in err
+    assert f"config error at {needle}" in err
+    assert err.count("config error") == 1
+
+
+def _small_scenarios():
+    norms = {
+        "schema": SCHEMA,
+        "pipeline": "norms",
+        "seed": 1,
+        "workers": 1,
+        "time": 0.3,
+        "grids": {
+            "spatial": {"N": 8, "L": 8.0},
+            "scale": {"omega_band": [0.9, 2.8], "nodes_per_sign": 8, "signs": "both"},
+            "cone": {"omega_min": 0.9, "omega_max": 2.8, "sheets": "both"},
+        },
+        "amplitude": {
+            "profile": "gaussian",
+            "center": 1.8,
+            "width": 0.4,
+            "angular": {"const": 1.0, "nz": 0.2},
+            "sheet_weights": [1.0, 0.5],
+        },
+        "norms": {"nonlocal": True},
+        "tolerances": {"parseval": 0.5, "nonlocal": 0.5},
+        "outputs": {"directory": "out", "report": "report.json"},
+    }
+    recon = copy.deepcopy(norms)
+    del recon["norms"]
+    recon["pipeline"] = "reconstruct"
+    recon["amplitude"] = {"profile": "wavelet", "s0": 1.0, "sheet_weights": [1.0, 0.0]}
+    recon["probes"] = {"count": 4, "box_fraction": 0.3, "times": [0.0, 1.0]}
+    recon["tolerances"] = {"round_trip": 0.5}
+    recon["outputs"]["csv"] = "field.csv"
+    return [norms, recon]
+
+
+def _leaves(node, prefix=()):
+    """Key paths of every value below ``node`` that is not an object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if not isinstance(value, dict):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, prefix + (key,))
+
+
+def _at(cfg, keys):
+    for key in keys:
+        cfg = cfg[key]
+    return cfg
+
+
+# integers stay small so that no draw asks for a huge grid or budget
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-16, 16)
+    | st.floats(-1e3, 1e3, allow_nan=False)
+    | st.sampled_from(["both", "plus", "minus", "gaussian", "wavelet", "norms", "analyze"])
+    | st.text("abxyz_-", max_size=6)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text("abc", max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    leaf=st.sampled_from([(i, p) for i, cfg in enumerate(_small_scenarios()) for p in _leaves(cfg)]),
+    value=_json_values,
+)
+# inputs that once escaped as tracebacks
+@example(leaf=(1, ("probes", "box_fraction")), value=-1)
+@example(leaf=(0, ("outputs", "report")), value="")
+@example(leaf=(0, ("grids", "spatial", "L")), value=1e-300)
+def test_config_fuzz_exits_with_a_documented_status(tmp_path_factory, leaf, value):
+    which, keys = leaf
+    cfg = _small_scenarios()[which]
+    command = COMMANDS[cfg["pipeline"]]
+    *head, last = keys
+    _at(cfg, head)[last] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main([command, "--scenario", str(path)])
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert "config error at " in err.getvalue() or "error: " in err.getvalue()
+    if status == 1:
+        outputs = cfg["outputs"]
+        report = json.loads((tmp / outputs["directory"] / outputs["report"]).read_text())
+        assert any(not check["pass"] for check in report["checks"])
 
 
 def test_subcommand_must_match_pipeline(tmp_path, capsys):

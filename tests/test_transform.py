@@ -114,16 +114,46 @@ def test_fft_path_matches_dense_evaluation():
     assert worst < 1e-12
 
 
-def test_analyze_peak_memory_stays_near_payload(amp_a, ygrid, sgrid):
-    # the output array plus the read-only copy the coefficients keep; an
-    # out-of-place batched inverse FFT would add a third payload (~3.1x)
+@pytest.mark.parametrize(
+    "stage, bound",
+    [
+        # the output array the coefficients take over, nothing more; a
+        # defensive copy or an out-of-place batched inverse FFT adds a payload
+        ("analyze", 1.25),
+        # the read bytes, viewed as the values without a conversion copy
+        ("load", 1.15),
+        # the payload is written and hashed from the values' own buffer
+        ("save", 0.1),
+        # reduced one scale slice at a time
+        ("norm_euclidean", 0.1),
+        ("inner_product", 0.1),
+    ],
+)
+def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeffs_a, coeffs_b, tmp_path):
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    run = {
+        "analyze": lambda: analyze(amp_a, ygrid, sgrid),
+        "load": lambda: load_coefficients(manifest),
+        "save": lambda: save_coefficients(coeffs_a, tmp_path, name="again"),
+        "norm_euclidean": lambda: norm_euclidean(coeffs_a),
+        "inner_product": lambda: inner_product(coeffs_a, coeffs_b),
+    }[stage]
     tracemalloc.start()
     try:
-        coeffs = analyze(amp_a, ygrid, sgrid)
+        run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.15 * coeffs.values.nbytes
+    assert peak <= bound * coeffs_a.values.nbytes
+
+
+def test_coefficients_take_ownership_without_copying(ygrid, sgrid):
+    fresh = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
+    coeffs = EuclideanCoefficients(ygrid, sgrid, fresh)
+    assert np.shares_memory(coeffs.values, fresh)
+    assert not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        coeffs.values[0, 0, 0, 0, 0] = 1.0
 
 
 def test_single_sheet_amplitudes_gate_scale_slices(ygrid, sgrid):
@@ -429,7 +459,14 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
 
 @pytest.mark.parametrize(
     "defect, needle",
-    [("missing-key", "lacks keys"), ("shape", "shape"), ("outside-payload", "outside")],
+    [
+        ("missing-key", "lacks keys"),
+        ("shape", "shape"),
+        ("outside-payload", "outside"),
+        ("t-text", "time"),
+        ("t-null", "time"),
+        ("provenance", "provenance"),
+    ],
 )
 def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, needle):
     manifest = save_coefficients(coeffs_a, tmp_path / "m", name="c")
@@ -438,6 +475,12 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
         del meta["payload_sha256"]
     elif defect == "shape":
         meta["shape"][0] += 1
+    elif defect == "t-text":
+        meta["t"] = "abc"
+    elif defect == "t-null":
+        meta["t"] = None
+    elif defect == "provenance":
+        meta["provenance"] = ["not", "an", "object"]
     else:
         # a byte-exact copy with a matching checksum is still refused
         (tmp_path / "outside.bin").write_bytes((tmp_path / "m" / "c.bin").read_bytes())
