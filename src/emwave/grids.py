@@ -13,6 +13,7 @@ conjugate momentum lattice exposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -298,10 +299,16 @@ def build_spatial_grid(N: int, L: float) -> QuadratureGrid:
     if not (L > 0.0):
         raise EmwaveError(f"box length must be positive, got {L}")
     delta = L / N
+    try:
+        volume = delta**3
+    except OverflowError:
+        volume = math.inf
+    if not 0.0 < volume < math.inf:
+        raise EmwaveError(f"cell volume (L/N)^3 = ({L}/{N})^3 is not a positive finite number")
     c = (np.arange(N) - N // 2) * delta
     Z, Y, X = np.meshgrid(c, c, c, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
-    weights = np.full(N**3, delta**3)
+    weights = np.full(N**3, volume)
     meta = {
         "builder": "spatial",
         "args": {"N": int(N), "L": float(L)},

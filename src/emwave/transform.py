@@ -82,7 +82,9 @@ class EuclideanCoefficients:
     generated; scale-space norms are independent of it.
 
     The container takes ownership of ``values``: it freezes the array it is
-    given and does not copy it (only another dtype is converted first).
+    given and does not copy it (only another dtype is converted first).  The
+    first synthesis stores the two per-sheet lattice sums of `_sheet_sums`
+    on it, 2/Ns of the payload.
     """
 
     ygrid: QuadratureGrid
@@ -90,6 +92,7 @@ class EuclideanCoefficients:
     values: np.ndarray
     t: float = 0.0
     provenance: dict = field(default_factory=dict)
+    _sheet_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ygrid.kind != "spatial" or self.sgrid.kind != "scale":
@@ -113,30 +116,6 @@ def _lattice(ygrid: QuadratureGrid):
     ph = (-1.0) ** np.arange(N)
     PH = ph[:, None, None] * ph[None, :, None] * ph[None, None, :]
     return P, Omega, PH
-
-
-def _amplitude_on_lattice(amp, ygrid: QuadratureGrid):
-    """Vector amplitude split per sheet onto the (N,N,N,3) momentum lattice.
-
-    Only available when the amplitude lives on the Cartesian cone grid
-    conjugate to ``ygrid``; returns None otherwise (callers fall back to
-    dense evaluation).
-    """
-    grid = amp.grid
-    if grid.meta.get("builder") != "cartesian_cone":
-        return None
-    if grid.meta["args"]["spatial"] != ygrid.meta["args"]:
-        return None
-    N = ygrid.meta["args"]["N"]
-    flat = np.asarray(grid.meta["flat_indices"])
-    f = amplitude_vectors(amp)
-    out = {}
-    for sheet in np.unique(grid.sheets):
-        block = np.flatnonzero(grid.sheets == sheet)
-        lat = np.zeros((N**3, 3), dtype=complex)
-        lat[flat] = f[block]
-        out[int(sheet)] = lat.reshape(N, N, N, 3)
-    return out
 
 
 def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
@@ -168,10 +147,11 @@ def analyze(
 
     Per scale node s the cone amplitude is multiplied by
     ``theta(+-s) e^{-+omega(s+it)} / omega`` per sheet; amplitudes on the
-    conjugate Cartesian cone lattice are then pushed onto the spatial grid
-    by one in-place inverse FFT over all scale slices, other amplitudes are
-    evaluated densely.  Linear in ``amp``.  ``workers`` is the ``scipy.fft``
-    worker count; the result does not depend on it.
+    conjugate Cartesian cone lattice are written at their lattice points
+    only and pushed onto the spatial grid by one in-place inverse FFT over
+    all scale slices, other amplitudes are evaluated densely.  Linear in
+    ``amp``.  ``workers`` is the ``scipy.fft`` worker count; the result
+    does not depend on it.
     """
     if ygrid.kind != "spatial" or sgrid.kind != "scale":
         raise GridMismatchError(
@@ -187,29 +167,33 @@ def analyze(
     N = ygrid.meta["args"]["N"]
     L = ygrid.meta["args"]["L"]
     s_nodes = sgrid.nodes
-    out = np.empty((len(s_nodes), N, N, N, 3), dtype=complex)
+    out = np.zeros((len(s_nodes), N, N, N, 3), dtype=complex)
+    slices = out.reshape(len(s_nodes), N**3, 3)
 
-    lattice_amp = _amplitude_on_lattice(amp, ygrid)
-    if lattice_amp is not None:
+    grid = amp.grid
+    if (
+        grid.meta.get("builder") == "cartesian_cone"
+        and grid.meta["args"]["spatial"] == ygrid.meta["args"]
+    ):
+        # the amplitude lives on the conjugate lattice: each slice is written
+        # only at the cone shell's lattice points, the rest stays zero
         _, Omega, PH = _lattice(ygrid)
-        inv_om = np.zeros_like(Omega)
-        nz = Omega > 0.0
-        inv_om[nz] = 1.0 / Omega[nz]
+        flat = np.asarray(grid.meta["flat_indices"])
+        om, ph = Omega.ravel()[flat], PH.ravel()[flat]
+        f = amplitude_vectors(amp)
+        blocks = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
         for i, s in enumerate(s_nodes):
             sheet = 1 if s > 0 else -1
-            f_lat = lattice_amp.get(sheet)
-            if f_lat is None:
-                out[i] = 0.0
-                continue
-            mult = (inv_om / L**3) * np.exp(-sheet * Omega * (s + 1j * t)) * PH
-            np.multiply(mult[..., None], f_lat, out=out[i])
+            if sheet in blocks:
+                mult = (1.0 / om / L**3) * np.exp(-sheet * om * (s + 1j * t)) * ph
+                slices[i, flat] = mult[:, None] * blocks[sheet]
         # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
         # factor is folded into mult); overwrite_x lets it run in place
         out = scipy.fft.ifftn(
             out, axes=(1, 2, 3), norm="forward", workers=_fft_workers(workers), overwrite_x=True
         )
     else:
-        _evaluate_many(amp, ygrid.nodes, t, s=s_nodes, out=out.reshape(len(s_nodes), N**3, 3))
+        _evaluate_many(amp, ygrid.nodes, t, s=s_nodes, out=slices)
 
     provenance = {
         "kind": type(amp).__name__,
@@ -234,6 +218,31 @@ def _scale_truncation_estimate(coeffs: EuclideanCoefficients) -> float:
     return err + meta.get("tail_bound", 0.0)
 
 
+def _sheet_sums(coeffs: EuclideanCoefficients, workers: int | None) -> dict[int, np.ndarray]:
+    """Per-sheet lattice sums ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``.
+
+    The scale-dependent factor of the wavelet symbol depends on neither the
+    probe points, ``t`` nor ``sigma``, so each sheet's slices are summed
+    (in fixed scale order) once per coefficient set and kept on it; the
+    read-only values keep the sums from going stale.
+    """
+    sums = coeffs._sheet_sums
+    if not sums:
+        _, Omega, PH = _lattice(coeffs.ygrid)
+        nworkers = _fft_workers(workers)
+        built = {}
+        for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
+            sheet = 1 if s > 0 else -1
+            chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=nworkers)
+            chat *= (w * np.exp(-sheet * Omega * s) * PH)[..., None]
+            if sheet in built:
+                built[sheet] += chat
+            else:
+                built[sheet] = chat
+        sums.update(built)
+    return sums
+
+
 def _synthesize_engine(
     coeffs: EuclideanCoefficients,
     xs: np.ndarray,
@@ -243,30 +252,22 @@ def _synthesize_engine(
 ) -> np.ndarray:
     """Shared reconstruction core for sigma = 0 (plain) and sigma != 0 (kernel).
 
-    Per scale node s the coefficient slice is pushed to the momentum
-    lattice, multiplied by the band-limited wavelet symbol
-    ``gate(sigma, s) omega e^{-+omega((s+sigma) + i(t - t0))}`` and its
-    quadrature weight, and accumulated in fixed scale order into one
-    lattice array, which is then summed at the probe points.  ``workers``
-    is the ``scipy.fft`` worker count; the result does not depend on it.
+    The band-limited wavelet symbol ``gate(sigma, s) omega
+    e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
+    `_sheet_sums` times ``gate omega e^{-+omega(sigma + i(t - t0))}``; the
+    gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
+    the other.  The combined lattice array is summed at the probe points.
+    ``workers`` is the ``scipy.fft`` worker count of the first call on a
+    coefficient set; the result does not depend on it.
     """
-    P, Omega, PH = _lattice(coeffs.ygrid)
+    P, Omega, _ = _lattice(coeffs.ygrid)
     N = coeffs.ygrid.meta["args"]["N"]
     dt = t - coeffs.t
-    nworkers = _fft_workers(workers)
     G = np.zeros((N, N, N, 3), dtype=complex)
-    for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
-        if sigma == 0.0:
-            gate = 1.0
-        else:
-            gate = 2.0 if sigma * s > 0.0 else 0.0
-        if gate == 0.0:
-            continue
-        sheet = 1.0 if s > 0 else -1.0
-        symbol = (w * gate) * Omega * np.exp(-sheet * Omega * ((s + sigma) + 1j * dt)) * PH
-        chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=nworkers)
-        chat *= symbol[..., None]
-        G += chat
+    for sheet, H in _sheet_sums(coeffs, workers).items():
+        gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
+        if gate != 0.0:
+            G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * dt)))[..., None] * H
     pts = np.atleast_2d(np.asarray(xs, dtype=float))
     phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
     return (phases @ G.reshape(-1, 3)) / N**3
@@ -360,6 +361,7 @@ def inner_product(
 # ---------------------------------------------------------------------------
 
 _TABLE_RANGE = 6  # exact cell-interaction integrals for |d|_inf <= this
+_NONLOCAL_BUDGET = 24**3  # grid points per factor of the double sum
 
 
 def _triangular(v: np.ndarray) -> np.ndarray:
@@ -454,12 +456,7 @@ class NonlocalNormResult:
     grid_points: int
 
 
-def norm_nonlocal_t0(
-    amp,
-    ygrid: QuadratureGrid,
-    budget: int = 24**3,
-    full_output: bool = False,
-):
+def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     """Squared norm from the equal-time double integral.
 
     (1/pi^2) INT d^3x d^3y |x-y|^-2 conj(F(x,0)) . F(y,0), discretized on
@@ -467,16 +464,16 @@ def norm_nonlocal_t0(
     diagonal and near-diagonal cells use exactly integrated cell-pair
     averages of 1/|x-y|^2 (pyramid-scheme corner quadrature), far cells an
     O(|d|^-6)-accurate asymptotic average.  The pair sum is evaluated by a
-    zero-padded FFT cross-correlation.  Refuses grids beyond ``budget``
-    points per factor with a cost estimate.
+    zero-padded FFT cross-correlation.  Refuses grids beyond 24^3 points
+    per factor with a cost estimate.
     """
     if ygrid.kind != "spatial":
         raise GridMismatchError("norm_nonlocal_t0 needs a spatial grid")
     N = ygrid.meta["args"]["N"]
     npts = N**3
-    if npts > budget:
+    if npts > _NONLOCAL_BUDGET:
         raise BudgetExceededError(
-            f"{npts} points per factor exceeds budget {budget}: the double sum "
+            f"{npts} points per factor exceeds budget {_NONLOCAL_BUDGET}: the double sum "
             f"covers {npts**2:.3e} pairs (~{16 * 8 * npts / 2**20:.0f} MiB of "
             f"correlation workspace and O(N^3 log N) FFT work per component)"
         )
@@ -508,9 +505,7 @@ def norm_nonlocal_t0(
 
     total = complex(dlt**4 / np.pi**2 * np.sum(A * corr))
     imag_ratio = abs(total.imag) / abs(total.real) if total.real != 0.0 else 0.0
-    if full_output:
-        return NonlocalNormResult(total.real, imag_ratio, npts)
-    return total.real
+    return NonlocalNormResult(total.real, imag_ratio, npts)
 
 
 @dataclass(frozen=True)
@@ -522,6 +517,7 @@ class NormReport:
     nonlocal_t0: float | None
     gap_euclidean: float
     gap_nonlocal: float | None
+    nonlocal_imag_ratio: float | None = None
 
     def __post_init__(self):
         if self.momentum < 0 or self.euclidean < 0:
@@ -541,9 +537,10 @@ def norm_report(
     return NormReport(
         momentum=nm,
         euclidean=ne,
-        nonlocal_t0=nl,
+        nonlocal_t0=None if nl is None else nl.value,
         gap_euclidean=abs(ne - nm) / scale,
-        gap_nonlocal=None if nl is None else abs(nl - nm) / scale,
+        gap_nonlocal=None if nl is None else abs(nl.value - nm) / scale,
+        nonlocal_imag_ratio=None if nl is None else nl.imag_ratio,
     )
 
 

@@ -310,7 +310,7 @@ def test_criterion_09_nonlocal_equal_time_norm():
     amp = amplitude_from_scalar(
         cone, lambda om, nn, sh: (2.0 * om**2 * np.exp(-3.0 * om)).astype(complex)
     )
-    res = transform.norm_nonlocal_t0(amp, ygrid, full_output=True)
+    res = transform.norm_nonlocal_t0(amp, ygrid)
     nm = transform.norm_momentum(amp)
     gap = abs(res.value - nm) / nm
     ok = gap < 5e-2 and res.imag_ratio < 1e-8

@@ -322,6 +322,8 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         (lambda c: _put(c, "probes.count", -1, "reconstruct"), "probes.count"),
         (lambda c: _put(c, "probes.times", "ab", "reconstruct"), "probes.times"),
         (lambda c: _put(c, "verify.suite", ["kernel"], "verify-suite"), "verify.suite"),
+        # a cell volume (L/N)^3 beyond the largest float
+        pytest.param(lambda c: _put(c, "grids.spatial.L", 1e300), "grids.spatial", id="L-1e300"),
     ],
 )
 def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, needle):
@@ -427,6 +429,24 @@ def test_config_fuzz_exits_with_a_documented_status(tmp_path_factory, leaf, valu
         outputs = cfg["outputs"]
         report = json.loads((tmp / outputs["directory"] / outputs["report"]).read_text())
         assert any(not check["pass"] for check in report["checks"])
+
+
+def test_zero_reference_field_is_a_config_error(tmp_path, capsys):
+    # the round-trip error of a field that vanishes at every probe is 0/0;
+    # it is rejected before any report is written
+    cfg = _small_scenarios()[1]
+    cfg["amplitude"]["sheet_weights"] = [0, 0]
+    path = _write_cfg(tmp_path, cfg)
+    assert main(["reconstruct", "--scenario", str(path)]) == 2
+    assert "config error at amplitude: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_nonlocal_norms_report_records_imag_ratio(tmp_path):
+    path = _write_cfg(tmp_path, _small_scenarios()[0])
+    assert main(["norms", "--scenario", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert 0.0 <= report["nonlocal_imag_ratio"] < 1e-8
 
 
 def test_subcommand_must_match_pipeline(tmp_path, capsys):

@@ -125,6 +125,9 @@ def test_spatial_grid_rejects_bad_sizes():
         grids.build_spatial_grid(12, 10.0)  # not a power of two
     with pytest.raises(EmwaveError):
         grids.build_spatial_grid(16, -1.0)
+    for L in (1e300, 1e-300):  # the cell volume (L/N)^3 overflows or underflows
+        with pytest.raises(EmwaveError, match="cell volume"):
+            grids.build_spatial_grid(8, L)
 
 
 def test_spatial_parseval_on_sampled_gaussian():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from emwave import grids, transform
 from emwave.errors import (
@@ -321,6 +322,37 @@ def test_reproduction_gates_by_scale_sign(ygrid, sgrid):
     assert np.all(out.F == 0.0)
 
 
+def _counting(name, real, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, x: synthesize_many(c, x[None, :], 0.3),
+        lambda c, x: synthesize(c, x, 0.3).F,
+        lambda c, x: reproduce_complex_time(c, x, 0.3, 0.5).F,
+    ],
+    ids=["synthesize_many", "synthesize", "reproduce_complex_time"],
+)
+def test_repeat_synthesis_runs_no_fft(call, amp_a, ygrid, sgrid, monkeypatch):
+    coeffs = analyze(amp_a, ygrid, sgrid)
+    calls = []
+    for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, _counting(name, getattr(scipy.fft, name), calls))
+    x = np.array([0.4, -0.2, 0.7])
+    first = call(coeffs, x)
+    assert calls == ["fftn"] * len(sgrid)  # one forward transform per scale slice
+    calls.clear()
+    second = call(coeffs, x)
+    assert calls == []
+    assert np.array_equal(first, second)
+
+
 def test_deeper_continuation_damps(amp_a, coeffs_a):
     mags = [
         np.linalg.norm(reproduce_complex_time(coeffs_a, np.zeros(3), 0.0, sig).F)
@@ -335,19 +367,22 @@ def test_deeper_continuation_damps(amp_a, coeffs_a):
 
 
 def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid, monkeypatch):
+    # each worker count synthesizes from its own freshly analyzed set: a set
+    # keeps the sums of its first synthesis, so reusing one would compare
+    # two reads of the same sums
     c1 = analyze(amp_a, ygrid, sgrid, workers=1)
     c8 = analyze(amp_a, ygrid, sgrid, workers=8)
     assert np.array_equal(c1.values, c8.values)
     probes = np.array([[0.3, -0.8, 0.5], [1.2, 0.4, -0.9]])
     s1 = synthesize_many(c1, probes, 0.7, workers=1)
-    s8 = synthesize_many(c1, probes, 0.7, workers=8)
+    s8 = synthesize_many(c8, probes, 0.7, workers=8)
     assert np.array_equal(s1, s8)
     # kernel reproduction takes its worker count from the environment
     for sigma in (0.6, -0.4):
         monkeypatch.setenv("EMWAVE_THREADS", "1")
-        r1 = reproduce_complex_time(c1, probes[0], 0.2, sigma)
+        r1 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
         monkeypatch.setenv("EMWAVE_THREADS", "8")
-        r8 = reproduce_complex_time(c1, probes[0], 0.2, sigma)
+        r8 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
         assert np.array_equal(r1.F, r8.F)
     # single-sheet amplitude: the negative-scale slices are gated off
     plus = grids.build_cartesian_cone_grid(ygrid, *BAND, sheets="plus")
@@ -356,7 +391,7 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid, monkeypatch):
     p8 = analyze(single, ygrid, sgrid, workers=8)
     assert np.array_equal(p1.values, p8.values)
     q1 = synthesize_many(p1, probes, 0.7, workers=1)
-    q8 = synthesize_many(p1, probes, 0.7, workers=8)
+    q8 = synthesize_many(p8, probes, 0.7, workers=8)
     assert np.array_equal(q1, q8)
 
 
@@ -395,7 +430,7 @@ def test_nonlocal_norm_agrees_with_momentum_norm():
     amp = amplitude_from_scalar(
         cone, lambda om, nn, sh: (2.0 * om**2 * np.exp(-om * 3.0)).astype(complex)
     )
-    res = norm_nonlocal_t0(amp, ygrid, full_output=True)
+    res = norm_nonlocal_t0(amp, ygrid)
     nm = norm_momentum(amp)
     assert abs(res.value - nm) / nm < 5e-2
     assert res.imag_ratio < 1e-8
