@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import fieldcore, grids, oracle, transform
+from . import fieldcore, grids, transform
 from .errors import ConfigError, EmwaveError
 from .wavelet import WaveletLabel, eval_wavelet, scaling_check
 
@@ -262,6 +262,7 @@ def _record(test: str, value, reference, estimate: float, ok: bool, converged: b
 
 
 def _suite_kernel(seed: int, tol: float) -> list[dict]:
+    from . import oracle
     from .wavelet import eval_kernel
 
     rng = np.random.default_rng(seed)
@@ -297,6 +298,7 @@ def _suite_scaling(seed: int, tol: float) -> list[dict]:
 
 
 def _suite_ast(seed: int, tol: float) -> list[dict]:
+    from . import oracle
     from .ast import LineSignal, ast_line
 
     rng = np.random.default_rng(seed)
@@ -328,6 +330,8 @@ def _suite_ast(seed: int, tol: float) -> list[dict]:
 
 
 def _suite_anchor(seed: int, tol: float) -> list[dict]:
+    from . import oracle
+
     target = 3.0 / (8.0 * np.pi**2)
 
     def amp(om, nn, sheet):
@@ -384,6 +388,10 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
     if coeffs_path is not None:
         cpath = Path(coeffs_path)
         coeffs = transform.load_coefficients(cpath if cpath.is_absolute() else base / cpath)
+        # slice by slice, so no payload-sized mask is held; one NaN would
+        # reach every probe through the sheet sums
+        if not all(np.isfinite(c).all() for c in coeffs.values):
+            _fail("coefficients", f"payload of {coeffs_path} holds a non-finite sample")
     else:
         coeffs = transform.analyze(amp, ygrid, sgrid, t=_get(cfg, "time", 0.0, float), workers=workers)
     probes, times = _draw_probes(cfg, ygrid)

@@ -110,12 +110,12 @@ class EuclideanCoefficients:
 
 
 def _lattice(ygrid: QuadratureGrid):
-    """Momentum lattice (P, Omega) and the centered-grid FFT phase."""
+    """Momentum magnitudes Omega of the lattice and the centered-grid FFT phase."""
     N = ygrid.meta["args"]["N"]
-    P, Omega = _grids.momentum_mesh(ygrid)
+    _, Omega = _grids.momentum_mesh(ygrid)
     ph = (-1.0) ** np.arange(N)
     PH = ph[:, None, None] * ph[None, :, None] * ph[None, None, :]
-    return P, Omega, PH
+    return Omega, PH
 
 
 def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
@@ -177,7 +177,7 @@ def analyze(
     ):
         # the amplitude lives on the conjugate lattice: each slice is written
         # only at the cone shell's lattice points, the rest stays zero
-        _, Omega, PH = _lattice(ygrid)
+        Omega, PH = _lattice(ygrid)
         flat = np.asarray(grid.meta["flat_indices"])
         om, ph = Omega.ravel()[flat], PH.ravel()[flat]
         f = amplitude_vectors(amp)
@@ -228,7 +228,7 @@ def _sheet_sums(coeffs: EuclideanCoefficients, workers: int | None) -> dict[int,
     """
     sums = coeffs._sheet_sums
     if not sums:
-        _, Omega, PH = _lattice(coeffs.ygrid)
+        Omega, PH = _lattice(coeffs.ygrid)
         nworkers = _fft_workers(workers)
         built = {}
         for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
@@ -256,11 +256,14 @@ def _synthesize_engine(
     e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
     `_sheet_sums` times ``gate omega e^{-+omega(sigma + i(t - t0))}``; the
     gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
-    the other.  The combined lattice array is summed at the probe points.
-    ``workers`` is the ``scipy.fft`` worker count of the first call on a
-    coefficient set; the result does not depend on it.
+    the other.  The combined lattice array G, in (kz, ky, kx, component)
+    order, is summed at the K probe points with separable phases
+    ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``: three (K, N) tables of
+    3 K N exponentials, one (K, N) x (N, 3 N^2) product over kz, then ky
+    and kx per probe.  ``workers`` is the ``scipy.fft`` worker count of
+    the first call on a coefficient set; the result does not depend on it.
     """
-    P, Omega, _ = _lattice(coeffs.ygrid)
+    Omega, _ = _lattice(coeffs.ygrid)
     N = coeffs.ygrid.meta["args"]["N"]
     dt = t - coeffs.t
     G = np.zeros((N, N, N, 3), dtype=complex)
@@ -269,8 +272,10 @@ def _synthesize_engine(
         if gate != 0.0:
             G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * dt)))[..., None] * H
     pts = np.atleast_2d(np.asarray(xs, dtype=float))
-    phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
-    return (phases @ G.reshape(-1, 3)) / N**3
+    pax = _grids.momentum_axis(coeffs.ygrid)
+    ex, ey, ez = (np.exp(1j * np.outer(pts[:, axis], pax)) for axis in range(3))
+    Gz = (ez @ G.reshape(N, -1)).reshape(len(pts), N, N, 3)
+    return np.einsum("kx,kxc->kc", ex, np.einsum("ky,kyxc->kxc", ey, Gz)) / N**3
 
 
 def synthesize_many(

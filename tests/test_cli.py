@@ -3,16 +3,20 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emwave
 from emwave import __version__, oracle
 from emwave.cli import (
     CONVENTIONS,
@@ -442,6 +446,28 @@ def test_zero_reference_field_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_non_finite_payload_is_a_config_error(tmp_path, capsys):
+    # the checksum only proves the bytes are the manifest's; a NaN sample
+    # would reach every probe through the sheet sums, so it is rejected
+    # before any file is written
+    analyze_cfg = _small_scenarios()[1]
+    analyze_cfg["pipeline"] = "analyze"
+    analyze_cfg["outputs"] = {"directory": "coeff", "coefficients": "c"}
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, analyze_cfg, "a.json"))]) == 0
+    payload = np.fromfile(tmp_path / "coeff" / "c.bin", dtype="<c16")
+    payload[len(payload) // 2] = complex(np.nan, 0.0)
+    payload.tofile(tmp_path / "coeff" / "c.bin")
+    manifest_path = tmp_path / "coeff" / "c.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["payload_sha256"] = hashlib.sha256(payload.tobytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    cfg = _small_scenarios()[1]
+    cfg["coefficients"] = "coeff/c.json"
+    assert main(["reconstruct", "--scenario", str(_write_cfg(tmp_path, cfg))]) == 2
+    assert "config error at coefficients: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nonlocal_norms_report_records_imag_ratio(tmp_path):
     path = _write_cfg(tmp_path, _small_scenarios()[0])
     assert main(["norms", "--scenario", str(path)]) == 0
@@ -459,6 +485,16 @@ def test_load_scenario_round_trips_valid_config(tmp_path):
     path = _write_cfg(tmp_path, _norms_cfg("out"))
     cfg = load_scenario(path)
     assert cfg["pipeline"] == "norms"
+
+
+def test_cli_import_leaves_out_the_oracle_quadrature():
+    # only the verify suites need the oracle, and with it scipy.integrate
+    src = str(Path(emwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, emwave.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_console_script_reports_version():

@@ -128,16 +128,22 @@ def test_fft_path_matches_dense_evaluation():
         # reduced one scale slice at a time
         ("norm_euclidean", 0.1),
         ("inner_product", 0.1),
+        # warm: 200 probes without a (200, N^3) phase matrix, which alone
+        # would take 1.7 payloads
+        ("synthesize_many", 0.5),
     ],
 )
 def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeffs_a, coeffs_b, tmp_path):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    probes = np.random.default_rng(5).uniform(-L / 2, L / 2, size=(200, 3))
+    synthesize_many(coeffs_a, probes[:1], 0.0)  # the per-sheet sums are built once
     run = {
         "analyze": lambda: analyze(amp_a, ygrid, sgrid),
         "load": lambda: load_coefficients(manifest),
         "save": lambda: save_coefficients(coeffs_a, tmp_path, name="again"),
         "norm_euclidean": lambda: norm_euclidean(coeffs_a),
         "inner_product": lambda: inner_product(coeffs_a, coeffs_b),
+        "synthesize_many": lambda: synthesize_many(coeffs_a, probes, 0.4),
     }[stage]
     tracemalloc.start()
     try:
@@ -304,6 +310,32 @@ def test_reproduce_complex_time_matches_continuation(amp_a, coeffs_a):
         rel = np.linalg.norm(got.F - want) / np.linalg.norm(want)
         assert rel < 2e-3
         assert got.t == complex(0.3, -sigma)
+
+
+def _dense_probe_sum(coeffs, pts, t, sigma):
+    """Reference synthesis: one phase e^{ip.x} per probe and lattice point,
+    taken from `grids.momentum_mesh`, against the gated per-sheet sums."""
+    P, Omega = grids.momentum_mesh(coeffs.ygrid)
+    G = np.zeros(Omega.shape + (3,), dtype=complex)
+    for sheet, H in transform._sheet_sums(coeffs, None).items():
+        gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
+        G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * (t - coeffs.t))))[..., None] * H
+    phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
+    return phases @ G.reshape(-1, 3) / Omega.size
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.6, -0.6])
+@pytest.mark.parametrize("count", [1, 7, 200])
+def test_probe_sum_equals_dense_phase_sum(coeffs_a, count, sigma):
+    # probes reach 0.7 L from the centre, so some lie outside the box
+    pts = np.random.default_rng(count).uniform(-0.7 * L, 0.7 * L, size=(count, 3))
+    t = 0.9  # coeffs_a is generated at t = 0
+    if sigma == 0.0:
+        got = synthesize_many(coeffs_a, pts, t)
+    else:
+        got = np.array([reproduce_complex_time(coeffs_a, x, t, sigma).F for x in pts])
+    want = _dense_probe_sum(coeffs_a, pts, t, sigma)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_zero_offset_reproduction_is_synthesis_bit_for_bit(coeffs_a):
