@@ -40,168 +40,8 @@ CONVENTIONS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# scenario loading and validation
-# ---------------------------------------------------------------------------
-
-
 def _fail(path: str, message: str):
     raise ConfigError(path, message)
-
-
-_KINDS = {int: "an integer", float: "a number", bool: "true or false",
-          str: "a string", list: "a list", dict: "an object"}
-
-
-def _is_kind(value, kind) -> bool:
-    """JSON type check: ``bool`` is no number, and a number must be finite."""
-    if kind in (int, float) and isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
-
-
-def _get(cfg: dict, path: str, default=None, kind=None, required: bool = False):
-    """Value at the dotted ``path``, or ``default`` when it is absent or null.
-
-    A value that is not of ``kind`` (a key of ``_KINDS``) is a config error
-    naming ``path``; numbers come back as ``float`` when ``kind`` is float.
-    """
-    parts = path.split(".")
-    node = cfg
-    for i, part in enumerate(parts):
-        if not isinstance(node, dict):
-            _fail(".".join(parts[:i]), f"expected an object, got {node!r}")
-        node = node.get(part)
-        if node is None:
-            if required:
-                _fail(".".join(parts[: i + 1]), "missing required field")
-            return default
-    if kind is not None and not _is_kind(node, kind):
-        _fail(path, f"expected {_KINDS[kind]}, got {node!r}")
-    return float(node) if kind is float else node
-
-
-def _numbers(cfg: dict, path: str, default=None, length: int | None = None) -> list[float]:
-    """A list of numbers at ``path`` (of ``length`` if given); required when there is no default."""
-    values = _get(cfg, path, default, list, required=default is None)
-    if length not in (None, len(values)) or not all(_is_kind(v, float) for v in values):
-        _fail(path, f"expected a list of {length or 'any count of'} numbers, got {values!r}")
-    return [float(v) for v in values]
-
-
-def load_scenario(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        _fail(str(path), "scenario file not found")
-    try:
-        cfg = json.loads(p.read_text())
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        _fail(str(path), f"not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        _fail(str(path), "scenario must be a JSON object")
-    if cfg.get("schema") != SCHEMA:
-        _fail("schema", f"expected {SCHEMA!r}, got {cfg.get('schema')!r}")
-    pipeline = _get(cfg, "pipeline", kind=str, required=True)
-    if pipeline not in PIPELINES:
-        _fail("pipeline", f"unknown pipeline {pipeline!r}; expected one of {PIPELINES}")
-    for key, tol in _get(cfg, "tolerances", {}, dict).items():
-        if not _is_kind(tol, float) or tol <= 0:
-            _fail(f"tolerances.{key}", f"tolerance must be > 0, got {tol!r}")
-    if _get(cfg, "seed", 0, int) < 0:
-        _fail("seed", "seed must be >= 0")
-    return cfg
-
-
-def _build_grids(cfg: dict):
-    # every value is read (and type-checked) before the builders run, so a
-    # type error is reported once, at its own path
-    N = _get(cfg, "grids.spatial.N", kind=int, required=True)
-    L = _get(cfg, "grids.spatial.L", kind=float, required=True)
-    band = _numbers(cfg, "grids.scale.omega_band", length=2)
-    nodes = _get(cfg, "grids.scale.nodes_per_sign", 24, int)
-    signs = _get(cfg, "grids.scale.signs", "both", str)
-    lo = _get(cfg, "grids.cone.omega_min", band[0], float)
-    hi = _get(cfg, "grids.cone.omega_max", band[1], float)
-    sheets = _get(cfg, "grids.cone.sheets", "both", str)
-    try:
-        ygrid = grids.build_spatial_grid(N, L)
-    except EmwaveError as exc:
-        _fail("grids.spatial", str(exc))
-    try:
-        sgrid = grids.build_scale_grid(tuple(band), nodes, signs)
-    except EmwaveError as exc:
-        _fail("grids.scale", str(exc))
-    try:
-        cone = grids.build_cartesian_cone_grid(ygrid, lo, hi, sheets=sheets)
-    except EmwaveError as exc:
-        _fail("grids.cone", str(exc))
-    return ygrid, sgrid, cone
-
-
-def _profile_gaussian(cfg: dict, where: str):
-    center = _get(cfg, f"{where}.center", 2.0, float)
-    width = _get(cfg, f"{where}.width", 0.4, float)
-    if width <= 0:
-        _fail(f"{where}.width", "width must be positive")
-    const = _get(cfg, f"{where}.angular.const", 1.0, float)
-    cx, cy, cz = (_get(cfg, f"{where}.angular.{k}", 0.0, float) for k in ("nx", "ny", "nz"))
-    wplus, wminus = _numbers(cfg, f"{where}.sheet_weights", [1.0, 1.0], 2)
-
-    def fn(om, nn, sheets):
-        radial = np.exp(-0.5 * ((om - center) / width) ** 2)
-        angular = const + cx * nn[:, 0] + cy * nn[:, 1] + cz * nn[:, 2]
-        sheet_w = np.where(sheets > 0, wplus, wminus)
-        return (radial * angular * sheet_w).astype(complex)
-
-    return fn
-
-
-def _profile_wavelet(cfg: dict, where: str):
-    s0 = _get(cfg, f"{where}.s0", 1.0, float)
-    if s0 <= 0:
-        _fail(f"{where}.s0", "s0 must be positive")
-    wplus, wminus = _numbers(cfg, f"{where}.sheet_weights", [1.0, 0.0], 2)
-
-    def fn(om, nn, sheets):
-        sheet_w = np.where(sheets > 0, wplus, wminus)
-        return (2.0 * om**2 * np.exp(-om * s0) * sheet_w).astype(complex)
-
-    return fn
-
-
-AMPLITUDE_PROFILES = {
-    "gaussian": _profile_gaussian,
-    "wavelet": _profile_wavelet,
-}
-
-
-def _build_amplitude(cfg: dict, cone) -> fieldcore.ConeAmplitude:
-    _get(cfg, "amplitude", kind=dict, required=True)
-    name = _get(cfg, "amplitude.profile", kind=str)
-    if name not in AMPLITUDE_PROFILES:
-        _fail(
-            "amplitude.profile",
-            f"unknown profile {name!r}; registry has {sorted(AMPLITUDE_PROFILES)}",
-        )
-    fn = AMPLITUDE_PROFILES[name](cfg, "amplitude")
-    return fieldcore.amplitude_from_scalar(cone, fn)
-
-
-def _draw_probes(cfg: dict, ygrid) -> tuple[np.ndarray, list[float]]:
-    seed = _get(cfg, "seed", 0, int)
-    count = _get(cfg, "probes.count", 50, int)
-    if count < 1:
-        _fail("probes.count", f"need at least one probe, got {count}")
-    frac = _get(cfg, "probes.box_fraction", 0.35, float)
-    if frac <= 0:
-        _fail("probes.box_fraction", f"box fraction must be positive, got {frac}")
-    times = _numbers(cfg, "probes.times", [0.0, 1.0])
-    L = ygrid.meta["args"]["L"]
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-frac * L / 2.0, frac * L / 2.0, size=(count, 3))
-    return pts, times
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +197,247 @@ def _cplx(z: complex) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
+# the scenario table
+# ---------------------------------------------------------------------------
+
+
+def _profile_gaussian(cfg: dict):
+    center, width = cfg["amplitude.center"], cfg["amplitude.width"]
+    const = cfg["amplitude.angular.const"]
+    cx, cy, cz = (cfg[f"amplitude.angular.{k}"] for k in ("nx", "ny", "nz"))
+    wplus, wminus = cfg["amplitude.sheet_weights"]
+
+    def fn(om, nn, sheets):
+        radial = np.exp(-0.5 * ((om - center) / width) ** 2)
+        angular = const + cx * nn[:, 0] + cy * nn[:, 1] + cz * nn[:, 2]
+        sheet_w = np.where(sheets > 0, wplus, wminus)
+        return (radial * angular * sheet_w).astype(complex)
+
+    return fn
+
+
+def _profile_wavelet(cfg: dict):
+    s0 = cfg["amplitude.s0"]
+    wplus, wminus = cfg["amplitude.sheet_weights"]
+
+    def fn(om, nn, sheets):
+        sheet_w = np.where(sheets > 0, wplus, wminus)
+        return (2.0 * om**2 * np.exp(-om * s0) * sheet_w).astype(complex)
+
+    return fn
+
+
+AMPLITUDE_PROFILES = {
+    "gaussian": _profile_gaussian,
+    "wavelet": _profile_wavelet,
+}
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list of numbers"}
+
+
+def _is_kind(value, kind) -> bool:
+    """JSON type check: ``bool`` is no number, and a number must be finite."""
+    if kind is list:
+        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
+    if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+# checks: (predicate a well-typed value must meet, reason when it does not)
+def _one_of(*choices):
+    return lambda v: v in choices, f"expected one of {list(choices)}"
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_PAIR = (lambda v: len(v) == 2, "expected 2 numbers")
+# the grid builder accepts no cell finer than (L/N)^3 = 5e-324, so lattice
+# frequencies stay below 4e108 and |t| <= 1e150 keeps every phase finite
+_TIMES = (lambda v: np.all(np.abs(v) <= 1e150), "times must lie in [-1e150, 1e150]")
+_PATH = (lambda v: "\0" not in v, "a path holds no NUL character")
+_PLAIN_NAME = (lambda v: v not in ("", "..") and "\0" not in v and Path(v).name == v,
+               "expected a plain file name (no directory part)")
+
+# defaults: a value, one of these two markers, or a function of the values resolved above it
+_REQUIRED = object()  # every scenario gives the key
+_FIELD = object()  # every scenario but a verify-suite one gives the key; there it stays None
+
+
+SCENARIO_KEYS = {
+    # path: (kind, default, check)
+    "schema": (str, _REQUIRED, _one_of(SCHEMA)),
+    "pipeline": (str, _REQUIRED, _one_of(*PIPELINES)),
+    "seed": (int, 0, (lambda v: v >= 0, "must be >= 0")),
+    "workers": (int, None, None),
+    "time": (float, 0.0, _TIMES),
+    "grids.spatial.N": (int, _FIELD, None),
+    "grids.spatial.L": (float, _FIELD, None),
+    "grids.scale.omega_band": (list, _FIELD, _PAIR),
+    "grids.scale.nodes_per_sign": (int, 24, None),
+    "grids.scale.signs": (str, "both", None),
+    "grids.cone.omega_min": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[0], None),
+    "grids.cone.omega_max": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[1], None),
+    "grids.cone.sheets": (str, "both", None),
+    "amplitude.profile": (str, _FIELD, _one_of(*AMPLITUDE_PROFILES)),
+    "amplitude.center": (float, 2.0, None),
+    "amplitude.width": (float, 0.4, _POSITIVE),
+    "amplitude.angular.const": (float, 1.0, None),
+    "amplitude.angular.nx": (float, 0.0, None),
+    "amplitude.angular.ny": (float, 0.0, None),
+    "amplitude.angular.nz": (float, 0.0, None),
+    "amplitude.sheet_weights": (
+        list, lambda v: [1.0, 0.0] if v["amplitude.profile"] == "wavelet" else [1.0, 1.0], _PAIR),
+    "amplitude.s0": (float, 1.0, _POSITIVE),
+    "probes.count": (int, 50, _POSITIVE),
+    "probes.box_fraction": (float, 0.35, (lambda v: 0 < v <= 1, "must be in (0, 1]")),
+    "probes.times": (list, [0.0, 1.0], _TIMES),
+    "coefficients": (str, None, _PATH),
+    "norms.nonlocal": (bool, False, None),
+    "tolerances.parseval": (float, 1e-2, _POSITIVE),
+    "tolerances.round_trip": (float, 1e-2, _POSITIVE),
+    "tolerances.nonlocal": (float, 5e-2, _POSITIVE),
+    **{f"tolerances.{name}": (float, tol, _POSITIVE) for name, (_, tol) in VERIFY_SUITES.items()},
+    "verify.suite": (str, "kernel", _one_of(*VERIFY_SUITES, "all")),
+    "outputs.directory": (str, ".", _PATH),
+    "outputs.csv": (str, "reconstruction.csv", _PLAIN_NAME),
+    "outputs.report": (
+        str, lambda v: {"norms": "norms.json", "verify-suite": "verify.json"}.get(v["pipeline"], "report.json"),
+        _PLAIN_NAME),
+    "outputs.coefficients": (str, "coefficients", _PLAIN_NAME),
+}
+_LEAVES = {tuple(path.split(".")) for path in SCENARIO_KEYS}
+_OBJECTS = {leaf[:i] for leaf in _LEAVES for i in range(1, len(leaf))}
+
+
+def _lookup(cfg: dict, path: str):
+    """Value at the dotted ``path``; None when it (or an object on the way) is absent or null."""
+    node, parts = cfg, path.split(".")
+    for i, part in enumerate(parts):
+        if not isinstance(node, (dict, type(None))):
+            _fail(".".join(parts[:i]), f"expected an object, got {node!r}")
+        node = None if node is None else node.get(part)
+    return node
+
+
+def _reject_unknown_keys(node: dict, prefix: tuple = ()) -> None:
+    for key, value in node.items():
+        path = prefix + (key,)
+        if path not in _LEAVES and path not in _OBJECTS:
+            _fail(".".join(path), "unknown key")
+        if isinstance(value, dict):
+            _reject_unknown_keys(value, path)
+
+
+def _resolve(cfg: dict) -> dict:
+    """Every key of ``SCENARIO_KEYS`` at its checked value or its default.
+
+    The first missing, mistyped, out-of-range or unknown key is a config
+    error naming its path; numbers come back as ``float``.
+    """
+    values = {}
+    for path, (kind, default, check) in SCENARIO_KEYS.items():
+        value = _lookup(cfg, path)
+        if value is None:
+            if default is _REQUIRED or default is _FIELD and values["pipeline"] != "verify-suite":
+                _fail(path, "missing required field")
+            value = None if default is _FIELD else default(values) if callable(default) else default
+        elif not _is_kind(value, kind):
+            _fail(path, f"expected {_KINDS[kind]}, got {value!r}")
+        else:
+            value = [float(v) for v in value] if kind is list else kind(value)
+            if check and not check[0](value):
+                _fail(path, f"{check[1]}, got {value!r}")
+        values[path] = value
+    _reject_unknown_keys(cfg)
+    return values
+
+
+def load_scenario(path) -> dict:
+    """The scenario at ``path`` as a flat ``{dotted key: value}`` dict over ``SCENARIO_KEYS``.
+
+    Every type, range and unknown-key error is raised here, before any grid
+    is built or file written.
+    """
+    p = Path(path)
+    if not p.exists():
+        _fail(str(path), "scenario file not found")
+    try:
+        cfg = json.loads(p.read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        _fail(str(path), f"not valid JSON: {exc}")
+    if not isinstance(cfg, dict):
+        _fail(str(path), "scenario must be a JSON object")
+    return _resolve(cfg)
+
+
+def _build_grids(cfg: dict):
+    try:
+        ygrid = grids.build_spatial_grid(cfg["grids.spatial.N"], cfg["grids.spatial.L"])
+    except EmwaveError as exc:
+        _fail("grids.spatial", str(exc))
+    try:
+        sgrid = grids.build_scale_grid(
+            tuple(cfg["grids.scale.omega_band"]), cfg["grids.scale.nodes_per_sign"], cfg["grids.scale.signs"])
+    except EmwaveError as exc:
+        _fail("grids.scale", str(exc))
+    if not (np.isfinite(sgrid.nodes).all() and np.isfinite(sgrid.weights).all()):
+        _fail("grids.scale.omega_band", "the scale quadrature over this band is not finite")
+    try:
+        cone = grids.build_cartesian_cone_grid(
+            ygrid, cfg["grids.cone.omega_min"], cfg["grids.cone.omega_max"], sheets=cfg["grids.cone.sheets"])
+    except EmwaveError as exc:
+        _fail("grids.cone", str(exc))
+    return ygrid, sgrid, cone
+
+
+def _build_amplitude(cfg: dict, cone) -> fieldcore.ConeAmplitude:
+    # an overflow leaves an infinite amplitude or norm, rejected here
+    with np.errstate(over="ignore"):
+        try:
+            amp = fieldcore.amplitude_from_scalar(cone, AMPLITUDE_PROFILES[cfg["amplitude.profile"]](cfg))
+        except EmwaveError as exc:
+            _fail("amplitude", str(exc))
+        norm = transform.norm_momentum(amp)
+    if not np.isfinite(norm):
+        _fail("amplitude", f"the field's squared momentum norm is {norm}; it must be finite")
+    return amp
+
+
+def _draw_probes(cfg: dict, ygrid) -> np.ndarray:
+    frac = cfg["probes.box_fraction"]
+    L = ygrid.meta["args"]["L"]
+    rng = np.random.default_rng(cfg["seed"])
+    return rng.uniform(-frac * L / 2.0, frac * L / 2.0, size=(cfg["probes.count"], 3))
+
+
+# ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
 
 
 def _out_dir(cfg: dict, base: Path) -> Path:
-    d = Path(_get(cfg, "outputs.directory", ".", str))
+    d = Path(cfg["outputs.directory"])
     return d if d.is_absolute() else base / d
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _pipeline_analyze(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    t = _get(cfg, "time", 0.0, float)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=t, workers=workers)
-    name = _get(cfg, "outputs.coefficients", "coefficients", str)
+    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"], workers=workers)
+    name = cfg["outputs.coefficients"]
     manifest = transform.save_coefficients(coeffs, _out_dir(cfg, base), name=name)
     return 0, [manifest, manifest.parent / f"{name}.bin"]
 
 
 def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
-    coeffs_path = _get(cfg, "coefficients", kind=str)
+    coeffs_path = cfg["coefficients"]
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
     if coeffs_path is not None:
@@ -393,12 +448,12 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
         if not all(np.isfinite(c).all() for c in coeffs.values):
             _fail("coefficients", f"payload of {coeffs_path} holds a non-finite sample")
     else:
-        coeffs = transform.analyze(amp, ygrid, sgrid, t=_get(cfg, "time", 0.0, float), workers=workers)
-    probes, times = _draw_probes(cfg, ygrid)
-    tol = _get(cfg, "tolerances.round_trip", 1e-2, float)
+        coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"], workers=workers)
+    probes = _draw_probes(cfg, ygrid)
+    tol = cfg["tolerances.round_trip"]
     rows = ["x,y,z,t,re_x,im_x,re_y,im_y,re_z,im_z"]
     checks = []
-    for t in times:
+    for t in cfg["probes.times"]:
         rec = transform.synthesize_many(coeffs, probes, t, workers=workers)
         ref = fieldcore._evaluate_many(amp, probes, t)
         ref_norm = np.linalg.norm(ref)
@@ -410,10 +465,10 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
             nums = [p[0], p[1], p[2], t, v[0].real, v[0].imag, v[1].real, v[1].imag, v[2].real, v[2].imag]
             rows.append(",".join(f"{u:.17g}" for u in nums))
     outdir = _out_dir(cfg, base)
-    csv_path = outdir / _get(cfg, "outputs.csv", "reconstruction.csv", str)
+    csv_path = outdir / cfg["outputs.csv"]
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(rows) + "\n")
-    report_path = outdir / _get(cfg, "outputs.report", "report.json", str)
+    report_path = outdir / cfg["outputs.report"]
     _write_json(report_path, {"checks": checks, "tolerance": tol})
     status = 0 if all(c["pass"] for c in checks) else 1
     return status, [csv_path, report_path]
@@ -422,16 +477,14 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
 def _pipeline_norms(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=_get(cfg, "time", 0.0, float), workers=workers)
-    nonlocal_grid = None
-    if _get(cfg, "norms.nonlocal", False, bool):
-        nonlocal_grid = ygrid
+    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"], workers=workers)
+    nonlocal_grid = ygrid if cfg["norms.nonlocal"] else None
     report = transform.norm_report(amp, coeffs, nonlocal_grid=nonlocal_grid)
-    tol = _get(cfg, "tolerances.parseval", 1e-2, float)
+    tol = cfg["tolerances.parseval"]
     gap = report.gap_euclidean
     checks = [_record("parseval-gap", gap, 0.0, gap, gap <= tol)]
     if report.nonlocal_t0 is not None:
-        nl_tol = _get(cfg, "tolerances.nonlocal", 5e-2, float)
+        nl_tol = cfg["tolerances.nonlocal"]
         gap = report.gap_nonlocal
         checks.append(_record("nonlocal-gap", gap, 0.0, gap, gap <= nl_tol))
     payload = {
@@ -443,30 +496,20 @@ def _pipeline_norms(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
         "nonlocal_imag_ratio": report.nonlocal_imag_ratio,
         "checks": checks,
     }
-    report_path = _out_dir(cfg, base) / _get(cfg, "outputs.report", "norms.json", str)
+    report_path = _out_dir(cfg, base) / cfg["outputs.report"]
     _write_json(report_path, payload)
     return (0 if all(c["pass"] for c in checks) else 1), [report_path]
 
 
 def _pipeline_verify(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
-    name = _get(cfg, "verify.suite", "kernel", str)
-    seed = _get(cfg, "seed", 0, int)
-    out_path = _out_dir(cfg, base) / _get(cfg, "outputs.report", "verify.json", str)
-    return _run_verify(name, seed, _get(cfg, "tolerances", {}), out_path)
+    return _run_verify(cfg, _out_dir(cfg, base) / cfg["outputs.report"])
 
 
-def _run_verify(name: str, seed: int, tolerances: dict, out_path: Path) -> tuple[int, list[Path]]:
-    if name == "all":
-        names = list(VERIFY_SUITES)
-    elif name in VERIFY_SUITES:
-        names = [name]
-    else:
-        _fail("verify.suite", f"unknown suite {name!r}; expected one of {sorted(VERIFY_SUITES)} or 'all'")
+def _run_verify(cfg: dict, out_path: Path) -> tuple[int, list[Path]]:
+    name, seed = cfg["verify.suite"], cfg["seed"]
     records = []
-    for n in names:
-        fn, default_tol = VERIFY_SUITES[n]
-        tol = float(tolerances.get(n, default_tol))
-        records.extend(fn(seed, tol))
+    for n in list(VERIFY_SUITES) if name == "all" else [name]:
+        records.extend(VERIFY_SUITES[n][0](seed, cfg[f"tolerances.{n}"]))
     _write_json(out_path, {"suite": name, "seed": seed, "records": records})
     n_fail = sum(not r["pass"] for r in records)
     for r in records:
@@ -488,9 +531,7 @@ def run(config_path, workers: int | None = None) -> int:
     t_start = time.time()
     cfg = load_scenario(config_path)
     base = Path(config_path).resolve().parent
-    if workers is None:
-        workers = _get(cfg, "workers", kind=int)
-    workers = transform._fft_workers(workers)
+    workers = transform._fft_workers(cfg["workers"] if workers is None else workers)
     pipeline = cfg["pipeline"]
     status, outputs = PIPELINE_RUNNERS[pipeline](cfg, base, workers)
     manifest = {
@@ -578,7 +619,9 @@ def main(argv=None) -> int:
             out.write_text(emit_figure_data(args.s, r_values, t_values))
             return 0
         if args.command == "verify" and args.scenario is None:
-            status, _ = _run_verify(args.suite, args.seed, {}, Path(args.out))
+            cfg = _resolve({"schema": SCHEMA, "pipeline": "verify-suite", "seed": args.seed,
+                            "verify": {"suite": args.suite}})
+            status, _ = _run_verify(cfg, Path(args.out))
             return status
         expected = {"analyze": "analyze", "reconstruct": "reconstruct", "norms": "norms", "verify": "verify-suite"}[args.command]
         cfg = load_scenario(args.scenario)

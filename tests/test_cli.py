@@ -7,19 +7,21 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import emwave
 from emwave import __version__, oracle
 from emwave.cli import (
     CONVENTIONS,
+    SCENARIO_KEYS,
     SCHEMA,
     _parse_range,
     emit_figure_data,
@@ -146,6 +148,13 @@ def test_verify_rejects_unknown_suite(tmp_path, capsys):
     code = main(["verify", "--suite", "nonsense", "--out", str(tmp_path / "v.json")])
     assert code == 2
     assert "verify.suite" in capsys.readouterr().err
+
+
+def test_verify_flags_are_checked_like_a_scenario(tmp_path, capsys):
+    code = main(["verify", "--suite", "anchor", "--seed", "-1", "--out", str(tmp_path / "v.json")])
+    assert code == 2
+    assert "config error at seed: " in capsys.readouterr().err
+    assert not (tmp_path / "v.json").exists()
 
 
 def test_verify_scenario_route(tmp_path):
@@ -328,6 +337,16 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         (lambda c: _put(c, "verify.suite", ["kernel"], "verify-suite"), "verify.suite"),
         # a cell volume (L/N)^3 beyond the largest float
         pytest.param(lambda c: _put(c, "grids.spatial.L", 1e300), "grids.spatial", id="L-1e300"),
+        # every key is checked before the first output is written
+        pytest.param(lambda c: _put(c, "outputs.report", 5, "reconstruct"), "outputs.report", id="report-5"),
+        # misspelled keys are not ignored
+        pytest.param(lambda c: _put(c, "tolerance.parseval", 1e-30), "tolerance: unknown key", id="tolerance"),
+        pytest.param(lambda c: _put(c, "amplitude.centre", 9.0), "amplitude.centre: unknown key", id="centre"),
+        # output names stay inside outputs.directory
+        pytest.param(lambda c: _put(c, "outputs.report", "../r.json"), "outputs.report", id="report-up"),
+        pytest.param(lambda c: _put(c, "outputs.directory", "o\0ut"), "outputs.directory", id="directory-nul"),
+        # a finite amplitude whose norm overflows
+        pytest.param(lambda c: _put(c, "amplitude.angular.const", 1e300), "amplitude: ", id="const-1e300"),
     ],
 )
 def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, needle):
@@ -338,6 +357,7 @@ def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, nee
     err = capsys.readouterr().err
     assert f"config error at {needle}" in err
     assert err.count("config error") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def _small_scenarios():
@@ -389,12 +409,13 @@ def _at(cfg, keys):
     return cfg
 
 
-# integers stay small so that no draw asks for a huge grid or budget
+# integers stay small so that no draw asks for a huge grid or budget;
+# floats span every finite double
 _json_scalars = (
     st.none()
     | st.booleans()
     | st.integers(-16, 16)
-    | st.floats(-1e3, 1e3, allow_nan=False)
+    | st.floats(allow_nan=False, allow_infinity=False)
     | st.sampled_from(["both", "plus", "minus", "gaussian", "wavelet", "norms", "analyze"])
     | st.text("abxyz_-", max_size=6)
 )
@@ -414,6 +435,7 @@ _json_values = st.recursive(
 @example(leaf=(1, ("probes", "box_fraction")), value=-1)
 @example(leaf=(0, ("outputs", "report")), value="")
 @example(leaf=(0, ("grids", "spatial", "L")), value=1e-300)
+@example(leaf=(0, ("amplitude", "angular", "const")), value=1e300)
 def test_config_fuzz_exits_with_a_documented_status(tmp_path_factory, leaf, value):
     which, keys = leaf
     cfg = _small_scenarios()[which]
@@ -429,10 +451,63 @@ def test_config_fuzz_exits_with_a_documented_status(tmp_path_factory, leaf, valu
     assert status in (0, 1, 2)
     if status == 2:
         assert "config error at " in err.getvalue() or "error: " in err.getvalue()
-    if status == 1:
-        outputs = cfg["outputs"]
-        report = json.loads((tmp / outputs["directory"] / outputs["report"]).read_text())
-        assert any(not check["pass"] for check in report["checks"])
+    else:
+        resolved = load_scenario(path)
+        text = (tmp / resolved["outputs.directory"] / resolved["outputs.report"]).read_text()
+        report = json.loads(text, parse_constant=_not_json)  # NaN and Infinity are not JSON
+        assert (status == 1) == any(not check["pass"] for check in report["checks"])
+
+
+def _not_json(token):
+    raise ValueError(f"{token} in a report")
+
+
+_TABLE_LEAVES = {tuple(path.split(".")) for path in SCENARIO_KEYS}
+_TABLE_OBJECTS = sorted({leaf[:i] for leaf in _TABLE_LEAVES for i in range(len(leaf))})
+# real key names in the wrong place, and names the table does not know
+_key_names = st.sampled_from(sorted({key for leaf in _TABLE_LEAVES for key in leaf})) | st.text(
+    "aceilnrst._", min_size=1, max_size=8
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 1), node=st.sampled_from(_TABLE_OBJECTS), key=_key_names, value=_json_values)
+@example(which=0, node=(), key="tolerance", value={"parseval": 1e-30})
+@example(which=0, node=("amplitude",), key="centre", value=9.0)
+@example(which=1, node=(), key="grids.spatial", value=None)
+def test_config_fuzz_names_an_unknown_key(tmp_path_factory, which, node, key, value):
+    path = node + (key,)
+    assume(path not in _TABLE_LEAVES and path not in _TABLE_OBJECTS)
+    cfg = _small_scenarios()[which]
+    target = cfg
+    for part in node:
+        target = target.setdefault(part, {})
+    target[key] = value
+    tmp = tmp_path_factory.mktemp("unknown")
+    (tmp / "scenario.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main([COMMANDS[cfg["pipeline"]], "--scenario", str(tmp / "scenario.json")])
+    assert status == 2
+    assert err.getvalue().count("config error") == 1
+    assert f"config error at {'.'.join(path)}: unknown key" in err.getvalue()
+    assert not (tmp / "out").exists()
+
+
+def test_readme_schema_lists_the_scenario_table(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    schema = json.loads(re.sub(r"//.*", "", block))
+
+    def leaf_paths(node, prefix=""):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from leaf_paths(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    assert sorted(leaf_paths(schema)) == sorted(SCENARIO_KEYS)
+    load_scenario(_write_cfg(tmp_path, schema))  # and its example values pass every check
 
 
 def test_zero_reference_field_is_a_config_error(tmp_path, capsys):
