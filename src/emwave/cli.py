@@ -251,6 +251,11 @@ def _one_of(*choices):
     return lambda v: v in choices, f"expected one of {list(choices)}"
 
 
+def _at_most(bound):
+    # an oversized value is a config error, not a failed allocation later on
+    return lambda v: v <= bound, f"must be <= {bound}"
+
+
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _PAIR = (lambda v: len(v) == 2, "expected 2 numbers")
 # the grid builder accepts no cell finer than (L/N)^3 = 5e-324, so lattice
@@ -270,12 +275,13 @@ SCENARIO_KEYS = {
     "schema": (str, _REQUIRED, _one_of(SCHEMA)),
     "pipeline": (str, _REQUIRED, _one_of(*PIPELINES)),
     "seed": (int, 0, (lambda v: v >= 0, "must be >= 0")),
-    "workers": (int, None, None),
+    "workers": (int, None, _at_most(256)),  # scipy.fft threads
     "time": (float, 0.0, _TIMES),
-    "grids.spatial.N": (int, _FIELD, None),
+    "grids.spatial.N": (int, _FIELD, _at_most(256)),  # N = 256 takes 0.8 GB per scale slice
     "grids.spatial.L": (float, _FIELD, None),
     "grids.scale.omega_band": (list, _FIELD, _PAIR),
-    "grids.scale.nodes_per_sign": (int, 24, None),
+    # past ~100 nodes per sign the quadrature error is its truncated tail, 1.1e-7 at the default s_max
+    "grids.scale.nodes_per_sign": (int, 24, _at_most(1024)),
     "grids.scale.signs": (str, "both", None),
     "grids.cone.omega_min": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[0], None),
     "grids.cone.omega_max": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[1], None),
@@ -290,7 +296,8 @@ SCENARIO_KEYS = {
     "amplitude.sheet_weights": (
         list, lambda v: [1.0, 0.0] if v["amplitude.profile"] == "wavelet" else [1.0, 1.0], _PAIR),
     "amplitude.s0": (float, 1.0, _POSITIVE),
-    "probes.count": (int, 50, _POSITIVE),
+    # each probe adds three length-N complex phase rows: 1.5 GB for 10^6 probes at N = 32
+    "probes.count": (int, 50, (lambda v: 1 <= v <= 10**6, "must be in [1, 1000000]")),
     "probes.box_fraction": (float, 0.35, (lambda v: 0 < v <= 1, "must be in (0, 1]")),
     "probes.times": (list, [0.0, 1.0], _TIMES),
     "coefficients": (str, None, _PATH),
@@ -382,8 +389,6 @@ def _build_grids(cfg: dict):
             tuple(cfg["grids.scale.omega_band"]), cfg["grids.scale.nodes_per_sign"], cfg["grids.scale.signs"])
     except EmwaveError as exc:
         _fail("grids.scale", str(exc))
-    if not (np.isfinite(sgrid.nodes).all() and np.isfinite(sgrid.weights).all()):
-        _fail("grids.scale.omega_band", "the scale quadrature over this band is not finite")
     try:
         cone = grids.build_cartesian_cone_grid(
             ygrid, cfg["grids.cone.omega_min"], cfg["grids.cone.omega_max"], sheets=cfg["grids.cone.sheets"])
@@ -627,7 +632,11 @@ def main(argv=None) -> int:
         cfg = load_scenario(args.scenario)
         if cfg["pipeline"] != expected:
             _fail("pipeline", f"subcommand {args.command!r} needs pipeline {expected!r}, got {cfg['pipeline']!r}")
-        return run(args.scenario, workers=getattr(args, "workers", None))
+        workers = getattr(args, "workers", None)
+        check, reason = SCENARIO_KEYS["workers"][2]
+        if workers is not None and not check(workers):
+            _fail("--workers", f"{reason}, got {workers}")
+        return run(args.scenario, workers=workers)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -234,12 +234,19 @@ def build_scale_grid(
     s_max = s_max_factor / omega_min
     nodes_list = []
     weights_list = []
-    for a, b, n in _scale_panel_layout(s_min, s_max, nodes_per_sign):
-        x, w = _panel_nodes(a, b, n)
-        nodes_list.append(x)
-        weights_list.append(w)
+    # an extreme band overflows the panel edges; the NaN nodes are rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b, n in _scale_panel_layout(s_min, s_max, nodes_per_sign):
+            x, w = _panel_nodes(a, b, n)
+            nodes_list.append(x)
+            weights_list.append(w)
     s_pos = np.concatenate(nodes_list)
     w_pos = np.concatenate(weights_list)
+    if not all(np.all((v > 0) & (v < np.inf)) for v in (np.array([s_min, s_max]), s_pos, w_pos)):
+        raise EmwaveError(
+            f"scale quadrature over the band [{omega_min}, {omega_max}] has a node or weight "
+            f"that is not a positive finite number (s_min = {s_min}, s_max = {s_max})"
+        )
 
     parts = []
     if signs in ("both", "plus"):

@@ -19,7 +19,6 @@ Conventions used throughout (fixed once here):
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -31,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 from numpy.polynomial.legendre import leggauss
+from scipy.special import erfc
 
 from . import grids as _grids
 from .errors import (
@@ -365,91 +365,47 @@ def inner_product(
 # nonlocal equal-time norm
 # ---------------------------------------------------------------------------
 
-_TABLE_RANGE = 6  # exact cell-interaction integrals for |d|_inf <= this
 _NONLOCAL_BUDGET = 24**3  # grid points per factor of the double sum
 
 
-def _triangular(v: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - np.abs(v))
+def _cell_kernel_factors(d) -> tuple[np.ndarray, np.ndarray]:
+    """Log-time rule ``w`` and per-axis factors ``g`` with A(d) = sum_j w_j prod_i g[j, d_i].
 
-
-def _octant_plain(d: np.ndarray, lo: np.ndarray, n: int) -> float:
-    """Tensor Gauss-Legendre of T(v)/|v+d|^2 over the octant [lo, lo+1]^3."""
-    x, w = leggauss(n)
-    tnodes = 0.5 * (x + 1.0)
-    tw = 0.5 * w
-    V1, V2, V3 = np.meshgrid(lo[0] + tnodes, lo[1] + tnodes, lo[2] + tnodes, indexing="ij")
-    W = tw[:, None, None] * tw[None, :, None] * tw[None, None, :]
-    T = _triangular(V1) * _triangular(V2) * _triangular(V3)
-    R2 = (V1 + d[0]) ** 2 + (V2 + d[1]) ** 2 + (V3 + d[2]) ** 2
-    return float(np.sum(W * T / R2))
-
-
-def _octant_corner(d: np.ndarray, lo: np.ndarray, n: int) -> float:
-    """Octant whose corner carries the 1/|v+d|^2 singularity.
-
-    Splits the unit cube (anchored at the singular corner v* = -d) into
-    three pyramids; in each, scaling out the apex distance cancels the
-    singularity against the volume Jacobian exactly.
+    With 1/r^2 = INT_0^inf e^{-t r^2} dt and the per-axis tent density
+    1 - |v| on [-1, 1] of the offset between two unit cells, the cell-pair
+    average separates: A(d) = INT dt g(t, d1) g(t, d2) g(t, d3), where
+    g(t, d) = INT (1 - |v|) e^{-t (v+d)^2} dv = h(d-1) - 2 h(d) + h(d+1) and
+    h(c) = (e^{-t c^2} - 1)/(2t) + sqrt(pi)/(2 sqrt t) |c| (1 - erfc(sqrt(t) |c|))
+    is a second antiderivative of e^{-t c^2}.  expm1 keeps the first term exact
+    as t -> 0 and the |c| parts are summed before the division by sqrt(t), so
+    neither small nor large t cancels digits.  The t integral is Gauss-Legendre
+    in u = ln t, 40 panels of 20 nodes on [-40, 80]; A then agrees with tensor
+    Gauss-Legendre over the cell pair to 5e-13 relative for every |d_i| <= 24.
+    ``g`` has shape ``(800,) + np.shape(d)``.
     """
-    vstar = -np.asarray(d, dtype=float)
-    sgn = np.where(vstar == lo, 1.0, -1.0)
-    x, w = leggauss(n)
-    tnodes = 0.5 * (x + 1.0)
-    tw = 0.5 * w
-    U1, U2, Z = np.meshgrid(tnodes, tnodes, tnodes, indexing="ij")
-    W = tw[:, None, None] * tw[None, :, None] * tw[None, None, :]
-    total = 0.0
-    for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0)):
-        cube = np.empty(U1.shape + (3,))
-        cube[..., perm[0]] = Z * U1
-        cube[..., perm[1]] = Z * U2
-        cube[..., perm[2]] = Z
-        v = vstar[None, None, None, :] + sgn[None, None, None, :] * cube
-        T = _triangular(v[..., 0]) * _triangular(v[..., 1]) * _triangular(v[..., 2])
-        apex2 = U1**2 + U2**2 + 1.0  # |cube|^2 / z^2; the z^2 cancels the Jacobian
-        total += float(np.sum(W * T / apex2))
-    return total
+    x, wx = leggauss(20)
+    edges = np.linspace(-40.0, 80.0, 41)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = np.exp(0.5 * (edges[:-1, None] + edges[1:, None]) + half * x).ravel()
+    w = (half * wx).ravel() * t
+    d = np.asarray(d, dtype=float)
+    t = t.reshape(t.shape + (1,) * d.ndim)
+    rt = np.sqrt(t)
+    c = (np.abs(d - 1.0), np.abs(d), np.abs(d + 1.0))
+    g = (c[0] - 2.0 * c[1] + c[2]) * (0.5 * np.sqrt(np.pi)) / rt
+    for k, ck in zip((1.0, -2.0, 1.0), c):
+        g = g + k * (np.expm1(-t * ck**2) / (2.0 * t) - (0.5 * np.sqrt(np.pi)) * ck * erfc(rt * ck) / rt)
+    return w, g
 
 
-def _cell_kernel(d, n: int = 14) -> float:
-    """Average of 1/|x - y|^2 over a displaced cell pair, in cell units.
+def _cell_kernel(d) -> float:
+    """Average of 1/|x - y|^2 over two unit cells displaced by the integer vector ``d``.
 
-    ``d`` is the integer lattice displacement; the relative offset density
-    is the per-axis triangular distribution on [-1, 1] (difference of two
-    uniform cells).  Octants are split at the kink planes v_i = 0; octants
-    whose corner hits the singular point use the pyramid scheme.
+    Exact up to the fixed log-time rule of `_cell_kernel_factors` (5e-13
+    relative), the singular diagonal and neighbour cells included.
     """
-    d = np.asarray(d, dtype=int)
-    total = 0.0
-    singular_near = np.max(np.abs(d)) <= 1
-    for lo1 in (-1.0, 0.0):
-        for lo2 in (-1.0, 0.0):
-            for lo3 in (-1.0, 0.0):
-                lo = np.array([lo1, lo2, lo3])
-                vstar = -d
-                at_corner = all(
-                    float(vstar[i]) in (lo[i], lo[i] + 1.0) for i in range(3)
-                )
-                if singular_near and at_corner:
-                    total += _octant_corner(d, lo, n)
-                else:
-                    total += _octant_plain(d, lo, n)
-    return total
-
-
-@functools.cache
-def _cell_kernel_table(rng: int) -> dict:
-    """Exact interaction entries for canonical displacements |d|_inf <= rng.
-
-    Fixed data, built once per process; callers must not mutate it.
-    """
-    table = {}
-    for i in range(rng + 1):
-        for j in range(i, rng + 1):
-            for k in range(j, rng + 1):
-                table[(i, j, k)] = _cell_kernel([i, j, k])
-    return table
+    w, g = _cell_kernel_factors(d)
+    return float(w @ np.prod(g, axis=1))
 
 
 @dataclass(frozen=True)
@@ -465,12 +421,13 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     """Squared norm from the equal-time double integral.
 
     (1/pi^2) INT d^3x d^3y |x-y|^-2 conj(F(x,0)) . F(y,0), discretized on
-    ``ygrid`` x ``ygrid`` with cell-averaged kernel weights: the singular
-    diagonal and near-diagonal cells use exactly integrated cell-pair
-    averages of 1/|x-y|^2 (pyramid-scheme corner quadrature), far cells an
-    O(|d|^-6)-accurate asymptotic average.  The pair sum is evaluated by a
-    zero-padded FFT cross-correlation.  Refuses grids beyond 24^3 points
-    per factor with a cost estimate.
+    ``ygrid`` x ``ygrid`` with cell-averaged kernel weights: A(d), the exact
+    average of 1/|x-y|^2 over two cells displaced by d, for every d of the
+    (2N)^3 correlation grid, the singular diagonal included.  A separates
+    into a 1-D log-time integral of three per-axis factors
+    (`_cell_kernel_factors`), so all (2N)^3 weights are one matrix product.
+    The pair sum is evaluated by a zero-padded FFT cross-correlation.
+    Refuses grids beyond 24^3 points per factor with a cost estimate.
     """
     if ygrid.kind != "spatial":
         raise GridMismatchError("norm_nonlocal_t0 needs a spatial grid")
@@ -494,19 +451,10 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
         spec = scipy.fft.fftn(pad)
         corr += scipy.fft.ifftn(np.conj(spec) * spec)
 
-    table = _cell_kernel_table(_TABLE_RANGE)
     idx = np.arange(P)
-    didx = np.where(idx < N, idx, idx - P)
-    D1, D2, D3 = np.meshgrid(didx, didx, didx, indexing="ij")
-    canon = np.sort(
-        np.stack([np.abs(D1), np.abs(D2), np.abs(D3)], axis=-1), axis=-1
-    )
-    k2 = D1.astype(float) ** 2 + D2**2 + D3**2
-    A = np.empty((P, P, P))
-    far = canon[..., 2] > _TABLE_RANGE
-    with np.errstate(divide="ignore"):
-        A[far] = 1.0 / k2[far] + 1.0 / (6.0 * k2[far] ** 2)
-    A[~far] = np.array([table[tuple(key)] for key in canon[~far]])
+    w, g = _cell_kernel_factors(np.where(idx < N, idx, idx - P))
+    pairs = (g[:, :, None] * g[:, None, :]).reshape(len(w), P * P)
+    A = ((w[:, None] * g).T @ pairs).reshape(P, P, P)
 
     total = complex(dlt**4 / np.pi**2 * np.sum(A * corr))
     imag_ratio = abs(total.imag) / abs(total.real) if total.real != 0.0 else 0.0

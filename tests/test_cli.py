@@ -347,6 +347,14 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         pytest.param(lambda c: _put(c, "outputs.directory", "o\0ut"), "outputs.directory", id="directory-nul"),
         # a finite amplitude whose norm overflows
         pytest.param(lambda c: _put(c, "amplitude.angular.const", 1e300), "amplitude: ", id="const-1e300"),
+        # a band whose scale quadrature overflows (s_min subnormal)
+        pytest.param(lambda c: _put(c, "grids.scale.omega_band", [0.9, 1e307]), "grids.scale: ", id="band-1e307"),
+        # sizes beyond any run are rejected before anything is allocated
+        pytest.param(lambda c: _put(c, "probes.count", 10**12, "reconstruct"), "probes.count", id="count-1e12"),
+        pytest.param(lambda c: _put(c, "grids.spatial.N", 512), "grids.spatial.N", id="N-512"),
+        pytest.param(lambda c: _put(c, "grids.scale.nodes_per_sign", 4096), "grids.scale.nodes_per_sign",
+                     id="nodes-4096"),
+        pytest.param(lambda c: _put(c, "workers", 10**6), "workers", id="workers-1e6"),
     ],
 )
 def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, needle):
@@ -357,6 +365,13 @@ def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, nee
     err = capsys.readouterr().err
     assert f"config error at {needle}" in err
     assert err.count("config error") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_workers_flag_is_a_config_error(tmp_path, capsys):
+    path = _write_cfg(tmp_path, _norms_cfg("out"))
+    assert main(["norms", "--scenario", str(path), "--workers", "100000"]) == 2
+    assert "config error at --workers: must be <= 256" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

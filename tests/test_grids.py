@@ -102,6 +102,13 @@ def test_scale_grid_nodes_never_zero():
     assert np.all(grid.nodes != 0.0)
 
 
+@pytest.mark.parametrize("band", [(0.9, 1e307), (1e-307, 2.8), (1e-300, 1e300)])
+def test_scale_grid_rejects_non_finite_quadrature(band):
+    # s_min = 0.05 / omega_max underflows or s_max / s_min overflows
+    with pytest.raises(EmwaveError, match="not a positive finite number"):
+        grids.build_scale_grid(band, 24)
+
+
 def test_scale_grid_single_sign():
     grid = grids.build_scale_grid((0.5, 4.0), 20, "plus")
     assert np.all(grid.nodes > 0)
