@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import EmwaveError, NonFiniteSampleError
+from .fieldcore import gate2
+from .grids import gauss_legendre_panels
 
 __all__ = ["LineSignal", "Spectrum", "ast_line", "ast_line_with_tail", "ast_fourier"]
 
@@ -105,12 +106,7 @@ def _cauchy_quad(sig: LineSignal, a: float, b: float, n: int, shift: complex = 0
         width = min(width, np.pi / (2.0 * sig.rate))
     n_panels = max(1, int(np.ceil((b - a) / width)))
     per_panel = max(4, int(np.ceil(n / n_panels)))
-    x, w = roots_legendre(per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    taus = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ww = (half[:, None] * w[None, :]).ravel()
+    taus, ww = gauss_legendre_panels(np.linspace(a, b, n_panels + 1), per_panel)
     f = _sample(sig, taus) - shift
     return complex(np.sum(ww * f / (np.pi * 1j * (taus - 1j))))
 
@@ -125,27 +121,20 @@ def _oscillatory_tail(sig: LineSignal, T: float, n: int) -> tuple[complex, float
     h = np.pi / sig.rate
     n_chunks = 24
     per_chunk = max(6, n // 8)
-    x, w = roots_legendre(per_chunk)
-    partial = np.zeros(n_chunks + 1, dtype=complex)
-    total = 0.0 + 0.0j
-    for j in range(n_chunks):
-        val = 0.0 + 0.0j
-        for sign in (1.0, -1.0):
-            a = sign * (T + j * h)
-            b = sign * (T + (j + 1) * h)
-            lo, hi = min(a, b), max(a, b)
-            half = 0.5 * (hi - lo)
-            taus = 0.5 * (lo + hi) + half * x
-            f = _sample(sig, taus)
-            val += complex(np.sum(half * w * f / (np.pi * 1j * (taus - 1j))))
-        total += val
-        partial[j + 1] = total
-    stages = [partial[1:].copy()]
+    edges = T + h * np.arange(n_chunks + 1)
+
+    def chunk_sums(panel_edges):
+        taus, w = gauss_legendre_panels(panel_edges, per_chunk)
+        terms = w * _sample(sig, taus) / (np.pi * 1j * (taus - 1j))
+        return terms.reshape(n_chunks, per_chunk).sum(axis=1)
+
+    # chunk j covers [T + jh, T + (j+1)h] and its mirror image
+    stages = [np.cumsum(chunk_sums(edges) + chunk_sums(-edges[::-1])[::-1])]
     while len(stages[-1]) > 1:
         s = stages[-1]
         stages.append(0.5 * (s[:-1] + s[1:]))
     value = complex(stages[-1][0])
-    prev = complex(stages[-2][0]) if len(stages) > 1 else complex(partial[-1])
+    prev = complex(stages[-2][0])
     bound = abs(value - prev) + 1e-15 * (abs(value) + 1.0)
     return value, float(bound)
 
@@ -206,6 +195,5 @@ def ast_fourier(spec: Spectrum, x, y) -> complex:
             f"dimension mismatch: x has {n} components, y {y.shape}, spectrum nodes {spec.nodes.shape}"
         )
     py = spec.nodes @ y
-    gate = np.where(py > 0.0, 2.0, np.where(py < 0.0, 0.0, 1.0))
     phase = np.exp(1j * (spec.nodes @ x) - py)
-    return complex((2.0 * np.pi) ** -n * np.sum(spec.weights * gate * phase * spec.values))
+    return complex((2.0 * np.pi) ** -n * np.sum(spec.weights * gate2(py) * phase * spec.values))

@@ -3,12 +3,12 @@ analysis/synthesis/norm/verification pipelines, and writes CSV/JSON artifacts.
 
 This module owns all I/O; the compute modules never read or write files.
 Outputs are deterministic for a fixed config and seed regardless of the
-FFT worker count (set via ``--workers``, the scenario, or the
-``EMWAVE_THREADS`` environment variable).  Every run writes a manifest
-recording the config hash, library versions, the physical conventions baked
-into the package, the resolved worker count and timings; the worker count
-and timings vary between runs, so the manifest is informational rather than
-part of the reproducible output set.
+``scipy.fft`` worker count (``--workers``, else the scenario's ``workers``
+key, else 1), which a run sets once with ``scipy.fft.set_workers``.  Every
+run writes a manifest recording the config hash, library versions, the
+physical conventions baked into the package, the worker count and timings;
+the worker count and timings vary between runs, so the manifest is
+informational rather than part of the reproducible output set.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import __version__
 from . import fieldcore, grids, transform
@@ -50,6 +52,7 @@ def _fail(path: str, message: str):
 
 
 def _parse_range(text: str, where: str) -> np.ndarray:
+    """Endpoint-inclusive ``start:stop:step`` samples; at most 10^6 of them, all finite."""
     parts = text.split(":")
     if len(parts) != 3:
         _fail(where, f"expected start:stop:step, got {text!r}")
@@ -57,10 +60,15 @@ def _parse_range(text: str, where: str) -> np.ndarray:
         start, stop, step = (float(v) for v in parts)
     except ValueError:
         _fail(where, f"non-numeric range component in {text!r}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        _fail(where, f"range components must be finite, got {text!r}")
     if step <= 0 or stop < start:
         _fail(where, f"need stop >= start and step > 0, got {text!r}")
-    n = int(np.floor((stop - start) / step + 0.5)) + 1
-    return start + step * np.arange(n)
+    # checked before anything is allocated; an overflowing count is inf and fails too
+    count = (stop - start) / step + 0.5
+    if not count < 10**6:
+        _fail(where, f"range has more than 1000000 samples, got {text!r}")
+    return start + step * np.arange(int(count) + 1)
 
 
 def emit_figure_data(s: float, r_values: np.ndarray, t_values: np.ndarray) -> str:
@@ -275,7 +283,7 @@ SCENARIO_KEYS = {
     "schema": (str, _REQUIRED, _one_of(SCHEMA)),
     "pipeline": (str, _REQUIRED, _one_of(*PIPELINES)),
     "seed": (int, 0, (lambda v: v >= 0, "must be >= 0")),
-    "workers": (int, None, _at_most(256)),  # scipy.fft threads
+    "workers": (int, 1, (lambda v: 1 <= v <= 256, "must be <= 256 and >= 1")),  # scipy.fft threads
     "time": (float, 0.0, _TIMES),
     "grids.spatial.N": (int, _FIELD, _at_most(256)),  # N = 256 takes 0.8 GB per scale slice
     "grids.spatial.L": (float, _FIELD, None),
@@ -432,16 +440,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _pipeline_analyze(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
+def _pipeline_analyze(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"], workers=workers)
+    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
     name = cfg["outputs.coefficients"]
     manifest = transform.save_coefficients(coeffs, _out_dir(cfg, base), name=name)
     return 0, [manifest, manifest.parent / f"{name}.bin"]
 
 
-def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
+def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     coeffs_path = cfg["coefficients"]
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
@@ -453,13 +461,13 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
         if not all(np.isfinite(c).all() for c in coeffs.values):
             _fail("coefficients", f"payload of {coeffs_path} holds a non-finite sample")
     else:
-        coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"], workers=workers)
+        coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
     probes = _draw_probes(cfg, ygrid)
     tol = cfg["tolerances.round_trip"]
     rows = ["x,y,z,t,re_x,im_x,re_y,im_y,re_z,im_z"]
     checks = []
     for t in cfg["probes.times"]:
-        rec = transform.synthesize_many(coeffs, probes, t, workers=workers)
+        rec = transform.synthesize_many(coeffs, probes, t)
         ref = fieldcore._evaluate_many(amp, probes, t)
         ref_norm = np.linalg.norm(ref)
         if ref_norm == 0.0:
@@ -479,10 +487,10 @@ def _pipeline_reconstruct(cfg: dict, base: Path, workers) -> tuple[int, list[Pat
     return status, [csv_path, report_path]
 
 
-def _pipeline_norms(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
+def _pipeline_norms(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"], workers=workers)
+    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
     nonlocal_grid = ygrid if cfg["norms.nonlocal"] else None
     report = transform.norm_report(amp, coeffs, nonlocal_grid=nonlocal_grid)
     tol = cfg["tolerances.parseval"]
@@ -506,7 +514,7 @@ def _pipeline_norms(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
     return (0 if all(c["pass"] for c in checks) else 1), [report_path]
 
 
-def _pipeline_verify(cfg: dict, base: Path, workers) -> tuple[int, list[Path]]:
+def _pipeline_verify(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     return _run_verify(cfg, _out_dir(cfg, base) / cfg["outputs.report"])
 
 
@@ -532,13 +540,14 @@ PIPELINE_RUNNERS = {
 
 
 def run(config_path, workers: int | None = None) -> int:
-    """Execute a scenario config; returns the process exit status."""
+    """Execute a scenario config with ``workers`` (else the scenario's) FFT threads; returns the exit status."""
     t_start = time.time()
     cfg = load_scenario(config_path)
     base = Path(config_path).resolve().parent
-    workers = transform._fft_workers(cfg["workers"] if workers is None else workers)
+    workers = cfg["workers"] if workers is None else workers
     pipeline = cfg["pipeline"]
-    status, outputs = PIPELINE_RUNNERS[pipeline](cfg, base, workers)
+    with scipy.fft.set_workers(workers):
+        status, outputs = PIPELINE_RUNNERS[pipeline](cfg, base)
     manifest = {
         "config_path": str(Path(config_path).resolve()),
         "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
@@ -546,18 +555,13 @@ def run(config_path, workers: int | None = None) -> int:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
+        "scipy_version": scipy.__version__,
         "conventions": CONVENTIONS,
         "workers": workers,
         "outputs": [str(p) for p in outputs],
         "exit_status": status,
         "timings_s": {"total": time.time() - t_start},
     }
-    try:
-        import scipy
-
-        manifest["scipy_version"] = scipy.__version__
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        pass
     _write_json(_out_dir(cfg, base) / "run_manifest.json", manifest)
     return status
 
@@ -569,7 +573,8 @@ def run(config_path, workers: int | None = None) -> int:
 
 def _add_scenario_arg(sub):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON config")
-    sub.add_argument("--workers", type=int, default=None, help="FFT worker count (default: EMWAVE_THREADS or 1)")
+    sub.add_argument("--workers", type=int, default=None,
+                     help="scipy.fft worker count, 1 to 256 (default: the scenario's workers key, else 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

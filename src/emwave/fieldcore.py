@@ -208,6 +208,13 @@ def _unit_directions(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     return omega, grid.nodes / omega[:, None]
 
 
+def _sheet_polarizations(grid: QuadratureGrid) -> np.ndarray:
+    """Per-node circular polarization, shape (M, 3): e+ on the positive sheet, e- on the negative."""
+    _, nhat = _unit_directions(grid)
+    e1, e2 = _transverse_frames(nhat)
+    return (e1 + 1j * grid.sheets[:, None] * e2) / np.sqrt(2.0)
+
+
 def amplitude_from_scalar(grid: QuadratureGrid, fn) -> ConeAmplitude:
     """Build an amplitude by evaluating a helicity profile on the grid.
 
@@ -223,11 +230,7 @@ def amplitude_vectors(amp: ConeAmplitude | _RawVectorField) -> np.ndarray:
     """Vector amplitude f(p), shape (M, 3), reconstructed per node."""
     if isinstance(amp, _RawVectorField):
         return amp.fvecs
-    _, nhat = _unit_directions(amp.grid)
-    e1, e2 = _transverse_frames(nhat)
-    # e_plus on the positive sheet, e_minus on the negative sheet
-    circ = (e1 + 1j * amp.grid.sheets[:, None] * e2) / np.sqrt(2.0)
-    return amp.values[:, None] * circ
+    return amp.values[:, None] * _sheet_polarizations(amp.grid)
 
 
 def amplitude_from_vectors(
@@ -242,9 +245,7 @@ def amplitude_from_vectors(
     fvecs = np.asarray(fvecs, dtype=complex)
     if fvecs.shape != (len(grid), 3):
         raise EmwaveError(f"expected vectors of shape ({len(grid)}, 3), got {fvecs.shape}")
-    _, nhat = _unit_directions(grid)
-    e1, e2 = _transverse_frames(nhat)
-    circ = (e1 + 1j * grid.sheets[:, None] * e2) / np.sqrt(2.0)
+    circ = _sheet_polarizations(grid)
     values = np.sum(np.conj(circ) * fvecs, axis=1)
     recon = values[:, None] * circ
     scale = np.maximum(np.linalg.norm(fvecs, axis=1), 1e-300)
@@ -277,9 +278,9 @@ def constraint_residuals(amp: ConeAmplitude | _RawVectorField) -> tuple[np.ndarr
     return trans, curl
 
 
-def _gate_factor(p0: np.ndarray, s) -> np.ndarray:
-    """2 theta(p0 s) with theta(0) = 1/2, broadcast over nodes and scales."""
-    return np.where(s == 0.0, 1.0, np.where(p0 * s > 0.0, 2.0, 0.0))
+def gate2(x) -> np.ndarray:
+    """2 theta(x) with theta(0) = 1/2, elementwise: the one complex-time gate of the package."""
+    return np.where(x > 0.0, 2.0, np.where(x < 0.0, 0.0, 1.0))
 
 
 def _evaluate_many(
@@ -304,7 +305,7 @@ def _evaluate_many(
     p0 = grid.sheets * omega
     scales = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
     # per-node factor weight * gate * exp(-i p0 t - p0 s) * f, columns (scale, component)
-    factor = grid.weights * _gate_factor(p0, scales) * np.exp(-p0 * (scales + 1j * t))
+    factor = grid.weights * gate2(p0 * scales) * np.exp(-p0 * (scales + 1j * t))
     coeff = (factor.T[:, :, None] * f[:, None, :]).reshape(len(grid), -1)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if out is None:

@@ -28,6 +28,7 @@ __all__ = [
     "build_scale_grid",
     "build_spatial_grid",
     "build_cartesian_cone_grid",
+    "gauss_legendre_panels",
     "spatial_axis",
     "momentum_axis",
     "momentum_mesh",
@@ -88,11 +89,29 @@ def _validate_band(omega_min: float, omega_max: float) -> None:
         )
 
 
-def _panel_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to the interval [a, b]."""
+def gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with ``n`` nodes on each panel between consecutive ``edges``.
+
+    Panel ``[a, b]`` gets the nodes ``a + (b - a)/2 (x + 1)`` and weights
+    ``(b - a)/2 w`` of the n-point rule ``(x, w)`` on [-1, 1]; nodes and
+    weights come back flat, panel by panel.
+    """
     x, w = roots_legendre(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+    edges = np.asarray(edges, dtype=float)
+    a = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - a)
+    return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def _per_sheet(p: np.ndarray, w: np.ndarray, sheets: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and sheet labels with ``p`` and ``w`` repeated once per selected sheet."""
+    if sheets not in ("both", "plus", "minus"):
+        raise EmwaveError(f"unknown sheet selection {sheets!r}")
+    blocks = {"both": (1, -1), "plus": (1,), "minus": (-1,)}[sheets]
+    nodes = np.concatenate([p] * len(blocks), axis=0)
+    weights = np.concatenate([w] * len(blocks))
+    labels = np.concatenate([np.full(len(p), b, dtype=np.int8) for b in blocks])
+    return nodes, weights, labels
 
 
 def build_cone_grid(
@@ -124,10 +143,8 @@ def build_cone_grid(
     _validate_band(omega_min, omega_max)
     if radial_nodes < 2 or angular_order < 2:
         raise EmwaveError("cone grid needs at least 2 radial and 2 angular nodes")
-    if sheets not in ("both", "plus", "minus"):
-        raise EmwaveError(f"unknown sheet selection {sheets!r}")
 
-    omega, w_omega = _panel_nodes(omega_min, omega_max, radial_nodes)
+    omega, w_omega = gauss_legendre_panels((omega_min, omega_max), radial_nodes)
     mu, w_mu = roots_legendre(angular_order)
     n_phi = 2 * angular_order
     phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
@@ -149,11 +166,7 @@ def build_cone_grid(
         * (omega * w_omega)[:, None]
         * w_ang[None, :]
     ).ravel()
-
-    blocks = {"both": (1, -1), "plus": (1,), "minus": (-1,)}[sheets]
-    nodes = np.concatenate([p] * len(blocks), axis=0)
-    weights = np.concatenate([w] * len(blocks))
-    sheet_arr = np.concatenate([np.full(len(p), b, dtype=np.int8) for b in blocks])
+    nodes, weights, sheet_arr = _per_sheet(p, w, sheets)
 
     meta = {
         "builder": "cone",
@@ -232,16 +245,12 @@ def build_scale_grid(
 
     s_min = s_min_factor / omega_max
     s_max = s_max_factor / omega_min
-    nodes_list = []
-    weights_list = []
     # an extreme band overflows the panel edges; the NaN nodes are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, n in _scale_panel_layout(s_min, s_max, nodes_per_sign):
-            x, w = _panel_nodes(a, b, n)
-            nodes_list.append(x)
-            weights_list.append(w)
-    s_pos = np.concatenate(nodes_list)
-    w_pos = np.concatenate(weights_list)
+        layout = _scale_panel_layout(s_min, s_max, nodes_per_sign)
+        panels = [gauss_legendre_panels((a, b), n) for a, b, n in layout]
+    s_pos = np.concatenate([x for x, _ in panels])
+    w_pos = np.concatenate([w for _, w in panels])
     if not all(np.all((v > 0) & (v < np.inf)) for v in (np.array([s_min, s_max]), s_pos, w_pos)):
         raise EmwaveError(
             f"scale quadrature over the band [{omega_min}, {omega_max}] has a node or weight "
@@ -377,8 +386,6 @@ def build_cartesian_cone_grid(
     if spatial.kind != "spatial":
         raise EmwaveError("build_cartesian_cone_grid needs a spatial grid")
     _validate_band(omega_min, omega_max)
-    if sheets not in ("both", "plus", "minus"):
-        raise EmwaveError(f"unknown sheet selection {sheets!r}")
 
     N = spatial.meta["args"]["N"]
     L = spatial.meta["args"]["L"]
@@ -396,11 +403,7 @@ def build_cartesian_cone_grid(
             f"(lattice spacing {dp:.6g})"
         )
     w = MEASURE_PREFACTOR * dp**3 / (2.0 * omega)
-
-    blocks = {"both": (1, -1), "plus": (1,), "minus": (-1,)}[sheets]
-    nodes = np.concatenate([p] * len(blocks), axis=0)
-    weights = np.concatenate([w] * len(blocks))
-    sheet_arr = np.concatenate([np.full(len(p), b, dtype=np.int8) for b in blocks])
+    nodes, weights, sheet_arr = _per_sheet(p, w, sheets)
 
     meta = {
         "builder": "cartesian_cone",
@@ -419,22 +422,12 @@ def build_cartesian_cone_grid(
     return QuadratureGrid("cone", nodes, weights, sheet_arr, meta)
 
 
+# each builder is called with its record's arguments as keywords
 _BUILDERS = {
-    "cone": lambda args: build_cone_grid(**args),
-    "scale": lambda args: build_scale_grid(
-        tuple(args["omega_band"]),
-        args["nodes_per_sign"],
-        args["signs"],
-        s_min_factor=args["s_min_factor"],
-        s_max_factor=args["s_max_factor"],
-    ),
-    "spatial": lambda args: build_spatial_grid(**args),
-    "cartesian_cone": lambda args: build_cartesian_cone_grid(
-        build_spatial_grid(**args["spatial"]),
-        args["omega_min"],
-        args["omega_max"],
-        args["sheets"],
-    ),
+    "cone": build_cone_grid,
+    "scale": build_scale_grid,
+    "spatial": build_spatial_grid,
+    "cartesian_cone": lambda spatial, **args: build_cartesian_cone_grid(build_spatial_grid(**spatial), **args),
 }
 
 
@@ -447,7 +440,7 @@ def build_from_record(builder: str, args: dict) -> QuadratureGrid:
     """Reconstruct a grid from a (builder name, arguments) record."""
     if builder not in _BUILDERS:
         raise EmwaveError(f"cannot rebuild grid with builder record {builder!r}")
-    return _BUILDERS[builder](args)
+    return _BUILDERS[builder](**args)
 
 
 def grids_equal(a: QuadratureGrid, b: QuadratureGrid) -> bool:

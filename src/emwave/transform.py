@@ -22,14 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.fft
-from numpy.polynomial.legendre import leggauss
 from scipy.special import erfc
 
 from . import grids as _grids
@@ -39,7 +37,7 @@ from .errors import (
     GridMismatchError,
     InvalidScaleError,
 )
-from .fieldcore import FieldSample, _evaluate_many, amplitude_vectors
+from .fieldcore import FieldSample, _evaluate_many, amplitude_vectors, gate2
 from .grids import QuadratureGrid, grids_equal
 
 __all__ = [
@@ -58,18 +56,6 @@ __all__ = [
     "save_coefficients",
     "load_coefficients",
 ]
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("EMWAVE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _fft_workers(workers: int | None) -> int:
-    """``scipy.fft`` worker count: ``workers``, else ``EMWAVE_THREADS``; at least 1."""
-    return max(1, workers) if workers is not None else _default_workers()
 
 
 @dataclass(frozen=True)
@@ -150,8 +136,9 @@ def analyze(
     conjugate Cartesian cone lattice are written at their lattice points
     only and pushed onto the spatial grid by one in-place inverse FFT over
     all scale slices, other amplitudes are evaluated densely.  Linear in
-    ``amp``.  ``workers`` is the ``scipy.fft`` worker count; the result
-    does not depend on it.
+    ``amp``.  ``workers`` is the ``scipy.fft`` worker count (``None``:
+    scipy's default, 1 unless set by ``scipy.fft.set_workers``); the
+    result does not depend on it.
     """
     if ygrid.kind != "spatial" or sgrid.kind != "scale":
         raise GridMismatchError(
@@ -189,9 +176,7 @@ def analyze(
                 slices[i, flat] = mult[:, None] * blocks[sheet]
         # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
         # factor is folded into mult); overwrite_x lets it run in place
-        out = scipy.fft.ifftn(
-            out, axes=(1, 2, 3), norm="forward", workers=_fft_workers(workers), overwrite_x=True
-        )
+        out = scipy.fft.ifftn(out, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
     else:
         _evaluate_many(amp, ygrid.nodes, t, s=s_nodes, out=slices)
 
@@ -229,11 +214,10 @@ def _sheet_sums(coeffs: EuclideanCoefficients, workers: int | None) -> dict[int,
     sums = coeffs._sheet_sums
     if not sums:
         Omega, PH = _lattice(coeffs.ygrid)
-        nworkers = _fft_workers(workers)
         built = {}
         for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
             sheet = 1 if s > 0 else -1
-            chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=nworkers)
+            chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=workers)
             chat *= (w * np.exp(-sheet * Omega * s) * PH)[..., None]
             if sheet in built:
                 built[sheet] += chat
@@ -268,7 +252,7 @@ def _synthesize_engine(
     dt = t - coeffs.t
     G = np.zeros((N, N, N, 3), dtype=complex)
     for sheet, H in _sheet_sums(coeffs, workers).items():
-        gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
+        gate = gate2(sigma * sheet)
         if gate != 0.0:
             G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * dt)))[..., None] * H
     pts = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -383,11 +367,9 @@ def _cell_kernel_factors(d) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Legendre over the cell pair to 5e-13 relative for every |d_i| <= 24.
     ``g`` has shape ``(800,) + np.shape(d)``.
     """
-    x, wx = leggauss(20)
-    edges = np.linspace(-40.0, 80.0, 41)
-    half = 0.5 * np.diff(edges)[:, None]
-    t = np.exp(0.5 * (edges[:-1, None] + edges[1:, None]) + half * x).ravel()
-    w = (half * wx).ravel() * t
+    u, wu = _grids.gauss_legendre_panels(np.linspace(-40.0, 80.0, 41), 20)
+    t = np.exp(u)
+    w = wu * t
     d = np.asarray(d, dtype=float)
     t = t.reshape(t.shape + (1,) * d.ndim)
     rt = np.sqrt(t)
@@ -597,6 +579,6 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
     try:
         ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
         sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
     return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmwaveError, InvalidScaleError, SingularKernelError
-from .fieldcore import ConePoint
+from .fieldcore import ConePoint, gate2
 
 __all__ = [
     "WaveletLabel",
@@ -59,15 +59,6 @@ class WaveletLabel:
         object.__setattr__(self, "y", y)
 
 
-def _gate2(x: float) -> float:
-    """2 theta(x) with theta(0) = 1/2."""
-    if x > 0.0:
-        return 2.0
-    if x < 0.0:
-        return 0.0
-    return 1.0
-
-
 def eval_kernel(x, t, sigma: float, y, s: float):
     """Reproducing kernel between labels (x, t - i sigma) and (y, -i s).
 
@@ -97,7 +88,7 @@ def eval_kernel(x, t, sigma: float, y, s: float):
         bad_tau = np.atleast_1d(tau)[idx if np.ndim(tau) else 0]
         bad_r = np.atleast_1d(r)[idx if np.ndim(r) else 0]
         raise SingularKernelError(complex(bad_tau), float(bad_r))
-    value = _gate2(sigma * s) * (3.0 * tau_sq - r_sq) / (PI_SQ * den**3)
+    value = gate2(sigma * s) * (3.0 * tau_sq - r_sq) / (PI_SQ * den**3)
     return complex(value) if scalar else value
 
 
@@ -140,7 +131,7 @@ def wavelet_momentum(label: WaveletLabel, q: ConePoint) -> complex:
     """
     omega = q.omega
     p0 = q.p0
-    gate = _gate2(p0 * label.s)
+    gate = gate2(p0 * label.s)
     if gate == 0.0:
         return 0.0 + 0.0j
     phase = np.exp(1j * p0 * label.t - p0 * label.s - 1j * float(q.p @ label.y))

@@ -46,10 +46,30 @@ def test_parse_range_is_endpoint_inclusive():
     assert vals[0] == 0.0 and vals[-1] == pytest.approx(3.0)
 
 
-@pytest.mark.parametrize("bad", ["1:0:0.5", "0:1:0", "0:1:-0.1", "a:b:c", "0:1", "1:2:3:4"])
+@pytest.mark.parametrize(
+    "bad",
+    ["1:0:0.5", "0:1:0", "0:1:-0.1", "a:b:c", "0:1", "1:2:3:4",
+     # non-finite parts, and counts that overflow or exceed 10^6 samples:
+     # each is rejected before anything is allocated
+     "nan:1:0.5", "0:inf:1", "-inf:0:1", "0:1:nan", "0:1e308:1e-300", "-1e308:1e308:1", "0:1:1e-9",
+     "0:1000000:1"],
+)
 def test_parse_range_rejects_malformed_input(bad):
     with pytest.raises(ConfigError):
         _parse_range(bad, "x")
+
+
+def test_parse_range_allows_one_million_samples():
+    assert len(_parse_range("0:999999:1", "x")) == 10**6
+
+
+def test_non_finite_range_flag_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["wavelet", "--s", "1", "--r", "nan:1:0.5", "--t", "0:0:1", "--out", str(out)]) == 2
+    assert "config error at --r" in capsys.readouterr().err
+    assert main(["wavelet", "--s", "1", "--r", "0:1:0.5", "--t", "0:1e308:1e-300", "--out", str(out)]) == 2
+    assert "config error at --t" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figure_data_layout_and_origin_value():
@@ -203,9 +223,10 @@ def _write_cfg(tmp_path, cfg, name="scenario.json"):
     return path
 
 
-def test_norms_pipeline_passes_and_writes_manifest(tmp_path, monkeypatch):
-    monkeypatch.setenv("EMWAVE_THREADS", "2")
-    path = _write_cfg(tmp_path, _norms_cfg("out"))
+def test_norms_pipeline_passes_and_writes_manifest(tmp_path):
+    cfg = _norms_cfg("out")
+    cfg["workers"] = 2
+    path = _write_cfg(tmp_path, cfg)
     assert main(["norms", "--scenario", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "norms.json").read_text())
     assert report["gap_euclidean"] < 1e-3
@@ -215,7 +236,7 @@ def test_norms_pipeline_passes_and_writes_manifest(tmp_path, monkeypatch):
     assert manifest["exit_status"] == 0
     assert manifest["conventions"] == CONVENTIONS
     assert manifest["package_version"] == __version__
-    assert manifest["workers"] == 2  # resolved from the environment default
+    assert manifest["workers"] == 2  # from the scenario key
     import hashlib
 
     assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -355,6 +376,9 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         pytest.param(lambda c: _put(c, "grids.scale.nodes_per_sign", 4096), "grids.scale.nodes_per_sign",
                      id="nodes-4096"),
         pytest.param(lambda c: _put(c, "workers", 10**6), "workers", id="workers-1e6"),
+        # scipy.fft rejects these; the table rejects them first
+        pytest.param(lambda c: _put(c, "workers", 0), "workers", id="workers-0"),
+        pytest.param(lambda c: _put(c, "workers", -1), "workers", id="workers-minus-1"),
     ],
 )
 def test_invalid_scenarios_name_the_offending_path(tmp_path, capsys, mutate, needle):
@@ -372,6 +396,8 @@ def test_oversized_workers_flag_is_a_config_error(tmp_path, capsys):
     path = _write_cfg(tmp_path, _norms_cfg("out"))
     assert main(["norms", "--scenario", str(path), "--workers", "100000"]) == 2
     assert "config error at --workers: must be <= 256" in capsys.readouterr().err
+    assert main(["norms", "--scenario", str(path), "--workers", "0"]) == 2
+    assert "config error at --workers: must be <= 256 and >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 """Quadrature grid construction: measure factors, recovery, rebuildability."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,23 @@ def test_cone_radial_doubling_is_converged():
 def test_cone_sheet_selection(sheets, expect):
     grid = grids.build_cone_grid(0.5, 2.0, 4, 3, sheets=sheets)
     assert set(np.unique(grid.sheets).tolist()) == expect
+
+
+def test_unknown_sheet_selection_rejected_by_both_cone_builders():
+    with pytest.raises(EmwaveError, match="unknown sheet selection"):
+        grids.build_cone_grid(0.5, 2.0, 4, 3, sheets="up")
+    with pytest.raises(EmwaveError, match="unknown sheet selection"):
+        grids.build_cartesian_cone_grid(grids.build_spatial_grid(8, 8.0), 0.9, 2.8, sheets="up")
+
+
+def test_gauss_legendre_panels_composite_rule():
+    edges = [0.0, 0.5, 2.0, 3.0]
+    nodes, weights = grids.gauss_legendre_panels(edges, 4)
+    assert nodes.shape == weights.shape == (12,)
+    # 4 nodes per panel integrate degree 7 exactly, each panel inside its edges
+    assert np.sum(weights * nodes**7) == pytest.approx(3.0**8 / 8.0, rel=1e-14)
+    assert np.all(np.diff(nodes) > 0) and nodes[0] > 0.0 and nodes[-1] < 3.0
+    assert np.sum(weights[4:8]) == pytest.approx(1.5, rel=1e-15)
 
 
 def test_cone_invalid_band_rejected():
@@ -214,6 +233,14 @@ def test_metadata_rebuild_equality(make):
     grid = make()
     again = grids.rebuild(grid)
     assert grids.grids_equal(grid, again)
+
+
+@pytest.mark.parametrize("make", ALL_GRIDS)
+def test_json_record_rebuild_equality(make):
+    # a coefficient manifest stores the record as JSON: tuples come back as lists
+    grid = make()
+    record = json.loads(json.dumps(grid.meta["args"]))
+    assert grids.grids_equal(grid, grids.build_from_record(grid.meta["builder"], record))
 
 
 def test_grids_equal_discriminates():

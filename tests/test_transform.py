@@ -399,7 +399,7 @@ def test_deeper_continuation_damps(amp_a, coeffs_a):
 # ---------------------------------------------------------------------------
 
 
-def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid, monkeypatch):
+def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     # each worker count synthesizes from its own freshly analyzed set: a set
     # keeps the sums of its first synthesis, so reusing one would compare
     # two reads of the same sums
@@ -410,12 +410,11 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid, monkeypatch):
     s1 = synthesize_many(c1, probes, 0.7, workers=1)
     s8 = synthesize_many(c8, probes, 0.7, workers=8)
     assert np.array_equal(s1, s8)
-    # kernel reproduction takes its worker count from the environment
+    # kernel reproduction takes scipy's worker count, 1 unless set around it
     for sigma in (0.6, -0.4):
-        monkeypatch.setenv("EMWAVE_THREADS", "1")
         r1 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
-        monkeypatch.setenv("EMWAVE_THREADS", "8")
-        r8 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
+        with scipy.fft.set_workers(8):
+            r8 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
         assert np.array_equal(r1.F, r8.F)
     # single-sheet amplitude: the negative-scale slices are gated off
     plus = grids.build_cartesian_cone_grid(ygrid, *BAND, sheets="plus")
@@ -428,13 +427,11 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid, monkeypatch):
     assert np.array_equal(q1, q8)
 
 
-def test_worker_default_comes_from_environment(amp_a, ygrid, sgrid, monkeypatch):
-    monkeypatch.setenv("EMWAVE_THREADS", "4")
-    from_env = analyze(amp_a, ygrid, sgrid)
+def test_worker_default_comes_from_scipy_set_workers(amp_a, ygrid, sgrid):
+    with scipy.fft.set_workers(4):
+        from_context = analyze(amp_a, ygrid, sgrid)
     explicit = analyze(amp_a, ygrid, sgrid, workers=1)
-    assert np.array_equal(from_env.values, explicit.values)
-    monkeypatch.setenv("EMWAVE_THREADS", "not-a-number")
-    assert transform._default_workers() == 1
+    assert np.array_equal(from_context.values, explicit.values)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +556,8 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
         ("t-text", "time"),
         ("t-null", "time"),
         ("provenance", "provenance"),
+        ("band-triple", "grid record"),
+        ("extra-grid-arg", "grid record"),
     ],
 )
 def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, needle):
@@ -574,6 +573,11 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
         meta["t"] = None
     elif defect == "provenance":
         meta["provenance"] = ["not", "an", "object"]
+    elif defect == "band-triple":
+        # the grid records are not covered by the payload checksum
+        meta["sgrid"]["args"]["omega_band"] = [0.5, 4.0, 9.0]
+    elif defect == "extra-grid-arg":
+        meta["ygrid"]["args"]["M"] = 8
     else:
         # a byte-exact copy with a matching checksum is still refused
         (tmp_path / "outside.bin").write_bytes((tmp_path / "m" / "c.bin").read_bytes())
