@@ -288,7 +288,8 @@ SCENARIO_KEYS = {
     "grids.spatial.N": (int, _FIELD, _at_most(256)),  # N = 256 takes 0.8 GB per scale slice
     "grids.spatial.L": (float, _FIELD, None),
     "grids.scale.omega_band": (list, _FIELD, _PAIR),
-    # past ~100 nodes per sign the quadrature error is its truncated tail, 1.1e-7 at the default s_max
+    # worst recovery error on [0.5, 4]: 4.7e-4 at 24 nodes, 5.5e-7 at 48, 1.3e-7 at 64, and past ~100
+    # nodes the truncation floor of the fixed extent 8 / omega_min, ~1.1e-7 (meta["recovery_bound"])
     "grids.scale.nodes_per_sign": (int, 24, _at_most(1024)),
     "grids.scale.signs": (str, "both", None),
     "grids.cone.omega_min": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[0], None),
@@ -365,6 +366,10 @@ def _resolve(cfg: dict) -> dict:
             if check and not check[0](value):
                 _fail(path, f"{check[1]}, got {value!r}")
         values[path] = value
+    # the nonlocal double sum has a size bound of its own
+    budget, n = transform._NONLOCAL_BUDGET, values["grids.spatial.N"]
+    if values["pipeline"] == "norms" and values["norms.nonlocal"] and n**3 > budget:
+        _fail("norms.nonlocal", f"needs grids.spatial.N^3 <= {budget} points per factor, got N = {n}")
     _reject_unknown_keys(cfg)
     return values
 
@@ -622,6 +627,9 @@ def main(argv=None) -> int:
         if args.command == "wavelet":
             r_values = _parse_range(args.r, "--r")
             t_values = _parse_range(args.t, "--t")
+            # one CSV row per (r, t) pair, checked before any row is built
+            if len(r_values) * len(t_values) > 10**6:
+                _fail("--r x --t", f"{len(r_values)} x {len(t_values)} rows exceed 1000000")
             if args.s == 0.0:
                 _fail("--s", "scale must be nonzero")
             out = Path(args.out)

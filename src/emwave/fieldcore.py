@@ -89,8 +89,11 @@ class FieldSample:
 
     ``t`` is real for ordinary spacetime samples and complex (t - i sigma)
     for samples of the analytically continued field.
-    ``truncation_estimate`` is filled by evaluators that can bound their
-    own grid truncation error; it is ``None`` otherwise.
+    ``truncation_estimate`` is filled by evaluators that bound their own
+    quadrature error: `transform.synthesize` and `reproduce_complex_time`
+    give the scale grid's ``meta["recovery_bound"]``, the scale rule's worst
+    relative error on its band, when the field's cone band lies inside that
+    band.  It is ``None`` otherwise.
     """
 
     F: np.ndarray

@@ -63,7 +63,7 @@ class QuadratureGrid:
     meta : dict
         Construction record.  ``meta["builder"]`` and ``meta["args"]``
         fully determine the grid (see `rebuild`); other keys hold derived
-        conveniences (band edges, lattice indices, tail bounds...).
+        conveniences (band edges, lattice indices, recovery bounds...).
     """
 
     kind: str
@@ -208,16 +208,12 @@ def build_scale_grid(
     omega_band: tuple[float, float],
     nodes_per_sign: int,
     signs: str = "both",
-    *,
-    s_min_factor: float = 0.05,
-    s_max_factor: float = 8.0,
 ) -> QuadratureGrid:
     """Quadrature grid for the scale-parameter integral.
 
     The scale integrands decay like ``exp(-2 omega |s|)`` for frequencies
-    in ``omega_band``, so nodes are laid out on ``|s| in (0, s_max]`` with
-    ``s_min = s_min_factor / omega_max`` and ``s_max = s_max_factor /
-    omega_min``: one short head panel ``[0, s_min]`` plus log-spaced
+    in ``omega_band``, so nodes are laid out on ``|s| in (0, 8 / omega_min]``:
+    one short head panel ``[0, 0.05 / omega_max]`` plus log-spaced
     Gauss-Legendre panels.  All nodes are strictly nonzero.
 
     Parameters
@@ -232,38 +228,34 @@ def build_scale_grid(
 
     Notes
     -----
-    ``meta["tail_bound"]`` records ``exp(-2 omega_min s_max)``, the relative
-    weight of the truncated tail for the slowest-decaying integrand;
-    ``s_max_factor`` defaults to 8 so that bound is about ``1.1e-7``.
+    ``meta["recovery_bound"]`` is the rule's whole error on the band, tail
+    included: the worst `scale_recovery_error` over 4096 log-spaced
+    frequencies and the parabola vertex of each sampled peak.
     """
     omega_min, omega_max = omega_band
     _validate_band(omega_min, omega_max)
     if nodes_per_sign < 6:
         raise EmwaveError("scale grid needs at least 6 nodes per sign")
-    if signs not in ("both", "plus", "minus"):
-        raise EmwaveError(f"unknown sign selection {signs!r}")
 
-    s_min = s_min_factor / omega_max
-    s_max = s_max_factor / omega_min
     # an extreme band overflows the panel edges; the NaN nodes are rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        layout = _scale_panel_layout(s_min, s_max, nodes_per_sign)
+        layout = _scale_panel_layout(0.05 / omega_max, 8.0 / omega_min, nodes_per_sign)
         panels = [gauss_legendre_panels((a, b), n) for a, b, n in layout]
     s_pos = np.concatenate([x for x, _ in panels])
     w_pos = np.concatenate([w for _, w in panels])
-    if not all(np.all((v > 0) & (v < np.inf)) for v in (np.array([s_min, s_max]), s_pos, w_pos)):
+    if not all(np.all((v > 0) & (v < np.inf)) for v in (s_pos, w_pos)):
         raise EmwaveError(
             f"scale quadrature over the band [{omega_min}, {omega_max}] has a node or weight "
-            f"that is not a positive finite number (s_min = {s_min}, s_max = {s_max})"
+            f"that is not a positive finite number (panels from 0.05 / omega_max to 8 / omega_min)"
         )
+    nodes, weights, labels = _per_sheet(s_pos, w_pos, signs)
+    half = QuadratureGrid("scale", s_pos, w_pos)  # the other sign mirrors its error
 
-    parts = []
-    if signs in ("both", "plus"):
-        parts.append((s_pos, w_pos))
-    if signs in ("both", "minus"):
-        parts.append((-s_pos, w_pos))
-    nodes = np.concatenate([p[0] for p in parts])
-    weights = np.concatenate([p[1] for p in parts])
+    omega = np.geomspace(omega_min, omega_max, 4096)
+    err = scale_recovery_error(half, omega)
+    lo, mid, hi = err[:-2], err[1:-1], err[2:]
+    peak = (mid >= np.maximum(lo, hi)) & (lo + hi < 2.0 * mid)
+    vertex = omega[1:-1][peak] * (omega[1] / omega[0]) ** (0.5 * (lo - hi)[peak] / (lo - 2.0 * mid + hi)[peak])
 
     meta = {
         "builder": "scale",
@@ -271,33 +263,27 @@ def build_scale_grid(
             "omega_band": (float(omega_min), float(omega_max)),
             "nodes_per_sign": int(nodes_per_sign),
             "signs": signs,
-            "s_min_factor": float(s_min_factor),
-            "s_max_factor": float(s_max_factor),
         },
-        "s_min": float(s_min),
-        "s_max": float(s_max),
-        "tail_bound": float(np.exp(-2.0 * omega_min * s_max)),
+        "recovery_bound": float(max(err.max(), scale_recovery_error(half, vertex).max(initial=0.0))),
     }
-    return QuadratureGrid("scale", nodes, weights, None, meta)
+    return QuadratureGrid("scale", nodes * labels, weights, None, meta)
 
 
-def scale_recovery_error(grid: QuadratureGrid, omega: float) -> float:
+def scale_recovery_error(grid: QuadratureGrid, omega):
     """Relative error of the grid on its defining integral.
 
     Compares the weighted sum of ``exp(-2 omega |s|)`` over each sign's
     nodes against the exact half-line value ``1 / (2 omega)`` and returns
-    the worse of the signs present.
+    the worse of the signs present, elementwise for an array of ``omega``.
     """
     if grid.kind != "scale":
         raise EmwaveError("scale_recovery_error needs a scale grid")
-    exact = 1.0 / (2.0 * omega)
     worst = 0.0
     for sign in (1, -1):
         mask = np.sign(grid.nodes) == sign
-        if not mask.any():
-            continue
-        approx = float(np.sum(grid.weights[mask] * np.exp(-2.0 * omega * np.abs(grid.nodes[mask]))))
-        worst = max(worst, abs(approx - exact) / exact)
+        if mask.any():  # summed node by node, so no (omega x node) matrix is held
+            approx = sum(w * np.exp(-2.0 * omega * abs(s)) for s, w in zip(grid.nodes[mask], grid.weights[mask]))
+            worst = np.maximum(worst, np.abs(2.0 * omega * approx - 1.0))
     return worst
 
 
@@ -440,6 +426,11 @@ def build_from_record(builder: str, args: dict) -> QuadratureGrid:
     """Reconstruct a grid from a (builder name, arguments) record."""
     if builder not in _BUILDERS:
         raise EmwaveError(f"cannot rebuild grid with builder record {builder!r}")
+    if builder == "scale":  # older records carry the fixed extents; no other value can be rebuilt
+        args = dict(args)
+        for key, fixed in (("s_min_factor", 0.05), ("s_max_factor", 8.0)):
+            if (given := args.pop(key, fixed)) != fixed:
+                raise EmwaveError(f"scale grid record has {key} = {given!r}; only {fixed} can be rebuilt")
     return _BUILDERS[builder](**args)
 
 

@@ -190,19 +190,6 @@ def analyze(
     return EuclideanCoefficients(ygrid, sgrid, out, t=t, provenance=provenance)
 
 
-def _scale_truncation_estimate(coeffs: EuclideanCoefficients) -> float:
-    """Scale-quadrature error bound for reconstructions from these coefficients."""
-    meta = coeffs.sgrid.meta
-    args = coeffs.provenance.get("cone_grid", {}).get("args") or {}
-    lo = args.get("omega_min")
-    hi = args.get("omega_max")
-    if lo is None or hi is None:
-        lo, hi = meta["args"]["omega_band"]
-    probes = [lo, float(np.sqrt(lo * hi)), hi]
-    err = max(_grids.scale_recovery_error(coeffs.sgrid, w) for w in probes)
-    return err + meta.get("tail_bound", 0.0)
-
-
 def _sheet_sums(coeffs: EuclideanCoefficients, workers: int | None) -> dict[int, np.ndarray]:
     """Per-sheet lattice sums ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``.
 
@@ -278,7 +265,7 @@ def synthesize(coeffs: EuclideanCoefficients, x, t: float) -> FieldSample:
     Weighted sum over the (y, s) grid of (band-limited) wavelet values
     times coefficients; the wavelets carry the time evolution, so any
     real t is available from fixed-t coefficients.  The sample's
-    ``truncation_estimate`` bounds the scale-quadrature error.
+    ``truncation_estimate`` is the scale grid's ``recovery_bound`` (or None).
     """
     return reproduce_complex_time(coeffs, x, t, 0.0)
 
@@ -298,9 +285,11 @@ def reproduce_complex_time(
     sigma = float(sigma)
     F = _synthesize_engine(coeffs, x[None, :], float(t), sigma, None)[0]
     t_label = complex(t) if sigma == 0.0 else complex(t, -sigma)
-    return FieldSample(
-        F=F, x=x, t=t_label, truncation_estimate=_scale_truncation_estimate(coeffs)
-    )
+    lo, hi = coeffs.sgrid.meta["args"]["omega_band"]
+    cone = coeffs.provenance.get("cone_grid", {}).get("args") or {}
+    covered = lo <= cone.get("omega_min", lo) and cone.get("omega_max", hi) <= hi  # else the bound does not apply
+    bound = coeffs.sgrid.meta["recovery_bound"] if covered else None
+    return FieldSample(F=F, x=x, t=t_label, truncation_estimate=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ def test_non_finite_range_flag_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_wavelet_rows_are_bounded_before_any_is_built(tmp_path, capsys):
+    out = tmp_path / "sub" / "w.csv"
+    # each range alone is allowed; 1001 x 1001 = 1002001 rows are not
+    assert main(["wavelet", "--s", "1", "--r", "0:1:0.001", "--t", "0:1:0.001", "--out", str(out)]) == 2
+    assert "config error at --r x --t: 1001 x 1001 rows exceed 1000000" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_figure_data_layout_and_origin_value():
     rs = _parse_range("0:3:0.5", "x")
     ts = _parse_range("-1:1:0.5", "x")
@@ -376,6 +384,8 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         pytest.param(lambda c: _put(c, "grids.scale.nodes_per_sign", 4096), "grids.scale.nodes_per_sign",
                      id="nodes-4096"),
         pytest.param(lambda c: _put(c, "workers", 10**6), "workers", id="workers-1e6"),
+        pytest.param(lambda c: (_put(c, "grids.spatial.N", 32), _put(c, "norms.nonlocal", True)), "norms.nonlocal",
+                     id="nonlocal-N32"),
         # scipy.fft rejects these; the table rejects them first
         pytest.param(lambda c: _put(c, "workers", 0), "workers", id="workers-0"),
         pytest.param(lambda c: _put(c, "workers", -1), "workers", id="workers-minus-1"),

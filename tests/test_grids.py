@@ -110,10 +110,20 @@ def test_scale_grid_both_signs_symmetric():
     assert len(pos) + len(neg) == len(grid)
 
 
-def test_scale_grid_tail_bound_shrinks_with_extent():
-    near = grids.build_scale_grid((0.5, 4.0), 24, s_max_factor=8.0)
-    far = grids.build_scale_grid((0.5, 4.0), 24, s_max_factor=16.0)
-    assert far.meta["tail_bound"] < near.meta["tail_bound"]
+@pytest.mark.parametrize(
+    "band, nodes, signs",
+    [((0.5, 4.0), 12, "both"), ((0.5, 4.0), 24, "minus"), ((0.8, 3.5), 20, "both"), ((0.9, 2.8), 8, "plus")],
+)
+def test_scale_grid_recovery_bound_covers_the_band(band, nodes, signs):
+    grid = grids.build_scale_grid(band, nodes, signs)
+    worst = grids.scale_recovery_error(grid, np.geomspace(*band, 10**4)).max()
+    assert grid.meta["recovery_bound"] >= worst * (1.0 - 1e-9)
+
+
+def test_scale_grid_recovery_bound_shrinks_with_nodes():
+    bounds = [grids.build_scale_grid((0.5, 4.0), n).meta["recovery_bound"] for n in (12, 24, 48)]
+    assert bounds == pytest.approx([1.0415e-1, 4.6549e-4, 5.5337e-7], rel=1e-4)
+    assert bounds[0] > bounds[1] > bounds[2]
 
 
 def test_scale_grid_nodes_never_zero():

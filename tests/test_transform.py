@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +304,15 @@ def test_truncation_estimate_is_honest(amp_a, coeffs_a):
     assert sample.truncation_estimate < 1e-2
 
 
+def test_truncation_estimate_is_the_scale_rule_bound_inside_its_band(amp_a, ygrid, coeffs_a):
+    x = np.array([0.8, -0.4, 1.1])
+    assert synthesize(coeffs_a, x, 0.0).truncation_estimate == coeffs_a.sgrid.meta["recovery_bound"]
+    # a scale band narrower than the cone band: the bound does not cover the field
+    narrow = analyze(amp_a, ygrid, grids.build_scale_grid((1.0, BAND[1]), 8))
+    assert synthesize(narrow, x, 0.0).truncation_estimate is None
+    assert reproduce_complex_time(narrow, x, 0.0, 0.5).truncation_estimate is None
+
+
 def test_reproduce_complex_time_matches_continuation(amp_a, coeffs_a):
     x = np.array([0.5, 0.9, -0.3])
     for sigma in (0.5, -0.7):
@@ -585,3 +595,27 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
     manifest.write_text(json.dumps(meta))
     with pytest.raises(EmwaveError, match=needle):
         load_coefficients(manifest)
+
+
+LEGACY = Path(__file__).resolve().parent / "data" / "legacy_scale_record" / "coefficients.json"
+
+
+def test_legacy_scale_record_loads_bit_exactly():
+    # written before the scale grid lost its extent keywords; its record
+    # still carries them at the only values this version builds
+    record = json.loads(LEGACY.read_text())["sgrid"]["args"]
+    assert (record["s_min_factor"], record["s_max_factor"]) == (0.05, 8.0)
+    coeffs = load_coefficients(LEGACY)  # verifies the payload checksum
+    assert grids.grids_equal(coeffs.ygrid, grids.build_spatial_grid(2, 3.0))
+    assert grids.grids_equal(coeffs.sgrid, grids.build_scale_grid((0.9, 2.8), 6))
+    assert "s_max_factor" not in coeffs.sgrid.meta["args"]
+
+
+@pytest.mark.parametrize("key, value", [("s_max_factor", 16), ("s_min_factor", 0.1)])
+def test_legacy_scale_record_with_another_extent_is_rejected(tmp_path, key, value):
+    meta = json.loads(LEGACY.read_text())
+    meta["sgrid"]["args"][key] = value
+    (tmp_path / "coefficients.json").write_text(json.dumps(meta))
+    (tmp_path / "coefficients.bin").write_bytes(LEGACY.with_suffix(".bin").read_bytes())
+    with pytest.raises(EmwaveError, match=key):
+        load_coefficients(tmp_path / "coefficients.json")
