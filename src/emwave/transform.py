@@ -22,7 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +60,17 @@ __all__ = [
 ]
 
 
+def _provenance_is_readable(provenance) -> bool:
+    """Whether `reproduce_complex_time` can read the cone band of ``provenance``."""
+    if not isinstance(provenance, dict):
+        return False
+    cone = provenance.get("cone_grid", {})
+    args = (cone.get("args") or {}) if isinstance(cone, dict) else None
+    return isinstance(args, dict) and all(
+        type(args[key]) in (int, float) for key in ("omega_min", "omega_max") if key in args
+    )
+
+
 @dataclass(frozen=True)
 class EuclideanCoefficients:
     """Complex-time field samples F(y, t - is) over a (scale x space) grid.
@@ -70,7 +83,8 @@ class EuclideanCoefficients:
     The container takes ownership of ``values``: it freezes the array it is
     given and does not copy it (only another dtype is converted first).  The
     first synthesis stores the two per-sheet lattice sums of `_sheet_sums`
-    on it, 2/Ns of the payload.
+    on it, 2/Ns of the payload.  ``provenance`` must be a dict whose
+    ``cone_grid`` record, if any, gives its band ends as numbers.
     """
 
     ygrid: QuadratureGrid
@@ -90,6 +104,8 @@ class EuclideanCoefficients:
         want = (len(self.sgrid), N, N, N, 3)
         if vals.shape != want:
             raise GridMismatchError(f"values shape {vals.shape} does not match grids {want}")
+        if not _provenance_is_readable(self.provenance):
+            raise EmwaveError(f"provenance {self.provenance!r} is not an object with a numeric cone band")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "t", float(self.t))
@@ -474,6 +490,46 @@ def norm_report(
 
 _MANIFEST_FORMAT = "emwave-coefficients"
 _MANIFEST_VERSION = 1
+_IO_CHUNK = 8 << 20  # bytes per read of a payload load; one chunk is hashed while the next is read
+
+
+def _write_hashed(path: Path, payload: np.ndarray) -> str:
+    """Write ``payload`` to ``path`` while one helper thread hashes it; returns the SHA-256.
+
+    Both the write and ``digest.update`` release the GIL, so the two run
+    at once on the same read-only buffer.  The helper is joined before
+    this returns or raises.
+    """
+    digest = hashlib.sha256()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        hashed = helper.submit(digest.update, payload)
+        path.write_bytes(payload)
+        hashed.result()
+    return digest.hexdigest()
+
+
+def _read_hashed(stream, size: int) -> tuple[np.ndarray, str]:
+    """Read ``size`` bytes of ``stream`` into one new buffer; returns it and its SHA-256.
+
+    The bytes are read in `_IO_CHUNK` steps with ``readinto``; one helper
+    thread feeds each chunk to the digest in file order while the next one
+    is read.  The helper is joined before this returns or raises.
+    """
+    buf = np.empty(size, dtype=np.uint8)
+    view = memoryview(buf)
+    digest = hashlib.sha256()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        hashed = []
+        done = 0
+        while done < size:
+            n = stream.readinto(view[done : done + _IO_CHUNK])
+            if not n:
+                raise EmwaveError(f"payload ended after {done} of {size} bytes")
+            hashed.append(helper.submit(digest.update, view[done : done + n]))
+            done += n
+        for chunk in hashed:
+            chunk.result()
+    return buf, digest.hexdigest()
 
 
 def save_coefficients(
@@ -483,16 +539,18 @@ def save_coefficients(
 
     The payload is the values array in axis order (s, y_z, y_y, y_x,
     vector component), C-order, as little-endian (re, im) float64 pairs,
-    written and hashed straight from the values' own buffer.  The manifest
-    records the grid builders and arguments (sufficient to rebuild both
-    grids), the generation time, provenance, and the payload's SHA-256, so
-    a reload is byte-exact and self-validating.  Returns the manifest path.
+    written straight from the values' own buffer.  Its SHA-256 is computed
+    alongside the write, on one helper thread, from that same buffer.  The
+    manifest records the grid builders and arguments (sufficient to
+    rebuild both grids), the generation time, provenance, and the
+    payload's SHA-256, so a reload is byte-exact and self-validating.
+    Returns the manifest path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = np.ascontiguousarray(coeffs.values, dtype="<c16").reshape(-1).view(np.uint8)
     payload_name = f"{name}.bin"
-    (directory / payload_name).write_bytes(payload)
+    payload_sha256 = _write_hashed(directory / payload_name, payload)
     manifest = {
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
@@ -505,7 +563,7 @@ def save_coefficients(
         "provenance": coeffs.provenance,
         "payload": payload_name,
         "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": payload_sha256,
     }
     path = directory / f"{name}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -518,11 +576,16 @@ _MANIFEST_KEYS = ("payload", "payload_bytes", "payload_sha256", "shape", "t", "y
 def load_coefficients(manifest_path) -> EuclideanCoefficients:
     """Rebuild coefficients from a manifest written by `save_coefficients`.
 
-    Every defect of the manifest or its payload raises `EmwaveError`: an
-    unreadable manifest, a missing key, a payload outside the manifest's
-    directory, a checksum or length mismatch, a shape that disagrees with
-    the payload size, a time that is no finite number, or a provenance
-    that is no object.  The checksummed bytes become the read-only values.
+    Every defect of the manifest or its payload raises `EmwaveError`.  An
+    unreadable manifest, a missing key or a payload outside the manifest's
+    directory is refused first; then, in this order, the payload file's
+    size against ``payload_bytes`` and against ``shape`` (before anything
+    is allocated or read), the checksum, the time (a finite number), the
+    grid records, and in `EuclideanCoefficients` the shape against the
+    grids and the provenance.  The payload is read in chunks into one
+    buffer while one helper thread hashes them, and that buffer becomes
+    the read-only values.  The file format and digest are those of every
+    earlier version, so older manifests load as before.
     """
     path = Path(manifest_path)
     try:
@@ -540,31 +603,33 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
     payload_path = (directory / str(manifest["payload"])).resolve()
     if not payload_path.is_relative_to(directory):
         raise EmwaveError(f"payload {manifest['payload']!r} lies outside {directory}")
+    shape = manifest["shape"]
     try:
-        payload = payload_path.read_bytes()
+        with open(payload_path, "rb", buffering=0) as stream:
+            size = os.fstat(stream.fileno()).st_size
+            if size != manifest["payload_bytes"]:
+                raise EmwaveError(
+                    f"payload length {size} does not match manifest payload_bytes "
+                    f"{manifest['payload_bytes']!r}"
+                )
+            if not (
+                isinstance(shape, list)
+                and all(isinstance(n, int) and n >= 0 for n in shape)
+                and 16 * math.prod(shape) == size
+            ):
+                raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
+            payload, digest = _read_hashed(stream, size)
     except OSError as exc:
         raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
-    digest = hashlib.sha256(payload).hexdigest()
     if digest != manifest["payload_sha256"]:
         raise EmwaveError(
             f"payload checksum mismatch for {manifest['payload']}: "
             f"{digest} != {manifest['payload_sha256']}"
         )
-    if len(payload) != manifest["payload_bytes"]:
-        raise EmwaveError("payload length does not match manifest")
-    shape = manifest["shape"]
-    if not (
-        isinstance(shape, list)
-        and all(isinstance(n, int) and n >= 0 for n in shape)
-        and 16 * math.prod(shape) == len(payload)
-    ):
-        raise EmwaveError(f"manifest shape {shape!r} does not match {len(payload)} payload bytes")
     t, provenance = manifest["t"], manifest.get("provenance", {})
     if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
         raise EmwaveError(f"manifest time {t!r} is not a finite number")
-    if not isinstance(provenance, dict):
-        raise EmwaveError(f"manifest provenance {provenance!r} is not an object")
-    values = np.frombuffer(payload, dtype="<c16").reshape(shape)
+    values = payload.view("<c16").reshape(shape)
     try:
         ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
         sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])

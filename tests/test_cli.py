@@ -594,6 +594,26 @@ def test_non_finite_payload_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_malformed_provenance_is_refused_without_a_traceback(tmp_path, capsys):
+    # the provenance is outside the payload checksum; a cone band that is
+    # no number would break the synthesis long after the load
+    apath = _write_cfg(tmp_path, _analyze_cfg("coeff"), "analyze.json")
+    assert main(["analyze", "--scenario", str(apath)]) == 0
+    manifest_path = tmp_path / "coeff" / "c.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["provenance"] = {"cone_grid": {"args": {"omega_min": "a"}}}
+    manifest_path.write_text(json.dumps(manifest))
+    rcfg = _analyze_cfg("recon")
+    rcfg["pipeline"] = "reconstruct"
+    rcfg["coefficients"] = "coeff/c.json"
+    rcfg["outputs"] = {"directory": "recon", "csv": "field.csv", "report": "report.json"}
+    capsys.readouterr()
+    assert main(["reconstruct", "--scenario", str(_write_cfg(tmp_path, rcfg, "recon.json"))]) == 2
+    err = capsys.readouterr().err
+    assert "provenance" in err and "Traceback" not in err
+    assert not (tmp_path / "recon").exists()
+
+
 def test_nonlocal_norms_report_records_imag_ratio(tmp_path):
     path = _write_cfg(tmp_path, _small_scenarios()[0])
     assert main(["norms", "--scenario", str(path)]) == 0

@@ -1,7 +1,9 @@
 """Scale-space analysis/synthesis: Parseval, round trips, norms, persistence."""
 
+import hashlib
 import itertools
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -154,6 +156,13 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
     finally:
         tracemalloc.stop()
     assert peak <= bound * coeffs_a.values.nbytes
+
+
+@pytest.mark.parametrize("provenance", [["a"], {"cone_grid": 5}, {"cone_grid": {"args": {"omega_max": "4"}}}])
+def test_coefficients_refuse_an_unreadable_provenance(ygrid, sgrid, provenance):
+    values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
+    with pytest.raises(EmwaveError, match="provenance"):
+        EuclideanCoefficients(ygrid, sgrid, values, provenance=provenance)
 
 
 def test_coefficients_take_ownership_without_copying(ygrid, sgrid):
@@ -566,6 +575,8 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
         ("t-text", "time"),
         ("t-null", "time"),
         ("provenance", "provenance"),
+        ("provenance-cone-number", "provenance"),
+        ("provenance-band-text", "provenance"),
         ("band-triple", "grid record"),
         ("extra-grid-arg", "grid record"),
     ],
@@ -583,6 +594,10 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
         meta["t"] = None
     elif defect == "provenance":
         meta["provenance"] = ["not", "an", "object"]
+    elif defect == "provenance-cone-number":
+        meta["provenance"] = {"cone_grid": 5}
+    elif defect == "provenance-band-text":
+        meta["provenance"] = {"cone_grid": {"args": {"omega_min": "a"}}}
     elif defect == "band-triple":
         # the grid records are not covered by the payload checksum
         meta["sgrid"]["args"]["omega_band"] = [0.5, 4.0, 9.0]
@@ -595,6 +610,50 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
     manifest.write_text(json.dumps(meta))
     with pytest.raises(EmwaveError, match=needle):
         load_coefficients(manifest)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_payload_of_the_wrong_length_is_refused_before_it_is_read(coeffs_a, tmp_path, change):
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    blob = (tmp_path / "c.bin").read_bytes()
+    blob = blob[:-1] if change < 0 else blob + b"\0"
+    (tmp_path / "c.bin").write_bytes(blob)
+    with pytest.raises(EmwaveError, match=f"length {len(blob)} does not match"):
+        load_coefficients(manifest)
+
+
+def test_payload_checksum_spans_read_chunks(coeffs_a, tmp_path, monkeypatch):
+    # an odd chunk size: the payload spans many chunks and the last is short
+    monkeypatch.setattr(transform, "_IO_CHUNK", 4099)
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    blob = (tmp_path / "c.bin").read_bytes()
+    assert len(blob) > 100 * 4099 and len(blob) % 4099 != 0
+    assert json.loads(manifest.read_text())["payload_sha256"] == hashlib.sha256(blob).hexdigest()
+    assert np.array_equal(load_coefficients(manifest).values, coeffs_a.values)
+    (tmp_path / "c.bin").write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
+    with pytest.raises(EmwaveError, match="checksum"):
+        load_coefficients(manifest)
+
+
+def test_no_helper_thread_outlives_a_save_or_load(coeffs_a, tmp_path):
+    before = threading.active_count()
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    assert threading.active_count() == before
+    load_coefficients(manifest)
+    assert threading.active_count() == before
+    blob = bytearray((tmp_path / "c.bin").read_bytes())
+    blob[-1] ^= 0xFF
+    (tmp_path / "c.bin").write_bytes(bytes(blob))
+    with pytest.raises(EmwaveError, match="checksum"):
+        load_coefficients(manifest)
+    assert threading.active_count() == before
+    meta = json.loads(manifest.read_text())
+    meta["payload"] = "a-directory"
+    (tmp_path / "a-directory").mkdir()
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(EmwaveError, match="cannot read payload"):
+        load_coefficients(manifest)
+    assert threading.active_count() == before
 
 
 LEGACY = Path(__file__).resolve().parent / "data" / "legacy_scale_record" / "coefficients.json"
