@@ -461,6 +461,15 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     if coeffs_path is not None:
         cpath = Path(coeffs_path)
         coeffs = transform.load_coefficients(cpath if cpath.is_absolute() else base / cpath)
+        # the probes and the reference amplitude live on the scenario's grid;
+        # the file's own scale grid is the one used
+        have, want = coeffs.ygrid.meta["args"], ygrid.meta["args"]
+        if have != want:
+            _fail(
+                "coefficients",
+                f"{coeffs_path} holds a spatial grid (N, L) = ({have['N']}, {have['L']}), "
+                f"the scenario's is ({want['N']}, {want['L']})",
+            )
         # slice by slice, so no payload-sized mask is held; one NaN would
         # reach every probe through the sheet sums
         if not all(np.isfinite(c).all() for c in coeffs.values):

@@ -82,8 +82,9 @@ class EuclideanCoefficients:
 
     The container takes ownership of ``values``: it freezes the array it is
     given and does not copy it (only another dtype is converted first).  The
-    first synthesis stores the two per-sheet lattice sums of `_sheet_sums`
-    on it, 2/Ns of the payload.  ``provenance`` must be a dict whose
+    first synthesis stores on it the two per-sheet lattice sums of
+    `_sheet_sums`, 2/Ns of the payload, and the lattice's |k| shell table
+    of `_shell_table`, one N^3 index.  ``provenance`` must be a dict whose
     ``cone_grid`` record, if any, gives its band ends as numbers.
     """
 
@@ -93,6 +94,7 @@ class EuclideanCoefficients:
     t: float = 0.0
     provenance: dict = field(default_factory=dict)
     _sheet_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _shells: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ygrid.kind != "spatial" or self.sgrid.kind != "scale":
@@ -206,22 +208,41 @@ def analyze(
     return EuclideanCoefficients(ygrid, sgrid, out, t=t, provenance=provenance)
 
 
+def _shell_table(coeffs: EuclideanCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct lattice momenta ``omega`` and the (N, N, N) ``index`` with Omega = omega[index].
+
+    The wavelet symbol depends on the momentum only through omega = |k|, so
+    it takes one value per shell of equal |k| (682 shells at N = 32 against
+    32768 lattice points).  The shells are the exact floats of `_lattice`'s
+    Omega, so a symbol gathered through ``index`` has the bits of one
+    evaluated at every lattice point.  Built once per coefficient set.
+    """
+    if not coeffs._shells:
+        Omega, _ = _lattice(coeffs.ygrid)
+        omega, index = np.unique(Omega.ravel(), return_inverse=True)
+        object.__setattr__(coeffs, "_shells", (omega, index.reshape(Omega.shape)))
+    return coeffs._shells
+
+
 def _sheet_sums(coeffs: EuclideanCoefficients, workers: int | None) -> dict[int, np.ndarray]:
     """Per-sheet lattice sums ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``.
 
     The scale-dependent factor of the wavelet symbol depends on neither the
     probe points, ``t`` nor ``sigma``, so each sheet's slices are summed
     (in fixed scale order) once per coefficient set and kept on it; the
-    read-only values keep the sums from going stale.
+    read-only values keep the sums from going stale.  Each slice's factor
+    ``w_s e^{-+omega s}`` is evaluated on the |k| shells of `_shell_table`
+    and gathered to the lattice.
     """
     sums = coeffs._sheet_sums
     if not sums:
-        Omega, PH = _lattice(coeffs.ygrid)
+        omega, index = _shell_table(coeffs)
+        _, PH = _lattice(coeffs.ygrid)
         built = {}
         for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
             sheet = 1 if s > 0 else -1
             chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=workers)
-            chat *= (w * np.exp(-sheet * Omega * s) * PH)[..., None]
+            chat *= ((w * np.exp(-sheet * omega * s))[index] * PH)[..., None]
             if sheet in built:
                 built[sheet] += chat
             else:
@@ -243,26 +264,38 @@ def _synthesize_engine(
     e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
     `_sheet_sums` times ``gate omega e^{-+omega(sigma + i(t - t0))}``; the
     gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
-    the other.  The combined lattice array G, in (kz, ky, kx, component)
-    order, is summed at the K probe points with separable phases
-    ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``: three (K, N) tables of
-    3 K N exponentials, one (K, N) x (N, 3 N^2) product over kz, then ky
-    and kx per probe.  ``workers`` is the ``scipy.fft`` worker count of
-    the first call on a coefficient set; the result does not depend on it.
+    the other.  That factor is evaluated once per |k| shell of
+    `_shell_table` and gathered to the lattice, so a warm call runs no FFT
+    and no exponential over the N^3 points.  The combined lattice array G,
+    in (kz, ky, kx, component) order, is summed at the K probe points with
+    separable phases ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``: three
+    (K, N) tables of 3 K N exponentials, one (K, N) x (N, 3 N^2) product
+    over kz, then batched products over ky and kx.  ``workers`` is the
+    ``scipy.fft`` worker count of the first call on a coefficient set; the
+    result does not depend on it.
     """
-    Omega, _ = _lattice(coeffs.ygrid)
+    sums = _sheet_sums(coeffs, workers)
+    omega, index = _shell_table(coeffs)
     N = coeffs.ygrid.meta["args"]["N"]
+    pts = np.atleast_2d(np.asarray(xs, dtype=float))
+    K = len(pts)
     dt = t - coeffs.t
-    G = np.zeros((N, N, N, 3), dtype=complex)
-    for sheet, H in _sheet_sums(coeffs, workers).items():
+    G = None
+    for sheet, H in sums.items():
         gate = gate2(sigma * sheet)
         if gate != 0.0:
-            G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * dt)))[..., None] * H
-    pts = np.atleast_2d(np.asarray(xs, dtype=float))
+            f = (gate * omega * np.exp(-sheet * omega * (sigma + 1j * dt)))[index][..., None]
+            if G is None:
+                G = f * H
+            else:
+                G += f * H
+    if G is None:  # every sheet gated off
+        return np.zeros((K, 3), dtype=complex)
     pax = _grids.momentum_axis(coeffs.ygrid)
     ex, ey, ez = (np.exp(1j * np.outer(pts[:, axis], pax)) for axis in range(3))
-    Gz = (ez @ G.reshape(N, -1)).reshape(len(pts), N, N, 3)
-    return np.einsum("kx,kxc->kc", ex, np.einsum("ky,kyxc->kxc", ey, Gz)) / N**3
+    Gz = (ez @ G.reshape(N, -1)).reshape(K, N, 3 * N)
+    Gy = (ey[:, None, :] @ Gz).reshape(K, N, 3)
+    return (ex[:, None, :] @ Gy)[:, 0] / N**3
 
 
 def synthesize_many(
@@ -404,6 +437,33 @@ class NonlocalNormResult:
     grid_points: int
 
 
+def _field_t0(amp, ygrid: QuadratureGrid) -> np.ndarray:
+    """F(y, 0) at the nodes of ``ygrid``, shape (N, N, N, 3) in (y_z, y_y, y_x) order.
+
+    An amplitude on the Cartesian cone lattice of ``ygrid`` itself is
+    scattered onto that lattice with the weights `_evaluate_many` uses at
+    s = 0, both sheets summed, and pushed to the grid by one inverse FFT;
+    other amplitudes are summed densely by `_evaluate_many`.
+    """
+    N = ygrid.meta["args"]["N"]
+    grid = amp.grid
+    if not (
+        grid.meta.get("builder") == "cartesian_cone"
+        and grid.meta["args"]["spatial"] == ygrid.meta["args"]
+    ):
+        return _evaluate_many(amp, ygrid.nodes, 0.0).reshape(N, N, N, 3)
+    _, PH = _lattice(ygrid)
+    flat = np.asarray(grid.meta["flat_indices"])
+    ph = PH.ravel()[flat]
+    f = amplitude_vectors(amp)
+    spec = np.zeros((N**3, 3), dtype=complex)
+    for sheet in np.unique(grid.sheets):
+        on = grid.sheets == sheet
+        spec[flat] += (grid.weights[on] * ph)[:, None] * f[on]
+    # norm="forward" leaves the inverse unscaled: F(y) = SUM_p w f e^{ip.y}
+    return scipy.fft.ifftn(spec.reshape(N, N, N, 3), axes=(0, 1, 2), norm="forward", overwrite_x=True)
+
+
 def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     """Squared norm from the equal-time double integral.
 
@@ -413,8 +473,10 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     (2N)^3 correlation grid, the singular diagonal included.  A separates
     into a 1-D log-time integral of three per-axis factors
     (`_cell_kernel_factors`), so all (2N)^3 weights are one matrix product.
-    The pair sum is evaluated by a zero-padded FFT cross-correlation.
-    Refuses grids beyond 24^3 points per factor with a cost estimate.
+    F(y, 0) comes from `_field_t0`.  The pair sum is a zero-padded FFT
+    cross-correlation: the three components' power spectra are summed
+    before one inverse FFT.  Refuses grids beyond 24^3 points per factor
+    with a cost estimate.
     """
     if ygrid.kind != "spatial":
         raise GridMismatchError("norm_nonlocal_t0 needs a spatial grid")
@@ -428,15 +490,15 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
         )
 
     dlt = ygrid.meta["spacing"]
-    F = _evaluate_many(amp, ygrid.nodes, 0.0).reshape(N, N, N, 3)
+    F = _field_t0(amp, ygrid)
 
     P = 2 * N
-    corr = np.zeros((P, P, P), dtype=complex)
+    power = np.zeros((P, P, P))
     for c in range(3):
         pad = np.zeros((P, P, P), dtype=complex)
         pad[:N, :N, :N] = F[..., c]
-        spec = scipy.fft.fftn(pad)
-        corr += scipy.fft.ifftn(np.conj(spec) * spec)
+        power += np.abs(scipy.fft.fftn(pad, overwrite_x=True)) ** 2
+    corr = scipy.fft.ifftn(power)
 
     idx = np.arange(P)
     w, g = _cell_kernel_factors(np.where(idx < N, idx, idx - P))

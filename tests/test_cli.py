@@ -594,6 +594,26 @@ def test_non_finite_payload_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_coefficients_from_another_spatial_grid_are_refused(tmp_path, capsys):
+    # the probes, the reference amplitude and the coefficients must share
+    # one lattice; a file from another (N, L) used to be checked anyway
+    # and fail its round trip with exit 1
+    acfg = _analyze_cfg("coeff")
+    acfg["grids"]["spatial"] = {"N": 8, "L": 5.0}
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, acfg, "analyze.json"))]) == 0
+    rcfg = _analyze_cfg("recon")
+    rcfg["pipeline"] = "reconstruct"
+    rcfg["grids"]["spatial"] = {"N": 16, "L": 10.0}
+    rcfg["coefficients"] = "coeff/c.json"
+    rcfg["outputs"] = {"directory": "recon", "csv": "field.csv", "report": "report.json"}
+    capsys.readouterr()
+    assert main(["reconstruct", "--scenario", str(_write_cfg(tmp_path, rcfg, "recon.json"))]) == 2
+    err = capsys.readouterr().err
+    assert "config error at coefficients: " in err
+    assert "(8, 5.0)" in err and "(16, 10.0)" in err
+    assert not (tmp_path / "recon").exists()
+
+
 def test_malformed_provenance_is_refused_without_a_traceback(tmp_path, capsys):
     # the provenance is outside the payload checksum; a cone band that is
     # no number would break the synthesis long after the load

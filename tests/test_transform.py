@@ -344,18 +344,47 @@ def _dense_probe_sum(coeffs, pts, t, sigma):
     return phases @ G.reshape(-1, 3) / Omega.size
 
 
+def _assert_probe_sum_is_dense_phase_sum(coeffs, count, sigma):
+    # probes reach 0.7 L from the centre, so some lie outside the box
+    pts = np.random.default_rng(count).uniform(-0.7 * L, 0.7 * L, size=(count, 3))
+    t = 0.9
+    if sigma == 0.0:
+        got = synthesize_many(coeffs, pts, t)
+    else:
+        got = np.array([reproduce_complex_time(coeffs, x, t, sigma).F for x in pts])
+    want = _dense_probe_sum(coeffs, pts, t, sigma)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.6, -0.6])
 @pytest.mark.parametrize("count", [1, 7, 200])
 def test_probe_sum_equals_dense_phase_sum(coeffs_a, count, sigma):
-    # probes reach 0.7 L from the centre, so some lie outside the box
-    pts = np.random.default_rng(count).uniform(-0.7 * L, 0.7 * L, size=(count, 3))
-    t = 0.9  # coeffs_a is generated at t = 0
-    if sigma == 0.0:
-        got = synthesize_many(coeffs_a, pts, t)
-    else:
-        got = np.array([reproduce_complex_time(coeffs_a, x, t, sigma).F for x in pts])
-    want = _dense_probe_sum(coeffs_a, pts, t, sigma)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    _assert_probe_sum_is_dense_phase_sum(coeffs_a, count, sigma)  # coeffs_a is generated at t = 0
+
+
+@pytest.fixture(scope="module", params=["plus", "minus", "t=0.7"])
+def other_coeffs(request, ygrid, sgrid):
+    """Single-sheet sets (one sheet sum, the other sheet gated off) and a set generated at t = 0.7."""
+    if request.param == "t=0.7":
+        cone = grids.build_cartesian_cone_grid(ygrid, *BAND)
+        return analyze(amplitude_from_scalar(cone, _profile_b), ygrid, sgrid, t=0.7)
+    cone = grids.build_cartesian_cone_grid(ygrid, *BAND, sheets=request.param)
+    return analyze(amplitude_from_scalar(cone, _profile_a), ygrid, sgrid)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.6, -0.6])
+def test_probe_sum_equals_dense_phase_sum_on_other_sets(other_coeffs, sigma):
+    _assert_probe_sum_is_dense_phase_sum(other_coeffs, 7, sigma)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_shell_table_reproduces_the_lattice_bit_for_bit(n, sgrid):
+    ygrid = grids.build_spatial_grid(n, 12.0)
+    coeffs = EuclideanCoefficients(ygrid, sgrid, np.zeros((len(sgrid), n, n, n, 3), dtype=complex))
+    omega, index = transform._shell_table(coeffs)
+    Omega, _ = transform._lattice(ygrid)
+    assert np.array_equal(omega[index].view(np.uint64), Omega.view(np.uint64))
+    assert np.all(np.diff(omega) > 0.0)  # one entry per distinct |k|
 
 
 def test_zero_offset_reproduction_is_synthesis_bit_for_bit(coeffs_a):
@@ -403,6 +432,26 @@ def test_repeat_synthesis_runs_no_fft(call, amp_a, ygrid, sgrid, monkeypatch):
     second = call(coeffs, x)
     assert calls == []
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_warm_synthesis_runs_no_exponential_over_the_lattice(sigma, amp_a, ygrid, sgrid, monkeypatch):
+    # a warm call evaluates the wavelet symbol per |k| shell, not per lattice point
+    coeffs = analyze(amp_a, ygrid, sgrid)
+    x = np.array([0.4, -0.2, 0.7])
+    reproduce_complex_time(coeffs, x, 0.3, sigma)
+    sizes = []
+    real_exp = np.exp
+
+    def recording_exp(arg, *args, **kwargs):
+        sizes.append(np.size(arg))
+        return real_exp(arg, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", recording_exp)
+    synthesize_many(coeffs, np.stack([x, -x]), 0.3)
+    synthesize(coeffs, x, 0.3)
+    reproduce_complex_time(coeffs, x, 0.3, sigma)
+    assert sizes and max(sizes) < N**3
 
 
 def test_deeper_continuation_damps(amp_a, coeffs_a):
@@ -509,6 +558,26 @@ def test_nonlocal_norm_agrees_with_momentum_norm():
     assert abs(res.value - nm) / nm < 5e-2
     assert res.imag_ratio < 1e-8
     assert res.grid_points == 16**3
+
+
+@pytest.mark.parametrize("sheets", ["both", "plus", "minus"])
+def test_lattice_field_at_t0_equals_the_dense_sum(sheets):
+    # the nonlocal norm's F(y, 0) comes from one inverse FFT of the cone
+    # shell; the dense plane-wave sum is its anchor, independent of analyze
+    ygrid = grids.build_spatial_grid(16, 10.0)
+    cone = grids.build_cartesian_cone_grid(ygrid, 0.3, 2.5, sheets=sheets)
+    amp = amplitude_from_scalar(cone, _profile_b)
+    lattice = transform._field_t0(amp, ygrid)
+    dense = _evaluate_many(amp, ygrid.nodes, 0.0).reshape(lattice.shape)
+    assert np.linalg.norm(lattice - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def test_nonlocal_field_of_another_lattice_is_summed_densely(amp_a):
+    # amp_a lives on the N = 16, L = 12 lattice; on another grid the FFT
+    # route does not apply
+    other = grids.build_spatial_grid(8, 6.0)
+    F = transform._field_t0(amp_a, other)
+    assert np.array_equal(F, _evaluate_many(amp_a, other.nodes, 0.0).reshape(8, 8, 8, 3))
 
 
 def test_nonlocal_norm_refuses_oversized_grids(amp_a):
