@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _POLE_CUTOFF = 1e-6
+# complex entries (16 MiB) of the one reused block in which every probe-point
+# sum is built, so its transient memory does not grow with the probe count
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -298,7 +301,10 @@ def _evaluate_many(
     A scalar ``s`` gives shape (K, 3).  A 1-D array of scales gives shape
     (len(s), K, 3), written into ``out`` when given: each chunk of
     plane-wave phases is built once and contracted against every scale in
-    one matrix product.
+    one matrix product.  The phases of a chunk of probes fill one block of
+    at most `_BLOCK_ENTRIES` complex entries in place, and that block is
+    reused for every chunk, so besides ``out`` the sum holds one block and
+    the real ``x.p`` matrix it is filled from, whatever K is.
     """
     grid = amp.grid
     if len(grid) == 0:
@@ -313,10 +319,13 @@ def _evaluate_many(
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if out is None:
         out = np.empty((len(scales), len(xs), 3), dtype=complex)
-    chunk = max(1, int(4e6 // max(len(grid), 1)))
+    chunk = max(1, _BLOCK_ENTRIES // len(grid))
+    block = np.empty((min(chunk, len(xs)), len(grid)), dtype=complex)
     for lo in range(0, len(xs), chunk):
         hi = min(lo + chunk, len(xs))
-        phase = np.exp(1j * (xs[lo:hi] @ grid.nodes.T))
+        phase = block[: hi - lo]
+        np.multiply(xs[lo:hi] @ grid.nodes.T, 1j, out=phase)
+        np.exp(phase, out=phase)
         out[:, lo:hi] = (phase @ coeff).reshape(hi - lo, len(scales), 3).transpose(1, 0, 2)
     return out if np.ndim(s) else out[0]
 

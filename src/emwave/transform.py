@@ -39,7 +39,7 @@ from .errors import (
     GridMismatchError,
     InvalidScaleError,
 )
-from .fieldcore import FieldSample, _evaluate_many, amplitude_vectors, gate2
+from .fieldcore import _BLOCK_ENTRIES, FieldSample, _evaluate_many, amplitude_vectors, gate2
 from .grids import QuadratureGrid, grids_equal
 
 __all__ = [
@@ -267,12 +267,15 @@ def _synthesize_engine(
     the other.  That factor is evaluated once per |k| shell of
     `_shell_table` and gathered to the lattice, so a warm call runs no FFT
     and no exponential over the N^3 points.  The combined lattice array G,
-    in (kz, ky, kx, component) order, is summed at the K probe points with
-    separable phases ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``: three
-    (K, N) tables of 3 K N exponentials, one (K, N) x (N, 3 N^2) product
-    over kz, then batched products over ky and kx.  ``workers`` is the
-    ``scipy.fft`` worker count of the first call on a coefficient set; the
-    result does not depend on it.
+    in (kz, ky, kx, component) order, is formed once per call and summed at
+    the K probe points with separable phases
+    ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``, one block of probes at
+    a time: per block, three (k, N) tables of 3 k N exponentials, one
+    (k, N) x (N, 3 N^2) product over kz into a reused block of at most
+    `_BLOCK_ENTRIES` complex entries, then batched products over ky and kx.
+    Besides G and the (K, 3) result the call holds one block, whatever K
+    is.  ``workers`` is the ``scipy.fft`` worker count of the first call on
+    a coefficient set; the result does not depend on it.
     """
     sums = _sheet_sums(coeffs, workers)
     omega, index = _shell_table(coeffs)
@@ -292,10 +295,18 @@ def _synthesize_engine(
     if G is None:  # every sheet gated off
         return np.zeros((K, 3), dtype=complex)
     pax = _grids.momentum_axis(coeffs.ygrid)
-    ex, ey, ez = (np.exp(1j * np.outer(pts[:, axis], pax)) for axis in range(3))
-    Gz = (ez @ G.reshape(N, -1)).reshape(K, N, 3 * N)
-    Gy = (ey[:, None, :] @ Gz).reshape(K, N, 3)
-    return (ex[:, None, :] @ Gy)[:, 0] / N**3
+    G = G.reshape(N, 3 * N * N)
+    step = max(1, _BLOCK_ENTRIES // G.shape[1])
+    block = np.empty((min(step, K), N, 3 * N), dtype=complex)
+    out = np.empty((K, 3), dtype=complex)
+    for lo in range(0, K, step):
+        p = pts[lo : lo + step]
+        ex, ey, ez = (np.exp(1j * np.outer(p[:, axis], pax)) for axis in range(3))
+        Gz = block[: len(p)]
+        np.matmul(ez, G, out=Gz.reshape(len(p), -1))
+        Gy = (ey[:, None, :] @ Gz).reshape(len(p), N, 3)
+        out[lo : lo + len(p)] = (ex[:, None, :] @ Gy)[:, 0] / N**3
+    return out
 
 
 def synthesize_many(

@@ -18,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import emwave
-from emwave import __version__, oracle
+from emwave import __version__, cli, fieldcore, oracle, transform
 from emwave.cli import (
     CONVENTIONS,
     SCENARIO_KEYS,
@@ -299,6 +299,28 @@ def test_analyze_then_reconstruct_chain(tmp_path):
     rows = (tmp_path / "recon" / "field.csv").read_text().strip().split("\n")
     assert rows[0] == "x,y,z,t,re_x,im_x,re_y,im_y,re_z,im_z"
     assert len(rows) == 1 + 12 * 2
+
+
+def test_reconstruct_streams_the_csv_of_the_synthesized_field(tmp_path, monkeypatch):
+    cfg = _analyze_cfg("recon")
+    cfg["pipeline"] = "reconstruct"
+    cfg["probes"] = {"count": 30, "times": [0.0, 1.0]}
+    cfg["outputs"] = {"directory": "recon", "csv": "field.csv"}
+    path = _write_cfg(tmp_path, cfg)
+    scen = load_scenario(path)
+    ygrid, sgrid, cone = cli._build_grids(scen)
+    coeffs = transform.analyze(cli._build_amplitude(scen, cone), ygrid, sgrid)
+    probes = cli._draw_probes(scen, ygrid)
+    rows = ["x,y,z,t,re_x,im_x,re_y,im_y,re_z,im_z"]
+    for t in scen["probes.times"]:
+        for p, v in zip(probes, transform.synthesize_many(coeffs, probes, t)):
+            nums = [*p, t, v[0].real, v[0].imag, v[1].real, v[1].imag, v[2].real, v[2].imag]
+            rows.append(",".join(f"{u:.17g}" for u in nums))
+    # both probe sums run in blocks of 7 probes
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 7 * 3 * 16**2)
+    monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 7 * len(cone))
+    assert main(["reconstruct", "--scenario", str(path)]) == 0
+    assert (tmp_path / "recon" / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_analyze_payload_is_worker_independent(tmp_path):

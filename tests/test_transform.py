@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from emwave import grids, transform
+from emwave import fieldcore, grids, transform
 from emwave.errors import (
     BudgetExceededError,
     EmwaveError,
@@ -87,6 +87,14 @@ def coeffs_b(amp_b, ygrid, sgrid):
     return analyze(amp_b, ygrid, sgrid)
 
 
+def _off_lattice(amp):
+    """The same nodes and values on a grid that no longer advertises the conjugate
+    lattice, so analysis takes the dense plane-wave-sum path."""
+    g = amp.grid
+    plain = grids.QuadratureGrid("cone", g.nodes, g.weights, g.sheets, {"builder": "custom", "args": {}})
+    return ConeAmplitude(plain, amp.values)
+
+
 def _momentum_pairing(amp_a, amp_b):
     omega = np.linalg.norm(amp_a.grid.nodes, axis=1)
     fa = amplitude_vectors(amp_a)
@@ -105,18 +113,19 @@ def test_fft_path_matches_dense_evaluation():
     sgrid8 = grids.build_scale_grid((0.9, 2.8), 12)
     amp = amplitude_from_scalar(cone8, _profile_a)
     fast = analyze(amp, ygrid8, sgrid8, t=0.4)
-    # identical nodes, but the grid no longer advertises the conjugate
-    # lattice, so analysis takes the dense plane-wave-sum path
-    plain = grids.QuadratureGrid(
-        "cone",
-        cone8.nodes,
-        cone8.weights,
-        cone8.sheets,
-        {"builder": "custom", "args": {}},
-    )
-    dense = analyze(ConeAmplitude(plain, amp.values), ygrid8, sgrid8, t=0.4)
+    dense = analyze(_off_lattice(amp), ygrid8, sgrid8, t=0.4)
     worst = np.max(np.abs(fast.values - dense.values))
     assert worst < 1e-12
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 @pytest.mark.parametrize(
@@ -135,27 +144,74 @@ def test_fft_path_matches_dense_evaluation():
         # warm: 200 probes without a (200, N^3) phase matrix, which alone
         # would take 1.7 payloads
         ("synthesize_many", 0.5),
+        # the dense plane-wave sum: the payload it fills and its per-node
+        # (scale, component) coefficients (0.6 payloads here), plus one phase
+        # block and the real x.p matrix it is filled from (added below)
+        ("analyze-dense", 2.5),
     ],
 )
 def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeffs_a, coeffs_b, tmp_path):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     probes = np.random.default_rng(5).uniform(-L / 2, L / 2, size=(200, 3))
     synthesize_many(coeffs_a, probes[:1], 0.0)  # the per-sheet sums are built once
+    dense = _off_lattice(amp_a)
     run = {
         "analyze": lambda: analyze(amp_a, ygrid, sgrid),
+        "analyze-dense": lambda: analyze(dense, ygrid, sgrid),
         "load": lambda: load_coefficients(manifest),
         "save": lambda: save_coefficients(coeffs_a, tmp_path, name="again"),
         "norm_euclidean": lambda: norm_euclidean(coeffs_a),
         "inner_product": lambda: inner_product(coeffs_a, coeffs_b),
         "synthesize_many": lambda: synthesize_many(coeffs_a, probes, 0.4),
     }[stage]
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * coeffs_a.values.nbytes
+    peak, _ = _traced_peak(run)
+    blocks = 24 * fieldcore._BLOCK_ENTRIES if stage == "analyze-dense" else 0
+    assert peak <= bound * coeffs_a.values.nbytes + blocks
+
+
+def test_synthesis_memory_stays_flat_in_the_probe_count(coeffs_a):
+    synthesize_many(coeffs_a, np.zeros((1, 3)), 0.0)  # the per-sheet sums are built once
+    rng = np.random.default_rng(8)
+    few, many = (rng.uniform(-L / 2, L / 2, size=(k, 3)) for k in (2000, 20000))
+    peak_few, _ = _traced_peak(lambda: synthesize_many(coeffs_a, few, 0.4))
+    peak_many, out = _traced_peak(lambda: synthesize_many(coeffs_a, many, 0.4))
+    # ten times the probes add their (K, 3) result and nothing else; one
+    # (K, 3 N^2) product over kz would hold 234 MiB here
+    assert peak_many - out.nbytes <= 1.1 * peak_few + 2**20
+
+
+def test_dense_sum_holds_one_phase_block(amp_a):
+    probes = np.random.default_rng(9).uniform(-L / 2, L / 2, size=(2000, 3))
+    peak, _ = _traced_peak(lambda: _evaluate_many(amp_a, probes, 0.4))
+    # one complex block and the real x.p matrix it is filled from, 24 bytes
+    # per entry, plus 1 MiB for the per-node tables and the (K, 3) result
+    assert peak <= 24 * fieldcore._BLOCK_ENTRIES + 2**20
+
+
+def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
+    probes = np.random.default_rng(10).uniform(-L / 2, L / 2, size=(200, 3))
+    scales = coeffs_a.sgrid.nodes[::7]
+
+    def sums():
+        return (
+            synthesize_many(coeffs_a, probes, 0.9),
+            _evaluate_many(amp_a, probes, 0.9),
+            _evaluate_many(amp_a, probes, 0.9, s=scales),
+        )
+
+    whole = sums()  # the default block holds all 200 probes on either route
+    assert 200 * 3 * N**2 <= transform._BLOCK_ENTRIES
+    assert 200 * len(amp_a.grid) <= fieldcore._BLOCK_ENTRIES
+    # 64 probes per block: four blocks, the last one partial
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 64 * 3 * N**2)
+    monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 64 * len(amp_a.grid))
+    blocked = sums()
+    assert blocked[0].tobytes() == whole[0].tobytes()
+    # the dense sum contracts M = 2436 nodes per row, and OpenBLAS's zgemm
+    # rounds some rows differently with the row count of the call (and with
+    # its thread count) in the last bit
+    for a, b in zip(whole[1:], blocked[1:]):
+        assert np.linalg.norm(b - a) <= 1e-15 * np.linalg.norm(a)
 
 
 @pytest.mark.parametrize("provenance", [["a"], {"cone_grid": 5}, {"cone_grid": {"args": {"omega_max": "4"}}}])
