@@ -656,7 +656,7 @@ def main(argv=None) -> int:
                             "verify": {"suite": args.suite}})
             status, _ = _run_verify(cfg, Path(args.out))
             return status
-        expected = {"analyze": "analyze", "reconstruct": "reconstruct", "norms": "norms", "verify": "verify-suite"}[args.command]
+        expected = "verify-suite" if args.command == "verify" else args.command
         cfg = load_scenario(args.scenario)
         if cfg["pipeline"] != expected:
             _fail("pipeline", f"subcommand {args.command!r} needs pipeline {expected!r}, got {cfg['pipeline']!r}")

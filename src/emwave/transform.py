@@ -78,14 +78,14 @@ class EuclideanCoefficients:
     ``values`` has shape (Ns, N, N, N, 3): scale node, then y_z, y_y, y_x
     (matching the C-order raveling of the spatial grid), then vector
     component.  ``t`` records the real time at which the coefficients were
-    generated; scale-space norms are independent of it.
+    generated and must be finite; scale-space norms are independent of it.
 
     The container takes ownership of ``values``: it freezes the array it is
     given and does not copy it (only another dtype is converted first).  The
-    first synthesis stores on it the two per-sheet lattice sums of
-    `_sheet_sums`, 2/Ns of the payload, and the lattice's |k| shell table
-    of `_shell_table`, one N^3 index.  ``provenance`` must be a dict whose
-    ``cone_grid`` record, if any, gives its band ends as numbers.
+    first synthesis stores on it one table, `_synthesis_table`'s |k| shells
+    with their N^3 index and the two per-sheet lattice sums (2/Ns of the
+    payload).  ``provenance`` must be a dict whose ``cone_grid`` record, if
+    any, gives its band ends as numbers.
     """
 
     ygrid: QuadratureGrid
@@ -93,8 +93,7 @@ class EuclideanCoefficients:
     values: np.ndarray
     t: float = 0.0
     provenance: dict = field(default_factory=dict)
-    _sheet_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _shells: tuple = field(default=(), init=False, repr=False, compare=False)
+    _synthesis: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ygrid.kind != "spatial" or self.sgrid.kind != "scale":
@@ -108,9 +107,12 @@ class EuclideanCoefficients:
             raise GridMismatchError(f"values shape {vals.shape} does not match grids {want}")
         if not _provenance_is_readable(self.provenance):
             raise EmwaveError(f"provenance {self.provenance!r} is not an object with a numeric cone band")
+        t = float(self.t)
+        if not math.isfinite(t):
+            raise EmwaveError(f"coefficient time t={t} is not finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
 
 def _lattice(ygrid: QuadratureGrid):
@@ -140,6 +142,47 @@ def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
         )
 
 
+def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None = None) -> np.ndarray:
+    """F(y, t - is) at the nodes of ``ygrid`` for each scale of ``s``, shape (Ns, N, N, N, 3).
+
+    An amplitude on the Cartesian cone lattice of ``ygrid`` itself is
+    written, per scale, only at the cone shell's lattice points: each sheet
+    with ``p0 = +-omega`` carries the factor
+    ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH``, the sheets that are
+    not gated off are summed, and one in-place inverse FFT over all scales
+    pushes the slices onto the grid.  Other amplitudes are summed densely
+    by `_evaluate_many`.  ``workers`` is the ``scipy.fft`` worker count.
+    """
+    N = ygrid.meta["args"]["N"]
+    L = ygrid.meta["args"]["L"]
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.zeros((len(s), N, N, N, 3), dtype=complex)
+    slices = out.reshape(len(s), N**3, 3)
+    grid = amp.grid
+    if not (
+        grid.meta.get("builder") == "cartesian_cone"
+        and grid.meta["args"]["spatial"] == ygrid.meta["args"]
+    ):
+        _evaluate_many(amp, ygrid.nodes, t, s=s, out=slices)
+        return out
+    Omega, PH = _lattice(ygrid)
+    flat = np.asarray(grid.meta["flat_indices"])
+    om, ph = Omega.ravel()[flat], PH.ravel()[flat]
+    f = amplitude_vectors(amp)
+    blocks = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
+    for i, si in enumerate(s):
+        live = [
+            ((gate * 0.5 / om / L**3) * np.exp(-sheet * om * (si + 1j * t)) * ph)[:, None] * block
+            for sheet, block in blocks.items()
+            if (gate := gate2(sheet * si)) != 0.0
+        ]
+        if live:
+            slices[i, flat] = sum(live[1:], live[0])
+    # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
+    # factor is folded into the sheet factor); overwrite_x lets it run in place
+    return scipy.fft.ifftn(out, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
+
+
 def analyze(
     amp,
     ygrid: QuadratureGrid,
@@ -149,14 +192,10 @@ def analyze(
 ) -> EuclideanCoefficients:
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
-    Per scale node s the cone amplitude is multiplied by
-    ``theta(+-s) e^{-+omega(s+it)} / omega`` per sheet; amplitudes on the
-    conjugate Cartesian cone lattice are written at their lattice points
-    only and pushed onto the spatial grid by one in-place inverse FFT over
-    all scale slices, other amplitudes are evaluated densely.  Linear in
-    ``amp``.  ``workers`` is the ``scipy.fft`` worker count (``None``:
-    scipy's default, 1 unless set by ``scipy.fft.set_workers``); the
-    result does not depend on it.
+    The values come from `_field_on_grid` at every scale node; ``t`` must
+    be finite.  Linear in ``amp``.  ``workers`` is the ``scipy.fft`` worker
+    count (``None``: scipy's default, 1 unless set by
+    ``scipy.fft.set_workers``); the result does not depend on it.
     """
     if ygrid.kind != "spatial" or sgrid.kind != "scale":
         raise GridMismatchError(
@@ -167,36 +206,10 @@ def analyze(
     if np.any(sgrid.nodes == 0.0):
         raise InvalidScaleError("scale grid contains s = 0")
     t = float(t)
+    if not math.isfinite(t):
+        raise EmwaveError(f"analyze time t={t} is not finite")
     _check_aliasing(amp, ygrid)
-
-    N = ygrid.meta["args"]["N"]
-    L = ygrid.meta["args"]["L"]
-    s_nodes = sgrid.nodes
-    out = np.zeros((len(s_nodes), N, N, N, 3), dtype=complex)
-    slices = out.reshape(len(s_nodes), N**3, 3)
-
-    grid = amp.grid
-    if (
-        grid.meta.get("builder") == "cartesian_cone"
-        and grid.meta["args"]["spatial"] == ygrid.meta["args"]
-    ):
-        # the amplitude lives on the conjugate lattice: each slice is written
-        # only at the cone shell's lattice points, the rest stays zero
-        Omega, PH = _lattice(ygrid)
-        flat = np.asarray(grid.meta["flat_indices"])
-        om, ph = Omega.ravel()[flat], PH.ravel()[flat]
-        f = amplitude_vectors(amp)
-        blocks = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
-        for i, s in enumerate(s_nodes):
-            sheet = 1 if s > 0 else -1
-            if sheet in blocks:
-                mult = (1.0 / om / L**3) * np.exp(-sheet * om * (s + 1j * t)) * ph
-                slices[i, flat] = mult[:, None] * blocks[sheet]
-        # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
-        # factor is folded into mult); overwrite_x lets it run in place
-        out = scipy.fft.ifftn(out, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
-    else:
-        _evaluate_many(amp, ygrid.nodes, t, s=s_nodes, out=slices)
+    out = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers)
 
     provenance = {
         "kind": type(amp).__name__,
@@ -208,47 +221,38 @@ def analyze(
     return EuclideanCoefficients(ygrid, sgrid, out, t=t, provenance=provenance)
 
 
-def _shell_table(coeffs: EuclideanCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct lattice momenta ``omega`` and the (N, N, N) ``index`` with Omega = omega[index].
+def _synthesis_table(coeffs: EuclideanCoefficients) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """The lattice's |k| shells and per-sheet sums, ``(omega, index, sums)``, built once per set.
 
     The wavelet symbol depends on the momentum only through omega = |k|, so
     it takes one value per shell of equal |k| (682 shells at N = 32 against
-    32768 lattice points).  The shells are the exact floats of `_lattice`'s
-    Omega, so a symbol gathered through ``index`` has the bits of one
-    evaluated at every lattice point.  Built once per coefficient set.
-    """
-    if not coeffs._shells:
-        Omega, _ = _lattice(coeffs.ygrid)
-        omega, index = np.unique(Omega.ravel(), return_inverse=True)
-        object.__setattr__(coeffs, "_shells", (omega, index.reshape(Omega.shape)))
-    return coeffs._shells
+    32768 lattice points): ``omega`` holds the distinct lattice momenta and
+    the (N, N, N) ``index`` gives Omega = omega[index].  The shells are the
+    exact floats of `_lattice`'s Omega, so a symbol gathered through
+    ``index`` has the bits of one evaluated at every lattice point.
 
-
-def _sheet_sums(coeffs: EuclideanCoefficients, workers: int | None) -> dict[int, np.ndarray]:
-    """Per-sheet lattice sums ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``.
-
+    ``sums`` maps each sheet to ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``.
     The scale-dependent factor of the wavelet symbol depends on neither the
-    probe points, ``t`` nor ``sigma``, so each sheet's slices are summed
-    (in fixed scale order) once per coefficient set and kept on it; the
-    read-only values keep the sums from going stale.  Each slice's factor
-    ``w_s e^{-+omega s}`` is evaluated on the |k| shells of `_shell_table`
-    and gathered to the lattice.
+    probe points, ``t`` nor ``sigma``, so each sheet's slices are summed (in
+    fixed scale order) on the first synthesis and kept on the set; the
+    read-only values keep the sums from going stale.  The FFTs take the
+    ``scipy.fft`` worker count in effect; the sums do not depend on it.
     """
-    sums = coeffs._sheet_sums
-    if not sums:
-        omega, index = _shell_table(coeffs)
-        _, PH = _lattice(coeffs.ygrid)
-        built = {}
+    if not coeffs._synthesis:
+        Omega, PH = _lattice(coeffs.ygrid)
+        omega, index = np.unique(Omega.ravel(), return_inverse=True)
+        index = index.reshape(Omega.shape)
+        sums = {}
         for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
             sheet = 1 if s > 0 else -1
-            chat = scipy.fft.fftn(c, axes=(0, 1, 2), workers=workers)
+            chat = scipy.fft.fftn(c, axes=(0, 1, 2))
             chat *= ((w * np.exp(-sheet * omega * s))[index] * PH)[..., None]
-            if sheet in built:
-                built[sheet] += chat
+            if sheet in sums:
+                sums[sheet] += chat
             else:
-                built[sheet] = chat
-        sums.update(built)
-    return sums
+                sums[sheet] = chat
+        object.__setattr__(coeffs, "_synthesis", (omega, index, sums))
+    return coeffs._synthesis
 
 
 def _synthesize_engine(
@@ -256,16 +260,15 @@ def _synthesize_engine(
     xs: np.ndarray,
     t: float,
     sigma: float,
-    workers: int | None,
 ) -> np.ndarray:
     """Shared reconstruction core for sigma = 0 (plain) and sigma != 0 (kernel).
 
     The band-limited wavelet symbol ``gate(sigma, s) omega
     e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
-    `_sheet_sums` times ``gate omega e^{-+omega(sigma + i(t - t0))}``; the
-    gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
-    the other.  That factor is evaluated once per |k| shell of
-    `_shell_table` and gathered to the lattice, so a warm call runs no FFT
+    `_synthesis_table` times ``gate omega e^{-+omega(sigma + i(t - t0))}``;
+    the gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
+    the other.  That factor is evaluated once per |k| shell of the same
+    table and gathered to the lattice, so a warm call runs no FFT
     and no exponential over the N^3 points.  The combined lattice array G,
     in (kz, ky, kx, component) order, is formed once per call and summed at
     the K probe points with separable phases
@@ -274,11 +277,10 @@ def _synthesize_engine(
     (k, N) x (N, 3 N^2) product over kz into a reused block of at most
     `_BLOCK_ENTRIES` complex entries, then batched products over ky and kx.
     Besides G and the (K, 3) result the call holds one block, whatever K
-    is.  ``workers`` is the ``scipy.fft`` worker count of the first call on
-    a coefficient set; the result does not depend on it.
+    is.  The first call on a coefficient set builds the table with the
+    ``scipy.fft`` worker count in effect; the result does not depend on it.
     """
-    sums = _sheet_sums(coeffs, workers)
-    omega, index = _shell_table(coeffs)
+    omega, index, sums = _synthesis_table(coeffs)
     N = coeffs.ygrid.meta["args"]["N"]
     pts = np.atleast_2d(np.asarray(xs, dtype=float))
     K = len(pts)
@@ -309,14 +311,9 @@ def _synthesize_engine(
     return out
 
 
-def synthesize_many(
-    coeffs: EuclideanCoefficients,
-    xs: np.ndarray,
-    t: float,
-    workers: int | None = None,
-) -> np.ndarray:
+def synthesize_many(coeffs: EuclideanCoefficients, xs: np.ndarray, t: float) -> np.ndarray:
     """Reconstructed field at many points, shape (K, 3)."""
-    return _synthesize_engine(coeffs, xs, float(t), 0.0, workers)
+    return _synthesize_engine(coeffs, xs, float(t), 0.0)
 
 
 def synthesize(coeffs: EuclideanCoefficients, x, t: float) -> FieldSample:
@@ -343,7 +340,7 @@ def reproduce_complex_time(
     """
     x = np.asarray(x, dtype=float)
     sigma = float(sigma)
-    F = _synthesize_engine(coeffs, x[None, :], float(t), sigma, None)[0]
+    F = _synthesize_engine(coeffs, x[None, :], float(t), sigma)[0]
     t_label = complex(t) if sigma == 0.0 else complex(t, -sigma)
     lo, hi = coeffs.sgrid.meta["args"]["omega_band"]
     cone = coeffs.provenance.get("cone_grid", {}).get("args") or {}
@@ -448,33 +445,6 @@ class NonlocalNormResult:
     grid_points: int
 
 
-def _field_t0(amp, ygrid: QuadratureGrid) -> np.ndarray:
-    """F(y, 0) at the nodes of ``ygrid``, shape (N, N, N, 3) in (y_z, y_y, y_x) order.
-
-    An amplitude on the Cartesian cone lattice of ``ygrid`` itself is
-    scattered onto that lattice with the weights `_evaluate_many` uses at
-    s = 0, both sheets summed, and pushed to the grid by one inverse FFT;
-    other amplitudes are summed densely by `_evaluate_many`.
-    """
-    N = ygrid.meta["args"]["N"]
-    grid = amp.grid
-    if not (
-        grid.meta.get("builder") == "cartesian_cone"
-        and grid.meta["args"]["spatial"] == ygrid.meta["args"]
-    ):
-        return _evaluate_many(amp, ygrid.nodes, 0.0).reshape(N, N, N, 3)
-    _, PH = _lattice(ygrid)
-    flat = np.asarray(grid.meta["flat_indices"])
-    ph = PH.ravel()[flat]
-    f = amplitude_vectors(amp)
-    spec = np.zeros((N**3, 3), dtype=complex)
-    for sheet in np.unique(grid.sheets):
-        on = grid.sheets == sheet
-        spec[flat] += (grid.weights[on] * ph)[:, None] * f[on]
-    # norm="forward" leaves the inverse unscaled: F(y) = SUM_p w f e^{ip.y}
-    return scipy.fft.ifftn(spec.reshape(N, N, N, 3), axes=(0, 1, 2), norm="forward", overwrite_x=True)
-
-
 def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     """Squared norm from the equal-time double integral.
 
@@ -484,10 +454,10 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     (2N)^3 correlation grid, the singular diagonal included.  A separates
     into a 1-D log-time integral of three per-axis factors
     (`_cell_kernel_factors`), so all (2N)^3 weights are one matrix product.
-    F(y, 0) comes from `_field_t0`.  The pair sum is a zero-padded FFT
-    cross-correlation: the three components' power spectra are summed
-    before one inverse FFT.  Refuses grids beyond 24^3 points per factor
-    with a cost estimate.
+    F(y, 0) is `_field_on_grid` at t = 0, s = 0, the path of `analyze`.
+    The pair sum is a zero-padded FFT cross-correlation: the three
+    components' power spectra are summed before one inverse FFT.  Refuses
+    grids beyond 24^3 points per factor with a cost estimate.
     """
     if ygrid.kind != "spatial":
         raise GridMismatchError("norm_nonlocal_t0 needs a spatial grid")
@@ -501,7 +471,7 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
         )
 
     dlt = ygrid.meta["spacing"]
-    F = _field_t0(amp, ygrid)
+    F = _field_on_grid(amp, ygrid, 0.0, 0.0)[0]
 
     P = 2 * N
     power = np.zeros((P, P, P))
@@ -639,7 +609,7 @@ def save_coefficients(
         "payload_sha256": payload_sha256,
     }
     path = directory / f"{name}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 

@@ -221,6 +221,24 @@ def test_coefficients_refuse_an_unreadable_provenance(ygrid, sgrid, provenance):
         EuclideanCoefficients(ygrid, sgrid, values, provenance=provenance)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_is_refused(amp_a, ygrid, sgrid, t):
+    with pytest.raises(EmwaveError, match="t="):
+        analyze(amp_a, ygrid, sgrid, t=t)
+    values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
+    with pytest.raises(EmwaveError, match="t="):
+        EuclideanCoefficients(ygrid, sgrid, values, t=t)
+
+
+def test_manifest_is_never_written_with_a_non_finite_token(ygrid, sgrid, tmp_path):
+    # load_coefficients refuses NaN tokens, so save must not write one
+    values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
+    coeffs = EuclideanCoefficients(ygrid, sgrid, values, provenance={"note": np.nan})
+    with pytest.raises(ValueError, match="JSON"):
+        save_coefficients(coeffs, tmp_path, name="c")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_coefficients_take_ownership_without_copying(ygrid, sgrid):
     fresh = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
     coeffs = EuclideanCoefficients(ygrid, sgrid, fresh)
@@ -393,7 +411,7 @@ def _dense_probe_sum(coeffs, pts, t, sigma):
     taken from `grids.momentum_mesh`, against the gated per-sheet sums."""
     P, Omega = grids.momentum_mesh(coeffs.ygrid)
     G = np.zeros(Omega.shape + (3,), dtype=complex)
-    for sheet, H in transform._sheet_sums(coeffs, None).items():
+    for sheet, H in transform._synthesis_table(coeffs)[2].items():
         gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
         G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * (t - coeffs.t))))[..., None] * H
     phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
@@ -437,7 +455,7 @@ def test_probe_sum_equals_dense_phase_sum_on_other_sets(other_coeffs, sigma):
 def test_shell_table_reproduces_the_lattice_bit_for_bit(n, sgrid):
     ygrid = grids.build_spatial_grid(n, 12.0)
     coeffs = EuclideanCoefficients(ygrid, sgrid, np.zeros((len(sgrid), n, n, n, 3), dtype=complex))
-    omega, index = transform._shell_table(coeffs)
+    omega, index, _ = transform._synthesis_table(coeffs)
     Omega, _ = transform._lattice(ygrid)
     assert np.array_equal(omega[index].view(np.uint64), Omega.view(np.uint64))
     assert np.all(np.diff(omega) > 0.0)  # one entry per distinct |k|
@@ -531,8 +549,9 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     c8 = analyze(amp_a, ygrid, sgrid, workers=8)
     assert np.array_equal(c1.values, c8.values)
     probes = np.array([[0.3, -0.8, 0.5], [1.2, 0.4, -0.9]])
-    s1 = synthesize_many(c1, probes, 0.7, workers=1)
-    s8 = synthesize_many(c8, probes, 0.7, workers=8)
+    s1 = synthesize_many(c1, probes, 0.7)
+    with scipy.fft.set_workers(8):
+        s8 = synthesize_many(c8, probes, 0.7)
     assert np.array_equal(s1, s8)
     # kernel reproduction takes scipy's worker count, 1 unless set around it
     for sigma in (0.6, -0.4):
@@ -546,8 +565,9 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     p1 = analyze(single, ygrid, sgrid, workers=1)
     p8 = analyze(single, ygrid, sgrid, workers=8)
     assert np.array_equal(p1.values, p8.values)
-    q1 = synthesize_many(p1, probes, 0.7, workers=1)
-    q8 = synthesize_many(p8, probes, 0.7, workers=8)
+    q1 = synthesize_many(p1, probes, 0.7)
+    with scipy.fft.set_workers(8):
+        q8 = synthesize_many(p8, probes, 0.7)
     assert np.array_equal(q1, q8)
 
 
@@ -623,7 +643,7 @@ def test_lattice_field_at_t0_equals_the_dense_sum(sheets):
     ygrid = grids.build_spatial_grid(16, 10.0)
     cone = grids.build_cartesian_cone_grid(ygrid, 0.3, 2.5, sheets=sheets)
     amp = amplitude_from_scalar(cone, _profile_b)
-    lattice = transform._field_t0(amp, ygrid)
+    lattice = transform._field_on_grid(amp, ygrid, 0.0, 0.0)[0]
     dense = _evaluate_many(amp, ygrid.nodes, 0.0).reshape(lattice.shape)
     assert np.linalg.norm(lattice - dense) <= 1e-13 * np.linalg.norm(dense)
 
@@ -632,7 +652,7 @@ def test_nonlocal_field_of_another_lattice_is_summed_densely(amp_a):
     # amp_a lives on the N = 16, L = 12 lattice; on another grid the FFT
     # route does not apply
     other = grids.build_spatial_grid(8, 6.0)
-    F = transform._field_t0(amp_a, other)
+    F = transform._field_on_grid(amp_a, other, 0.0, 0.0)[0]
     assert np.array_equal(F, _evaluate_many(amp_a, other.nodes, 0.0).reshape(8, 8, 8, 3))
 
 
