@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import platform
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -448,11 +449,18 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _pipeline_analyze(cfg: dict, base: Path) -> tuple[int, list[Path]]:
+    outdir = _out_dir(cfg, base)
+    # the payload streams to disk, so a set that does not fit is refused before any grid is built
+    N, nodes = cfg["grids.spatial.N"], cfg["grids.scale.nodes_per_sign"]
+    need = 48 * N**3 * nodes * (2 if cfg["grids.scale.signs"] == "both" else 1)
+    free = shutil.disk_usage(next(d for d in (outdir, *outdir.parents) if d.exists())).free
+    if need > free:
+        _fail("grids.scale.nodes_per_sign", f"the payload at N = {N} and {nodes} nodes per sign takes "
+                                            f"{need} bytes (48 N^3 Ns), {free} are free under {outdir}")
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
     name = cfg["outputs.coefficients"]
-    manifest = transform.save_coefficients(coeffs, _out_dir(cfg, base), name=name)
+    manifest = transform._analyze_to_file(amp, ygrid, sgrid, cfg["time"], outdir, name)
     return 0, [manifest, manifest.parent / f"{name}.bin"]
 
 
@@ -462,7 +470,12 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     amp = _build_amplitude(cfg, cone)
     if coeffs_path is not None:
         cpath = Path(coeffs_path)
-        coeffs = transform.load_coefficients(cpath if cpath.is_absolute() else base / cpath)
+        # folded slice by slice into the synthesis table, which refuses a bad
+        # checksum after the last slice and a non-finite sample
+        try:
+            coeffs = transform._load_synthesis_table(cpath if cpath.is_absolute() else base / cpath)
+        except EmwaveError as exc:
+            _fail("coefficients", f"{coeffs_path}: {exc}")
         # the probes and the reference amplitude live on the scenario's grid;
         # the file's own scale grid is the one used
         have, want = coeffs.ygrid.meta["args"], ygrid.meta["args"]
@@ -472,10 +485,6 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
                 f"{coeffs_path} holds a spatial grid (N, L) = ({have['N']}, {have['L']}), "
                 f"the scenario's is ({want['N']}, {want['L']})",
             )
-        # slice by slice, so no payload-sized mask is held; one NaN would
-        # reach every probe through the sheet sums
-        if not all(np.isfinite(c).all() for c in coeffs.values):
-            _fail("coefficients", f"payload of {coeffs_path} holds a non-finite sample")
     else:
         coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
     probes = _draw_probes(cfg, ygrid)
@@ -670,6 +679,9 @@ def main(argv=None) -> int:
         return 2
     except (EmwaveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
         return 2
 
 

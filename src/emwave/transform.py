@@ -19,12 +19,13 @@ Conventions used throughout (fixed once here):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,8 +68,22 @@ def _provenance_is_readable(provenance) -> bool:
     cone = provenance.get("cone_grid", {})
     args = (cone.get("args") or {}) if isinstance(cone, dict) else None
     return isinstance(args, dict) and all(
-        type(args[key]) in (int, float) for key in ("omega_min", "omega_max") if key in args
+        type(args[key]) in (int, float) and math.isfinite(args[key])
+        for key in ("omega_min", "omega_max")
+        if key in args
     )
+
+
+def _check_set(ygrid: QuadratureGrid, sgrid: QuadratureGrid, shape, provenance) -> None:
+    """Refuse grids of the wrong kinds, a values ``shape`` they do not give, or an unreadable provenance."""
+    if ygrid.kind != "spatial" or sgrid.kind != "scale":
+        raise GridMismatchError(f"need (spatial, scale) grids, got ({ygrid.kind}, {sgrid.kind})")
+    N = ygrid.meta["args"]["N"]
+    want = (len(sgrid), N, N, N, 3)
+    if tuple(shape) != want:
+        raise GridMismatchError(f"values shape {tuple(shape)} does not match grids {want}")
+    if not _provenance_is_readable(provenance):
+        raise EmwaveError(f"provenance {provenance!r} is not an object with a finite numeric cone band")
 
 
 @dataclass(frozen=True)
@@ -82,10 +97,9 @@ class EuclideanCoefficients:
 
     The container takes ownership of ``values``: it freezes the array it is
     given and does not copy it (only another dtype is converted first).  The
-    first synthesis stores on it one table, `_synthesis_table`'s |k| shells
-    with their N^3 index and the two per-sheet lattice sums (2/Ns of the
+    first synthesis stores on it its `_SynthesisTable` (2/Ns of the
     payload).  ``provenance`` must be a dict whose ``cone_grid`` record, if
-    any, gives its band ends as numbers.
+    any, gives its band ends as finite numbers.
     """
 
     ygrid: QuadratureGrid
@@ -93,20 +107,11 @@ class EuclideanCoefficients:
     values: np.ndarray
     t: float = 0.0
     provenance: dict = field(default_factory=dict)
-    _synthesis: tuple = field(default=(), init=False, repr=False, compare=False)
+    _synthesis: _SynthesisTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.ygrid.kind != "spatial" or self.sgrid.kind != "scale":
-            raise GridMismatchError(
-                f"need (spatial, scale) grids, got ({self.ygrid.kind}, {self.sgrid.kind})"
-            )
-        N = self.ygrid.meta["args"]["N"]
         vals = np.asarray(self.values, dtype=complex)
-        want = (len(self.sgrid), N, N, N, 3)
-        if vals.shape != want:
-            raise GridMismatchError(f"values shape {vals.shape} does not match grids {want}")
-        if not _provenance_is_readable(self.provenance):
-            raise EmwaveError(f"provenance {self.provenance!r} is not an object with a numeric cone band")
+        _check_set(self.ygrid, self.sgrid, vals.shape, self.provenance)
         t = float(self.t)
         if not math.isfinite(t):
             raise EmwaveError(f"coefficient time t={t} is not finite")
@@ -183,6 +188,22 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     return scipy.fft.ifftn(out, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
 
 
+def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t) -> tuple[float, dict]:
+    """The checks of `analyze` on its arguments; returns the finite time and the provenance."""
+    if ygrid.kind != "spatial" or sgrid.kind != "scale":
+        raise GridMismatchError(f"analyze needs (spatial, scale) grids, got ({ygrid.kind}, {sgrid.kind})")
+    if len(sgrid) == 0:
+        raise EmwaveError("scale grid is empty")
+    if np.any(sgrid.nodes == 0.0):
+        raise InvalidScaleError("scale grid contains s = 0")
+    t = float(t)
+    if not math.isfinite(t):
+        raise EmwaveError(f"analyze time t={t} is not finite")
+    _check_aliasing(amp, ygrid)
+    cone = {"builder": amp.grid.meta.get("builder"), "args": amp.grid.meta.get("args")}
+    return t, {"kind": type(amp).__name__, "cone_grid": cone}
+
+
 def analyze(
     amp,
     ygrid: QuadratureGrid,
@@ -197,32 +218,26 @@ def analyze(
     count (``None``: scipy's default, 1 unless set by
     ``scipy.fft.set_workers``); the result does not depend on it.
     """
-    if ygrid.kind != "spatial" or sgrid.kind != "scale":
-        raise GridMismatchError(
-            f"analyze needs (spatial, scale) grids, got ({ygrid.kind}, {sgrid.kind})"
-        )
-    if len(sgrid) == 0:
-        raise EmwaveError("scale grid is empty")
-    if np.any(sgrid.nodes == 0.0):
-        raise InvalidScaleError("scale grid contains s = 0")
-    t = float(t)
-    if not math.isfinite(t):
-        raise EmwaveError(f"analyze time t={t} is not finite")
-    _check_aliasing(amp, ygrid)
+    t, provenance = _analysis_record(amp, ygrid, sgrid, t)
     out = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers)
-
-    provenance = {
-        "kind": type(amp).__name__,
-        "cone_grid": {
-            "builder": amp.grid.meta.get("builder"),
-            "args": amp.grid.meta.get("args"),
-        },
-    }
     return EuclideanCoefficients(ygrid, sgrid, out, t=t, provenance=provenance)
 
 
-def _synthesis_table(coeffs: EuclideanCoefficients) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """The lattice's |k| shells and per-sheet sums, ``(omega, index, sums)``, built once per set.
+def _analyze_to_file(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float, directory, name: str) -> Path:
+    """``save_coefficients(analyze(...), directory, name)``, byte for byte, without holding the payload.
+
+    `_field_on_grid` fills blocks of at most `_BLOCK_ENTRIES` entries (or
+    one scale slice); a blocked inverse FFT has the bits of a batched one.
+    """
+    t, provenance = _analysis_record(amp, ygrid, sgrid, t)
+    step = max(1, _BLOCK_ENTRIES // (3 * ygrid.meta["args"]["N"] ** 3))
+    blocks = (_field_on_grid(amp, ygrid, t, sgrid.nodes[lo : lo + step]) for lo in range(0, len(sgrid), step))
+    return _write_coefficients(directory, name, ygrid, sgrid, t, provenance, blocks)
+
+
+@dataclass(frozen=True)
+class _SynthesisTable:
+    """What synthesis reads of a coefficient set: its spatial grid and time, |k| shells and per-sheet sums.
 
     The wavelet symbol depends on the momentum only through omega = |k|, so
     it takes one value per shell of equal |k| (682 shells at N = 32 against
@@ -230,42 +245,64 @@ def _synthesis_table(coeffs: EuclideanCoefficients) -> tuple[np.ndarray, np.ndar
     the (N, N, N) ``index`` gives Omega = omega[index].  The shells are the
     exact floats of `_lattice`'s Omega, so a symbol gathered through
     ``index`` has the bits of one evaluated at every lattice point.
-
-    ``sums`` maps each sheet to ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``.
-    The scale-dependent factor of the wavelet symbol depends on neither the
-    probe points, ``t`` nor ``sigma``, so each sheet's slices are summed (in
-    fixed scale order) on the first synthesis and kept on the set; the
-    read-only values keep the sums from going stale.  The FFTs take the
-    ``scipy.fft`` worker count in effect; the sums do not depend on it.
+    ``sums`` maps each sheet to ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``,
+    the part of the symbol that depends on neither the probe points, ``t``
+    nor ``sigma``.
     """
-    if not coeffs._synthesis:
-        Omega, PH = _lattice(coeffs.ygrid)
-        omega, index = np.unique(Omega.ravel(), return_inverse=True)
-        index = index.reshape(Omega.shape)
-        sums = {}
-        for s, w, c in zip(coeffs.sgrid.nodes, coeffs.sgrid.weights, coeffs.values):
-            sheet = 1 if s > 0 else -1
-            chat = scipy.fft.fftn(c, axes=(0, 1, 2))
-            chat *= ((w * np.exp(-sheet * omega * s))[index] * PH)[..., None]
-            if sheet in sums:
-                sums[sheet] += chat
-            else:
-                sums[sheet] = chat
-        object.__setattr__(coeffs, "_synthesis", (omega, index, sums))
+
+    ygrid: QuadratureGrid
+    t: float
+    omega: np.ndarray
+    index: np.ndarray
+    sums: dict
+
+
+def _fold_slices(ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float, slices) -> _SynthesisTable:
+    """The `_SynthesisTable` of the scale ``slices``, an iterable over ``sgrid``'s nodes in order.
+
+    Slice by slice in fixed scale order, so the sums have the same bits
+    from memory or from a file, with the ``scipy.fft`` worker count in
+    effect.  A non-finite slice would reach every probe through the sums;
+    it is refused once the iterable has run to its end.
+    """
+    Omega, PH = _lattice(ygrid)
+    omega, index = np.unique(Omega.ravel(), return_inverse=True)
+    index = index.reshape(Omega.shape)
+    sums, bad = {}, 0
+    for c, s, w in zip(slices, sgrid.nodes, sgrid.weights):
+        if not np.isfinite(c).all():
+            bad += 1
+            continue
+        sheet = 1 if s > 0 else -1
+        chat = scipy.fft.fftn(c, axes=(0, 1, 2))
+        chat *= ((w * np.exp(-sheet * omega * s))[index] * PH)[..., None]
+        if sheet in sums:
+            sums[sheet] += chat
+        else:
+            sums[sheet] = chat
+    if bad:
+        raise EmwaveError(f"{bad} of {len(sgrid)} coefficient slices hold a non-finite sample")
+    return _SynthesisTable(ygrid, t, omega, index, sums)
+
+
+def _synthesis_table(coeffs) -> _SynthesisTable:
+    """A coefficient set's `_SynthesisTable`, kept on the (read-only) set; a table is its own."""
+    if isinstance(coeffs, _SynthesisTable):
+        return coeffs
+    if coeffs._synthesis is None:
+        object.__setattr__(coeffs, "_synthesis", _fold_slices(coeffs.ygrid, coeffs.sgrid, coeffs.t, coeffs.values))
     return coeffs._synthesis
 
 
-def _synthesize_engine(
-    coeffs: EuclideanCoefficients,
-    xs: np.ndarray,
-    t: float,
-    sigma: float,
-) -> np.ndarray:
+def _synthesize_engine(coeffs, xs, t, sigma) -> np.ndarray:
     """Shared reconstruction core for sigma = 0 (plain) and sigma != 0 (kernel).
 
+    ``coeffs`` is a coefficient set or a `_SynthesisTable`.  The points
+    must be a finite (K, 3) array and ``t`` and ``sigma`` finite numbers;
+    anything else raises `EmwaveError` before any work is done.
     The band-limited wavelet symbol ``gate(sigma, s) omega
     e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
-    `_synthesis_table` times ``gate omega e^{-+omega(sigma + i(t - t0))}``;
+    the table times ``gate omega e^{-+omega(sigma + i(t - t0))}``;
     the gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
     the other.  That factor is evaluated once per |k| shell of the same
     table and gathered to the lattice, so a warm call runs no FFT
@@ -280,13 +317,22 @@ def _synthesize_engine(
     is.  The first call on a coefficient set builds the table with the
     ``scipy.fft`` worker count in effect; the result does not depend on it.
     """
-    omega, index, sums = _synthesis_table(coeffs)
-    N = coeffs.ygrid.meta["args"]["N"]
-    pts = np.atleast_2d(np.asarray(xs, dtype=float))
+    try:
+        pts = np.atleast_2d(np.asarray(xs, dtype=float))
+        t, sigma = float(t), float(sigma)
+    except (TypeError, ValueError) as exc:
+        raise EmwaveError(f"synthesis needs real points and times: {exc}") from None
+    if pts.ndim != 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
+        raise EmwaveError(f"synthesis points must be a finite (K, 3) array, got shape {pts.shape}")
+    if not (math.isfinite(t) and math.isfinite(sigma)):
+        raise EmwaveError(f"synthesis time t={t} and offset sigma={sigma} must be finite")
+    table = _synthesis_table(coeffs)
+    N = table.ygrid.meta["args"]["N"]
     K = len(pts)
-    dt = t - coeffs.t
+    dt = t - table.t
+    omega, index = table.omega, table.index
     G = None
-    for sheet, H in sums.items():
+    for sheet, H in table.sums.items():
         gate = gate2(sigma * sheet)
         if gate != 0.0:
             f = (gate * omega * np.exp(-sheet * omega * (sigma + 1j * dt)))[index][..., None]
@@ -296,7 +342,7 @@ def _synthesize_engine(
                 G += f * H
     if G is None:  # every sheet gated off
         return np.zeros((K, 3), dtype=complex)
-    pax = _grids.momentum_axis(coeffs.ygrid)
+    pax = _grids.momentum_axis(table.ygrid)
     G = G.reshape(N, 3 * N * N)
     step = max(1, _BLOCK_ENTRIES // G.shape[1])
     block = np.empty((min(step, K), N, 3 * N), dtype=complex)
@@ -311,9 +357,9 @@ def _synthesize_engine(
     return out
 
 
-def synthesize_many(coeffs: EuclideanCoefficients, xs: np.ndarray, t: float) -> np.ndarray:
-    """Reconstructed field at many points, shape (K, 3)."""
-    return _synthesize_engine(coeffs, xs, float(t), 0.0)
+def synthesize_many(coeffs, xs: np.ndarray, t: float) -> np.ndarray:
+    """Reconstructed field at many points, shape (K, 3), from a set or a `_SynthesisTable`."""
+    return _synthesize_engine(coeffs, xs, t, 0.0)
 
 
 def synthesize(coeffs: EuclideanCoefficients, x, t: float) -> FieldSample:
@@ -338,15 +384,14 @@ def reproduce_complex_time(
     e^{-omega sigma} damping makes convergence faster than plain
     synthesis.  ``sigma = 0`` runs the identical code path as `synthesize`.
     """
-    x = np.asarray(x, dtype=float)
-    sigma = float(sigma)
-    F = _synthesize_engine(coeffs, x[None, :], float(t), sigma)[0]
+    F = _synthesize_engine(coeffs, [x], t, sigma)[0]
+    t, sigma = float(t), float(sigma)
     t_label = complex(t) if sigma == 0.0 else complex(t, -sigma)
     lo, hi = coeffs.sgrid.meta["args"]["omega_band"]
     cone = coeffs.provenance.get("cone_grid", {}).get("args") or {}
     covered = lo <= cone.get("omega_min", lo) and cone.get("omega_max", hi) <= hi  # else the bound does not apply
     bound = coeffs.sgrid.meta["recovery_bound"] if covered else None
-    return FieldSample(F=F, x=x, t=t_label, truncation_estimate=bound)
+    return FieldSample(F=F, x=np.asarray(x, dtype=float), t=t_label, truncation_estimate=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -536,43 +581,55 @@ _MANIFEST_VERSION = 1
 _IO_CHUNK = 8 << 20  # bytes per read of a payload load; one chunk is hashed while the next is read
 
 
-def _write_hashed(path: Path, payload: np.ndarray) -> str:
-    """Write ``payload`` to ``path`` while one helper thread hashes it; returns the SHA-256.
+def _write_coefficients(directory, name: str, ygrid, sgrid, t: float, provenance: dict, blocks) -> Path:
+    """Write a set given as ``blocks`` of its scale slices, in order, and return the manifest path.
 
-    Both the write and ``digest.update`` release the GIL, so the two run
-    at once on the same read-only buffer.  The helper is joined before
-    this returns or raises.
+    The manifest but its digest is serialized before any file is touched,
+    so a value JSON cannot hold (a NaN) fails first.  Each block is written
+    while the one helper thread hashes it, and the helper is done with it
+    before the next block is handed over, so at most two blocks are alive.
+    Both files are written under temporary names, then moved into place,
+    the payload first and the manifest last; on any error the temporary
+    files are removed, so a failed write leaves no partial set.
     """
+    directory, N = Path(directory), ygrid.meta["args"]["N"]
+    shape = [len(sgrid), N, N, N, 3]
+    manifest = {
+        "format": _MANIFEST_FORMAT,
+        "version": _MANIFEST_VERSION,
+        "axis_order": ["s", "y_z", "y_y", "y_x", "component"],
+        "dtype": "little-endian float64 (re, im) pairs",
+        "shape": shape,
+        "t": t,
+        "ygrid": {"builder": ygrid.meta["builder"], "args": ygrid.meta["args"]},
+        "sgrid": {"builder": sgrid.meta["builder"], "args": sgrid.meta["args"]},
+        "provenance": provenance,
+        "payload": f"{name}.bin",
+        "payload_bytes": 16 * math.prod(shape),
+    }
+    json.dumps(manifest, allow_nan=False)  # raises on a NaN before any file is touched
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / manifest["payload"], directory / f"{name}.json"]
+    temps = [directory / f".{p.name}.tmp" for p in paths]
     digest = hashlib.sha256()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        hashed = helper.submit(digest.update, payload)
-        path.write_bytes(payload)
-        hashed.result()
-    return digest.hexdigest()
-
-
-def _read_hashed(stream, size: int) -> tuple[np.ndarray, str]:
-    """Read ``size`` bytes of ``stream`` into one new buffer; returns it and its SHA-256.
-
-    The bytes are read in `_IO_CHUNK` steps with ``readinto``; one helper
-    thread feeds each chunk to the digest in file order while the next one
-    is read.  The helper is joined before this returns or raises.
-    """
-    buf = np.empty(size, dtype=np.uint8)
-    view = memoryview(buf)
-    digest = hashlib.sha256()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        hashed = []
-        done = 0
-        while done < size:
-            n = stream.readinto(view[done : done + _IO_CHUNK])
-            if not n:
-                raise EmwaveError(f"payload ended after {done} of {size} bytes")
-            hashed.append(helper.submit(digest.update, view[done : done + n]))
-            done += n
-        for chunk in hashed:
-            chunk.result()
-    return buf, digest.hexdigest()
+    try:
+        with open(temps[0], "wb") as stream, ThreadPoolExecutor(max_workers=1) as helper:
+            hashed = []
+            for block in blocks:
+                data = np.ascontiguousarray(block, dtype="<c16").reshape(-1).view(np.uint8)
+                wait(hashed)  # the helper lets go of the previous block
+                hashed = [helper.submit(digest.update, data)]
+                stream.write(data)
+            wait(hashed)
+        manifest["payload_sha256"] = digest.hexdigest()
+        temps[1].write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
+        for temp, final in zip(temps, paths):
+            os.replace(temp, final)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    return paths[1]
 
 
 def save_coefficients(
@@ -582,53 +639,34 @@ def save_coefficients(
 
     The payload is the values array in axis order (s, y_z, y_y, y_x,
     vector component), C-order, as little-endian (re, im) float64 pairs,
-    written straight from the values' own buffer.  Its SHA-256 is computed
-    alongside the write, on one helper thread, from that same buffer.  The
-    manifest records the grid builders and arguments (sufficient to
-    rebuild both grids), the generation time, provenance, and the
-    payload's SHA-256, so a reload is byte-exact and self-validating.
+    written slice by slice straight from the values' own buffer and hashed
+    (SHA-256) alongside, on one helper thread.  The manifest records the
+    grid builders and arguments (sufficient to rebuild both grids), the
+    generation time, provenance, and the payload's SHA-256, so a reload is
+    byte-exact and self-validating.  A failed save leaves no partial set.
     Returns the manifest path.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    payload = np.ascontiguousarray(coeffs.values, dtype="<c16").reshape(-1).view(np.uint8)
-    payload_name = f"{name}.bin"
-    payload_sha256 = _write_hashed(directory / payload_name, payload)
-    manifest = {
-        "format": _MANIFEST_FORMAT,
-        "version": _MANIFEST_VERSION,
-        "axis_order": ["s", "y_z", "y_y", "y_x", "component"],
-        "dtype": "little-endian float64 (re, im) pairs",
-        "shape": list(coeffs.values.shape),
-        "t": coeffs.t,
-        "ygrid": {"builder": coeffs.ygrid.meta["builder"], "args": coeffs.ygrid.meta["args"]},
-        "sgrid": {"builder": coeffs.sgrid.meta["builder"], "args": coeffs.sgrid.meta["args"]},
-        "provenance": coeffs.provenance,
-        "payload": payload_name,
-        "payload_bytes": len(payload),
-        "payload_sha256": payload_sha256,
-    }
-    path = directory / f"{name}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return path
+    return _write_coefficients(
+        directory, name, coeffs.ygrid, coeffs.sgrid, coeffs.t, coeffs.provenance, coeffs.values
+    )
 
 
 _MANIFEST_KEYS = ("payload", "payload_bytes", "payload_sha256", "shape", "t", "ygrid", "sgrid")
 
 
-def load_coefficients(manifest_path) -> EuclideanCoefficients:
-    """Rebuild coefficients from a manifest written by `save_coefficients`.
+def _read_coefficients(manifest_path, whole: bool):
+    """Check a saved set, then yield ``(ygrid, sgrid, t, provenance, values)`` and its scale slices.
 
-    Every defect of the manifest or its payload raises `EmwaveError`.  An
-    unreadable manifest, a missing key or a payload outside the manifest's
-    directory is refused first; then, in this order, the payload file's
-    size against ``payload_bytes`` and against ``shape`` (before anything
-    is allocated or read), the checksum, the time (a finite number), the
-    grid records, and in `EuclideanCoefficients` the shape against the
-    grids and the provenance.  The payload is read in chunks into one
-    buffer while one helper thread hashes them, and that buffer becomes
-    the read-only values.  The file format and digest are those of every
-    earlier version, so older manifests load as before.
+    Each slice, in order, is a view of ``values``: the whole payload if
+    ``whole``, else one slice that the next overwrites.  Every defect
+    raises `EmwaveError`.  An unreadable manifest, a missing key or a
+    payload outside the manifest's directory is refused first; then, in
+    this order and before anything is allocated or read, the payload
+    file's size against ``payload_bytes`` and ``shape``, the time (a finite
+    number), the grid records, the shape against the grids and the
+    provenance.  The payload is read in chunks that one helper thread
+    hashes, and the digest is compared once the last slice is read, before
+    it is yielded.  Format and digest are those of every earlier version.
     """
     path = Path(manifest_path)
     try:
@@ -646,36 +684,69 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
     payload_path = (directory / str(manifest["payload"])).resolve()
     if not payload_path.is_relative_to(directory):
         raise EmwaveError(f"payload {manifest['payload']!r} lies outside {directory}")
-    shape = manifest["shape"]
+    shape, t, provenance = manifest["shape"], manifest["t"], manifest.get("provenance", {})
     try:
         with open(payload_path, "rb", buffering=0) as stream:
             size = os.fstat(stream.fileno()).st_size
             if size != manifest["payload_bytes"]:
-                raise EmwaveError(
-                    f"payload length {size} does not match manifest payload_bytes "
-                    f"{manifest['payload_bytes']!r}"
-                )
+                raise EmwaveError(f"payload length {size} does not match manifest payload_bytes "
+                                  f"{manifest['payload_bytes']!r}")
             if not (
                 isinstance(shape, list)
                 and all(isinstance(n, int) and n >= 0 for n in shape)
                 and 16 * math.prod(shape) == size
             ):
                 raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
-            payload, digest = _read_hashed(stream, size)
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
+                raise EmwaveError(f"manifest time {t!r} is not a finite number")
+            try:
+                ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
+                sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
+            _check_set(ygrid, sgrid, shape, provenance)
+            values = np.empty(shape if whole else [1] + shape[1:], dtype="<c16")
+            yield ygrid, sgrid, t, provenance, values
+            digest, hashed = hashlib.sha256(), []
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                for i in range(shape[0]):
+                    if i >= len(values):  # the slice buffer is hashed before it is overwritten
+                        wait(hashed)
+                    view = memoryview(values[i % len(values)].reshape(-1).view(np.uint8))
+                    done = 0
+                    while done < len(view):
+                        n = stream.readinto(view[done : done + _IO_CHUNK])
+                        if not n:
+                            raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
+                        hashed.append(helper.submit(digest.update, view[done : done + n]))
+                        done += n
+                    if i == shape[0] - 1:
+                        wait(hashed)
+                        if digest.hexdigest() != manifest["payload_sha256"]:
+                            raise EmwaveError(
+                                f"payload checksum mismatch for {manifest['payload']}: "
+                                f"{digest.hexdigest()} != {manifest['payload_sha256']}"
+                            )
+                    yield values[i % len(values)]
     except OSError as exc:
         raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
-    if digest != manifest["payload_sha256"]:
-        raise EmwaveError(
-            f"payload checksum mismatch for {manifest['payload']}: "
-            f"{digest} != {manifest['payload_sha256']}"
-        )
-    t, provenance = manifest["t"], manifest.get("provenance", {})
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
-        raise EmwaveError(f"manifest time {t!r} is not a finite number")
-    values = payload.view("<c16").reshape(shape)
-    try:
-        ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
-        sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
+
+
+def load_coefficients(manifest_path) -> EuclideanCoefficients:
+    """Rebuild coefficients from a manifest written by `save_coefficients`.
+
+    `_read_coefficients` checks the manifest and reads the payload into
+    one buffer, which becomes the read-only values.
+    """
+    reader = _read_coefficients(manifest_path, whole=True)
+    ygrid, sgrid, t, provenance, values = next(reader)
+    for _ in reader:
+        pass
     return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)
+
+
+def _load_synthesis_table(manifest_path) -> _SynthesisTable:
+    """The `_SynthesisTable` of a saved set, folded while one slice at a time is read."""
+    with contextlib.closing(_read_coefficients(manifest_path, whole=False)) as reader:
+        ygrid, sgrid, t, _, _ = next(reader)
+        return _fold_slices(ygrid, sgrid, t, reader)

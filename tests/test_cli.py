@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,82 @@ def test_analyze_payload_is_worker_independent(tmp_path):
     ma = json.loads((tmp_path / "a" / "c.json").read_text())
     mb = json.loads((tmp_path / "b" / "c.json").read_text())
     assert ma["payload_sha256"] == mb["payload_sha256"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("slices_per_block", [None, 7])
+def test_streamed_analyze_writes_the_bytes_of_save_after_analyze(tmp_path, monkeypatch, workers, slices_per_block):
+    # None: the default block holds all 40 slices; 7: six blocks, the last one short
+    if slices_per_block is not None:
+        monkeypatch.setattr(transform, "_BLOCK_ENTRIES", slices_per_block * 3 * 16**3)
+    path = _write_cfg(tmp_path, _analyze_cfg("cli"))
+    assert main(["analyze", "--scenario", str(path), "--workers", str(workers)]) == 0
+    scen = load_scenario(path)
+    ygrid, sgrid, cone = cli._build_grids(scen)
+    coeffs = transform.analyze(cli._build_amplitude(scen, cone), ygrid, sgrid, workers=workers)
+    transform.save_coefficients(coeffs, tmp_path / "lib", name="c")
+    for name in ("c.bin", "c.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == ["c.bin", "c.json", "run_manifest.json"]
+
+
+def test_reconstruct_refuses_a_flipped_payload_byte_before_any_output(tmp_path, capsys):
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, _analyze_cfg("coeff"), "a.json"))]) == 0
+    blob = bytearray((tmp_path / "coeff" / "c.bin").read_bytes())
+    blob[len(blob) // 3] ^= 0x01
+    (tmp_path / "coeff" / "c.bin").write_bytes(bytes(blob))
+    rcfg = _analyze_cfg("recon")
+    rcfg["pipeline"] = "reconstruct"
+    rcfg["coefficients"] = "coeff/c.json"
+    capsys.readouterr()
+    assert main(["reconstruct", "--scenario", str(_write_cfg(tmp_path, rcfg, "r.json"))]) == 2
+    err = capsys.readouterr().err
+    assert "config error at coefficients: " in err and "checksum mismatch" in err
+    assert not (tmp_path / "recon").exists()
+
+
+def _refuse_grid_builds(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli.grids, "build_spatial_grid", no_build)
+
+
+@pytest.mark.parametrize("N, nodes, signs", [(16, 20, "both"), (128, 1024, "both"), (16, 20, "plus")])
+def test_analyze_refuses_a_payload_beyond_the_free_disk_space(tmp_path, monkeypatch, capsys, N, nodes, signs):
+    # 48 N^3 Ns bytes against the free space, checked before any grid is built;
+    # (128, 1024) is the 192 GiB set that used to end in a failed allocation
+    need = 48 * N**3 * nodes * (2 if signs == "both" else 1)
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: usage._replace(free=need - 1))
+    _refuse_grid_builds(monkeypatch)
+    cfg = _analyze_cfg("out/deeper")
+    cfg["grids"]["spatial"]["N"] = N
+    cfg["grids"]["scale"].update(nodes_per_sign=nodes, signs=signs)
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert "config error at grids.scale.nodes_per_sign: " in err
+    assert f"{need} bytes" in err and f"{need - 1} are free" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_exits_2_and_leaves_no_partial_set(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:  # the first block is written, the second cannot be allocated
+            raise MemoryError("Unable to allocate 12.0 GiB")
+        return real(*args, **kwargs)
+
+    real = transform._field_on_grid
+    monkeypatch.setattr(transform, "_field_on_grid", failing)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 8 * 3 * 16**3)
+    (tmp_path / "out").mkdir()
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, _analyze_cfg("out")))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory in analyze: Unable to allocate") and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

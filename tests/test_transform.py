@@ -5,13 +5,14 @@ import itertools
 import json
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from emwave import fieldcore, grids, transform
+from emwave import cli, fieldcore, grids, transform
 from emwave.errors import (
     BudgetExceededError,
     EmwaveError,
@@ -148,13 +149,31 @@ def _traced_peak(run):
         # (scale, component) coefficients (0.6 payloads here), plus one phase
         # block and the real x.p matrix it is filled from (added below)
         ("analyze-dense", 2.5),
+        # the CLI streams the payload: analyze holds two blocks of 4 of the
+        # 40 slices, reconstruct folds one slice at a time into the table
+        # (two sheet sums), plus the dense reference's phase block (added below)
+        ("cli-analyze", 0.4),
+        ("cli-reconstruct", 0.2),
     ],
 )
-def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeffs_a, coeffs_b, tmp_path):
+def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeffs_a, coeffs_b, tmp_path, monkeypatch):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     probes = np.random.default_rng(5).uniform(-L / 2, L / 2, size=(200, 3))
     synthesize_many(coeffs_a, probes[:1], 0.0)  # the per-sheet sums are built once
     dense = _off_lattice(amp_a)
+    if stage.startswith("cli-"):
+        # the scenario of coeffs_a, read from the saved set by reconstruct
+        monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 4 * 3 * N**3)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "schema": cli.SCHEMA,
+            "pipeline": stage[4:],
+            "grids": {"spatial": {"N": N, "L": L}, "scale": {"omega_band": list(BAND), "nodes_per_sign": 20}},
+            "amplitude": {"profile": "gaussian", "center": 2.0, "width": 0.35, "angular": {"nz": 0.25},
+                          "sheet_weights": [1.0, 0.6]},
+            "coefficients": str(manifest) if stage == "cli-reconstruct" else None,
+            "outputs": {"directory": "out", "coefficients": "c"},
+        }))
     run = {
         "analyze": lambda: analyze(amp_a, ygrid, sgrid),
         "analyze-dense": lambda: analyze(dense, ygrid, sgrid),
@@ -163,9 +182,15 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
         "norm_euclidean": lambda: norm_euclidean(coeffs_a),
         "inner_product": lambda: inner_product(coeffs_a, coeffs_b),
         "synthesize_many": lambda: synthesize_many(coeffs_a, probes, 0.4),
+        "cli-analyze": lambda: cli.main(["analyze", "--scenario", str(scenario)]),
+        "cli-reconstruct": lambda: cli.main(["reconstruct", "--scenario", str(scenario)]),
     }[stage]
-    peak, _ = _traced_peak(run)
-    blocks = 24 * fieldcore._BLOCK_ENTRIES if stage == "analyze-dense" else 0
+    peak, result = _traced_peak(run)
+    assert not stage.startswith("cli-") or result == 0
+    blocks = {
+        "analyze-dense": 24 * fieldcore._BLOCK_ENTRIES,
+        "cli-reconstruct": 24 * 50 * len(amp_a.grid),  # 50 probes, the default count
+    }.get(stage, 0)
     assert peak <= bound * coeffs_a.values.nbytes + blocks
 
 
@@ -219,6 +244,79 @@ def test_coefficients_refuse_an_unreadable_provenance(ygrid, sgrid, provenance):
     values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
     with pytest.raises(EmwaveError, match="provenance"):
         EuclideanCoefficients(ygrid, sgrid, values, provenance=provenance)
+
+
+@pytest.mark.parametrize("band_end", [np.nan, np.inf])
+def test_non_finite_cone_band_is_refused_and_leaves_the_directory_as_it_was(ygrid, sgrid, tmp_path, band_end):
+    # a NaN band end used to pass the provenance check, fail in the manifest's
+    # JSON with a bare ValueError and leave the payload without its manifest
+    values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
+    (tmp_path / "keep.txt").write_text("x")
+    with pytest.raises(EmwaveError, match="provenance"):
+        coeffs = EuclideanCoefficients(ygrid, sgrid, values, provenance={"cone_grid": {"args": {"omega_min": band_end}}})
+        save_coefficients(coeffs, tmp_path, name="c")
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.txt"]
+
+
+def test_a_failed_write_keeps_the_previous_set_and_leaves_no_temporary_file(coeffs_a, coeffs_b, tmp_path):
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def blocks():
+        yield coeffs_b.values[:3]
+        raise RuntimeError("the third block fails")
+
+    with pytest.raises(RuntimeError, match="third block"):
+        transform._write_coefficients(tmp_path, "c", coeffs_b.ygrid, coeffs_b.sgrid, 0.0, {}, blocks())
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert np.array_equal(load_coefficients(manifest).values, coeffs_a.values)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.zeros((4, 2)),  # used to raise IndexError
+        np.zeros((2, 3, 1)),
+        np.array([[0.0, np.nan, 0.0]]),  # used to return NaN
+        [[0.0, 1.0, 2.0], [0.0, 1.0]],  # ragged: used to raise ValueError
+        "abc",
+    ],
+    ids=["K-by-2", "3-d", "nan", "ragged", "text"],
+)
+def test_synthesize_many_refuses_malformed_points(coeffs_a, xs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmwaveError, match="points"):
+            synthesize_many(coeffs_a, xs, 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "later"])
+def test_synthesis_refuses_a_non_finite_time_or_offset(coeffs_a, bad):
+    # synthesize_many(c, xs, inf) used to return NaN with only a RuntimeWarning
+    x = np.array([0.4, -0.2, 0.7])
+    calls = [
+        lambda: synthesize_many(coeffs_a, x[None, :], bad),
+        lambda: synthesize(coeffs_a, x, bad),
+        lambda: reproduce_complex_time(coeffs_a, x, bad, 0.5),
+        lambda: reproduce_complex_time(coeffs_a, x, 0.3, bad),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(EmwaveError):
+                call()
+
+
+@pytest.mark.parametrize(
+    "x", [np.zeros(4), np.zeros(2), 0.5, np.zeros((2, 3)), np.array([0.0, np.inf, 0.0])],
+    ids=["4", "2", "scalar", "2-by-3", "inf"],
+)
+def test_single_point_synthesis_needs_one_point(coeffs_a, x):
+    # a scalar used to raise IndexError and a (2, 3) array was summed for both rows
+    with pytest.raises(EmwaveError):
+        synthesize(coeffs_a, x, 0.0)
+    with pytest.raises(EmwaveError):
+        reproduce_complex_time(coeffs_a, x, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -411,7 +509,7 @@ def _dense_probe_sum(coeffs, pts, t, sigma):
     taken from `grids.momentum_mesh`, against the gated per-sheet sums."""
     P, Omega = grids.momentum_mesh(coeffs.ygrid)
     G = np.zeros(Omega.shape + (3,), dtype=complex)
-    for sheet, H in transform._synthesis_table(coeffs)[2].items():
+    for sheet, H in transform._synthesis_table(coeffs).sums.items():
         gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
         G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * (t - coeffs.t))))[..., None] * H
     phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
@@ -455,7 +553,8 @@ def test_probe_sum_equals_dense_phase_sum_on_other_sets(other_coeffs, sigma):
 def test_shell_table_reproduces_the_lattice_bit_for_bit(n, sgrid):
     ygrid = grids.build_spatial_grid(n, 12.0)
     coeffs = EuclideanCoefficients(ygrid, sgrid, np.zeros((len(sgrid), n, n, n, 3), dtype=complex))
-    omega, index, _ = transform._synthesis_table(coeffs)
+    table = transform._synthesis_table(coeffs)
+    omega, index = table.omega, table.index
     Omega, _ = transform._lattice(ygrid)
     assert np.array_equal(omega[index].view(np.uint64), Omega.view(np.uint64))
     assert np.all(np.diff(omega) > 0.0)  # one entry per distinct |k|
@@ -695,6 +794,38 @@ def test_tampered_payload_is_rejected(coeffs_a, tmp_path):
     (tmp_path / "c.bin").write_bytes(bytes(blob))
     with pytest.raises(EmwaveError, match="checksum"):
         load_coefficients(manifest)
+
+
+@pytest.mark.parametrize("chunk", [None, 4099])
+def test_streamed_table_has_the_bits_of_the_loaded_set(coeffs_a, tmp_path, monkeypatch, chunk):
+    # one reused slice buffer, read in odd chunks that straddle the slices
+    if chunk:
+        monkeypatch.setattr(transform, "_IO_CHUNK", chunk)
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    streamed = transform._load_synthesis_table(manifest)
+    kept = transform._synthesis_table(load_coefficients(manifest))
+    assert grids.grids_equal(streamed.ygrid, kept.ygrid) and streamed.t == kept.t
+    assert np.array_equal(streamed.index, kept.index) and np.array_equal(streamed.omega, kept.omega)
+    assert streamed.sums.keys() == kept.sums.keys()
+    for sheet in kept.sums:
+        assert streamed.sums[sheet].tobytes() == kept.sums[sheet].tobytes()
+    probes = np.random.default_rng(11).uniform(-L / 2, L / 2, size=(20, 3))
+    assert synthesize_many(streamed, probes, 0.7).tobytes() == synthesize_many(coeffs_a, probes, 0.7).tobytes()
+
+
+def test_streamed_table_names_the_checksum_before_a_non_finite_sample(coeffs_a, tmp_path):
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    payload = np.fromfile(tmp_path / "c.bin", dtype="<c16")
+    payload[len(payload) // 2] = complex(np.nan, 0.0)
+    payload.tofile(tmp_path / "c.bin")
+    with pytest.raises(EmwaveError, match="checksum"):
+        transform._load_synthesis_table(manifest)
+    meta = json.loads(manifest.read_text())
+    meta["payload_sha256"] = hashlib.sha256(payload.tobytes()).hexdigest()
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
+        transform._load_synthesis_table(manifest)
+    assert np.isnan(load_coefficients(manifest).values).sum() == 1  # a load keeps the bytes as they are
 
 
 def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
