@@ -460,7 +460,7 @@ def _pipeline_analyze(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
     name = cfg["outputs.coefficients"]
-    manifest = transform._analyze_to_file(amp, ygrid, sgrid, cfg["time"], outdir, name)
+    manifest = transform._write_coefficients(transform._analysis_stream(amp, ygrid, sgrid, cfg["time"]), outdir, name)
     return 0, [manifest, manifest.parent / f"{name}.bin"]
 
 
@@ -468,25 +468,23 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     coeffs_path = cfg["coefficients"]
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    if coeffs_path is not None:
+    if coeffs_path is None:
+        coeffs = transform._synthesis_table(transform._analysis_stream(amp, ygrid, sgrid, cfg["time"]))
+    else:
         cpath = Path(coeffs_path)
-        # folded slice by slice into the synthesis table, which refuses a bad
-        # checksum after the last slice and a non-finite sample
         try:
-            coeffs = transform._load_synthesis_table(cpath if cpath.is_absolute() else base / cpath)
+            stream = transform._read_coefficients(cpath if cpath.is_absolute() else base / cpath)
+            # the probes and the reference amplitude live on the scenario's grid;
+            # the file's own scale grid is the one used
+            have, want = stream.ygrid.meta["args"], ygrid.meta["args"]
+            if have != want:
+                raise EmwaveError(f"holds a spatial grid (N, L) = ({have['N']}, {have['L']}), "
+                                  f"the scenario's is ({want['N']}, {want['L']})")
+            # folded slice by slice into the synthesis table, which refuses a bad
+            # checksum after the last slice and a non-finite sample
+            coeffs = transform._synthesis_table(stream)
         except EmwaveError as exc:
             _fail("coefficients", f"{coeffs_path}: {exc}")
-        # the probes and the reference amplitude live on the scenario's grid;
-        # the file's own scale grid is the one used
-        have, want = coeffs.ygrid.meta["args"], ygrid.meta["args"]
-        if have != want:
-            _fail(
-                "coefficients",
-                f"{coeffs_path} holds a spatial grid (N, L) = ({have['N']}, {have['L']}), "
-                f"the scenario's is ({want['N']}, {want['L']})",
-            )
-    else:
-        coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
     probes = _draw_probes(cfg, ygrid)
     tol = cfg["tolerances.round_trip"]
     times = cfg["probes.times"]
@@ -519,9 +517,8 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
 def _pipeline_norms(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     ygrid, sgrid, cone = _build_grids(cfg)
     amp = _build_amplitude(cfg, cone)
-    coeffs = transform.analyze(amp, ygrid, sgrid, t=cfg["time"])
-    nonlocal_grid = ygrid if cfg["norms.nonlocal"] else None
-    report = transform.norm_report(amp, coeffs, nonlocal_grid=nonlocal_grid)
+    stream = transform._analysis_stream(amp, ygrid, sgrid, cfg["time"])
+    report = transform.norm_report(amp, stream, nonlocal_grid=ygrid if cfg["norms.nonlocal"] else None)
     tol = cfg["tolerances.parseval"]
     gap = report.gap_euclidean
     checks = [_record("parseval-gap", gap, 0.0, gap, gap <= tol)]

@@ -14,6 +14,7 @@ conjugate momentum lattice exposed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -79,6 +80,12 @@ class QuadratureGrid:
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
+
+
+def _check_count(value, name: str) -> None:
+    """Refuse a ``value`` that is not a true integer count (a float or a bool), naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise EmwaveError(f"{name} must be an integer, got {value!r}")
 
 
 def _validate_band(omega_min: float, omega_max: float) -> None:
@@ -234,6 +241,7 @@ def build_scale_grid(
     """
     omega_min, omega_max = omega_band
     _validate_band(omega_min, omega_max)
+    _check_count(nodes_per_sign, "nodes_per_sign")
     if nodes_per_sign < 6:
         raise EmwaveError("scale grid needs at least 6 nodes per sign")
 
@@ -296,6 +304,7 @@ def build_spatial_grid(N: int, L: float) -> QuadratureGrid:
     Every weight is the cell volume ``(L/N)^3``.  The conjugate momentum
     lattice is exposed through `momentum_axis` / `momentum_mesh`.
     """
+    _check_count(N, "N")
     if N < 2 or (N & (N - 1)) != 0:
         raise EmwaveError(f"N must be a power of two >= 2, got {N}")
     if not (L > 0.0):

@@ -19,12 +19,13 @@ Conventions used throughout (fixed once here):
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
+import numbers
 import os
 import warnings
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -120,6 +121,11 @@ class EuclideanCoefficients:
         object.__setattr__(self, "t", t)
 
 
+# the fields of `EuclideanCoefficients`, with ``values`` an iterator over the scale slices in order,
+# which may overwrite a slice once the next is drawn; every reader takes a set or a stream
+_CoefficientStream = namedtuple("_CoefficientStream", "ygrid sgrid values t provenance")
+
+
 def _lattice(ygrid: QuadratureGrid):
     """Momentum magnitudes Omega of the lattice and the centered-grid FFT phase."""
     N = ygrid.meta["args"]["N"]
@@ -147,61 +153,71 @@ def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
         )
 
 
-def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None = None) -> np.ndarray:
-    """F(y, t - is) at the nodes of ``ygrid`` for each scale of ``s``, shape (Ns, N, N, N, 3).
+def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None = None, out=None):
+    """Yield F(y, t - is) at the nodes of ``ygrid`` for the scales ``s``, in blocks of shape (k, N, N, N, 3).
 
-    An amplitude on the Cartesian cone lattice of ``ygrid`` itself is
-    written, per scale, only at the cone shell's lattice points: each sheet
-    with ``p0 = +-omega`` carries the factor
-    ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH``, the sheets that are
-    not gated off are summed, and one in-place inverse FFT over all scales
-    pushes the slices onto the grid.  Other amplitudes are summed densely
-    by `_evaluate_many`.  ``workers`` is the ``scipy.fft`` worker count.
+    The per-amplitude set-up runs once, before the first block.  An
+    amplitude on the Cartesian cone lattice of ``ygrid`` itself is written,
+    per scale, only at the cone shell's lattice points: each sheet with
+    ``p0 = +-omega`` carries ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH``,
+    the sheets not gated off are summed, and one in-place inverse FFT per
+    block (bit-equal to a batched one) pushes them onto the grid.  Other
+    amplitudes are summed densely by `_evaluate_many`.  The blocks reuse
+    one buffer of at most `_BLOCK_ENTRIES` entries (or one slice), so each
+    is overwritten once the next is drawn; a caller passing the whole
+    zeroed buffer ``out`` gets it filled as the one block.
     """
     N = ygrid.meta["args"]["N"]
     L = ygrid.meta["args"]["L"]
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.zeros((len(s), N, N, N, 3), dtype=complex)
-    slices = out.reshape(len(s), N**3, 3)
+    step = len(s) if out is not None else max(1, _BLOCK_ENTRIES // (3 * N**3))
     grid = amp.grid
-    if not (
-        grid.meta.get("builder") == "cartesian_cone"
-        and grid.meta["args"]["spatial"] == ygrid.meta["args"]
-    ):
-        _evaluate_many(amp, ygrid.nodes, t, s=s, out=slices)
-        return out
-    Omega, PH = _lattice(ygrid)
-    flat = np.asarray(grid.meta["flat_indices"])
-    om, ph = Omega.ravel()[flat], PH.ravel()[flat]
-    f = amplitude_vectors(amp)
-    blocks = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
-    for i, si in enumerate(s):
-        live = [
-            ((gate * 0.5 / om / L**3) * np.exp(-sheet * om * (si + 1j * t)) * ph)[:, None] * block
-            for sheet, block in blocks.items()
-            if (gate := gate2(sheet * si)) != 0.0
-        ]
-        if live:
-            slices[i, flat] = sum(live[1:], live[0])
-    # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
-    # factor is folded into the sheet factor); overwrite_x lets it run in place
-    return scipy.fft.ifftn(out, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
+    lattice = grid.meta.get("builder") == "cartesian_cone" and grid.meta["args"]["spatial"] == ygrid.meta["args"]
+    if lattice:
+        Omega, PH = _lattice(ygrid)
+        flat = np.asarray(grid.meta["flat_indices"])
+        om, ph = Omega.ravel()[flat], PH.ravel()[flat]
+        f = amplitude_vectors(amp)
+        sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
+    buffer = np.zeros((min(step, len(s)), N, N, N, 3), dtype=complex) if out is None else out
+    for lo in range(0, len(s), step):
+        scales = s[lo : lo + step]
+        block = buffer[: len(scales)]
+        if lo:  # the buffer holds the previous block
+            block.fill(0.0)
+        slices = block.reshape(len(scales), N**3, 3)
+        if not lattice:
+            _evaluate_many(amp, ygrid.nodes, t, s=scales, out=slices)
+            yield block
+            continue
+        for i, si in enumerate(scales):
+            live = [
+                ((gate * 0.5 / om / L**3) * np.exp(-sheet * om * (si + 1j * t)) * ph)[:, None] * values
+                for sheet, values in sheets.items()
+                if (gate := gate2(sheet * si)) != 0.0
+            ]
+            if live:
+                slices[i, flat] = sum(live[1:], live[0])
+        # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
+        # factor is folded into the sheet factor); overwrite_x lets it run in place
+        yield scipy.fft.ifftn(block, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
 
 
-def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t) -> tuple[float, dict]:
-    """The checks of `analyze` on its arguments; returns the finite time and the provenance."""
+def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t, workers) -> tuple[float, dict]:
+    """The checks of an analysis on its arguments; returns the finite time and the provenance."""
     if ygrid.kind != "spatial" or sgrid.kind != "scale":
         raise GridMismatchError(f"analyze needs (spatial, scale) grids, got ({ygrid.kind}, {sgrid.kind})")
     if len(sgrid) == 0:
         raise EmwaveError("scale grid is empty")
     if np.any(sgrid.nodes == 0.0):
         raise InvalidScaleError("scale grid contains s = 0")
-    t = float(t)
-    if not math.isfinite(t):
-        raise EmwaveError(f"analyze time t={t} is not finite")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+        raise EmwaveError(f"analyze time t={t!r} is not a finite real number")
+    if workers is not None and (isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1):
+        raise EmwaveError(f"analyze workers={workers!r} is neither None nor an integer >= 1")
     _check_aliasing(amp, ygrid)
     cone = {"builder": amp.grid.meta.get("builder"), "args": amp.grid.meta.get("args")}
-    return t, {"kind": type(amp).__name__, "cone_grid": cone}
+    return float(t), {"kind": type(amp).__name__, "cone_grid": cone}
 
 
 def analyze(
@@ -213,26 +229,25 @@ def analyze(
 ) -> EuclideanCoefficients:
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
-    The values come from `_field_on_grid` at every scale node; ``t`` must
-    be finite.  Linear in ``amp``.  ``workers`` is the ``scipy.fft`` worker
-    count (``None``: scipy's default, 1 unless set by
-    ``scipy.fft.set_workers``); the result does not depend on it.
+    `_field_on_grid` fills the whole payload as one block, in place: one
+    zeroed buffer and one batched inverse FFT.  ``t`` must be a finite real
+    number.  Linear in ``amp``.  ``workers`` is the ``scipy.fft`` worker
+    count, ``None`` (scipy's default, 1 unless set by
+    ``scipy.fft.set_workers``) or an integer >= 1; the result does not
+    depend on it.
     """
-    t, provenance = _analysis_record(amp, ygrid, sgrid, t)
-    out = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers)
-    return EuclideanCoefficients(ygrid, sgrid, out, t=t, provenance=provenance)
+    t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
+    N = ygrid.meta["args"]["N"]
+    out = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
+    (values,) = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers, out=out)
+    return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)
 
 
-def _analyze_to_file(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float, directory, name: str) -> Path:
-    """``save_coefficients(analyze(...), directory, name)``, byte for byte, without holding the payload.
-
-    `_field_on_grid` fills blocks of at most `_BLOCK_ENTRIES` entries (or
-    one scale slice); a blocked inverse FFT has the bits of a batched one.
-    """
-    t, provenance = _analysis_record(amp, ygrid, sgrid, t)
-    step = max(1, _BLOCK_ENTRIES // (3 * ygrid.meta["args"]["N"] ** 3))
-    blocks = (_field_on_grid(amp, ygrid, t, sgrid.nodes[lo : lo + step]) for lo in range(0, len(sgrid), step))
-    return _write_coefficients(directory, name, ygrid, sgrid, t, provenance, blocks)
+def _analysis_stream(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float) -> _CoefficientStream:
+    """The coefficients of `analyze` as a `_CoefficientStream`, computed in one reused `_field_on_grid` block."""
+    t, provenance = _analysis_record(amp, ygrid, sgrid, t, None)
+    blocks = _field_on_grid(amp, ygrid, t, sgrid.nodes)
+    return _CoefficientStream(ygrid, sgrid, (c for block in blocks for c in block), t, provenance)
 
 
 @dataclass(frozen=True)
@@ -257,19 +272,24 @@ class _SynthesisTable:
     sums: dict
 
 
-def _fold_slices(ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float, slices) -> _SynthesisTable:
-    """The `_SynthesisTable` of the scale ``slices``, an iterable over ``sgrid``'s nodes in order.
+def _synthesis_table(coeffs) -> _SynthesisTable:
+    """The `_SynthesisTable` of a set or a stream; a table is its own, and a set keeps the one it gets.
 
-    Slice by slice in fixed scale order, so the sums have the same bits
-    from memory or from a file, with the ``scipy.fft`` worker count in
-    effect.  A non-finite slice would reach every probe through the sums;
-    it is refused once the iterable has run to its end.
+    The slices are folded one at a time in fixed scale order, so the sums
+    have the same bits from memory, from a file or from an analysis
+    stream, with the ``scipy.fft`` worker count in effect.  A non-finite
+    slice would reach every probe through the sums; it is refused once the
+    slices have run to their end.
     """
-    Omega, PH = _lattice(ygrid)
+    if isinstance(coeffs, _SynthesisTable):
+        return coeffs
+    if getattr(coeffs, "_synthesis", None) is not None:
+        return coeffs._synthesis
+    Omega, PH = _lattice(coeffs.ygrid)
     omega, index = np.unique(Omega.ravel(), return_inverse=True)
     index = index.reshape(Omega.shape)
     sums, bad = {}, 0
-    for c, s, w in zip(slices, sgrid.nodes, sgrid.weights):
+    for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):  # a drawn stream is short
         if not np.isfinite(c).all():
             bad += 1
             continue
@@ -281,17 +301,11 @@ def _fold_slices(ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float, slices)
         else:
             sums[sheet] = chat
     if bad:
-        raise EmwaveError(f"{bad} of {len(sgrid)} coefficient slices hold a non-finite sample")
-    return _SynthesisTable(ygrid, t, omega, index, sums)
-
-
-def _synthesis_table(coeffs) -> _SynthesisTable:
-    """A coefficient set's `_SynthesisTable`, kept on the (read-only) set; a table is its own."""
-    if isinstance(coeffs, _SynthesisTable):
-        return coeffs
-    if coeffs._synthesis is None:
-        object.__setattr__(coeffs, "_synthesis", _fold_slices(coeffs.ygrid, coeffs.sgrid, coeffs.t, coeffs.values))
-    return coeffs._synthesis
+        raise EmwaveError(f"{bad} of {len(coeffs.sgrid)} coefficient slices hold a non-finite sample")
+    table = _SynthesisTable(coeffs.ygrid, coeffs.t, omega, index, sums)
+    if isinstance(coeffs, EuclideanCoefficients):
+        object.__setattr__(coeffs, "_synthesis", table)
+    return table
 
 
 def _synthesize_engine(coeffs, xs, t, sigma) -> np.ndarray:
@@ -406,10 +420,9 @@ def norm_momentum(amp) -> float:
     return float(np.sum(amp.grid.weights * f2 / omega**2))
 
 
-def norm_euclidean(coeffs: EuclideanCoefficients) -> float:
-    """Squared scale-space norm: INT d^3y ds |F(y, t - is)|^2."""
+def norm_euclidean(coeffs) -> float:
+    """Squared scale-space norm INT d^3y ds |F(y, t - is)|^2 of a set or a stream, one slice at a time."""
     dy3 = coeffs.ygrid.meta["spacing"] ** 3
-    # one scale slice at a time, so no payload-sized |c|^2 is ever held
     per_slice = np.array([np.sum(np.abs(c) ** 2) for c in coeffs.values])
     return float(np.sum(coeffs.sgrid.weights * per_slice) * dy3)
 
@@ -516,7 +529,7 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
         )
 
     dlt = ygrid.meta["spacing"]
-    F = _field_on_grid(amp, ygrid, 0.0, 0.0)[0]
+    F = next(_field_on_grid(amp, ygrid, 0.0, 0.0))[0]
 
     P = 2 * N
     power = np.zeros((P, P, P))
@@ -554,10 +567,11 @@ class NormReport:
             raise EmwaveError("squared norms must be nonnegative")
 
 
-def norm_report(
-    amp, coeffs: EuclideanCoefficients, nonlocal_grid: QuadratureGrid | None = None
-) -> NormReport:
-    """Momentum / scale-space (/ optional nonlocal) norms with relative gaps."""
+def norm_report(amp, coeffs, nonlocal_grid: QuadratureGrid | None = None) -> NormReport:
+    """Momentum / scale-space (/ optional nonlocal) norms with relative gaps.
+
+    ``coeffs`` is a set or a stream of one; `norm_euclidean` reads it once.
+    """
     nm = norm_momentum(amp)
     ne = norm_euclidean(coeffs)
     nl = None if nonlocal_grid is None else norm_nonlocal_t0(amp, nonlocal_grid)
@@ -581,29 +595,27 @@ _MANIFEST_VERSION = 1
 _IO_CHUNK = 8 << 20  # bytes per read of a payload load; one chunk is hashed while the next is read
 
 
-def _write_coefficients(directory, name: str, ygrid, sgrid, t: float, provenance: dict, blocks) -> Path:
-    """Write a set given as ``blocks`` of its scale slices, in order, and return the manifest path.
+def _write_coefficients(coeffs, directory, name: str) -> Path:
+    """Write a set or a stream slice by slice, in scale order, and return the manifest path.
 
     The manifest but its digest is serialized before any file is touched,
-    so a value JSON cannot hold (a NaN) fails first.  Each block is written
-    while the one helper thread hashes it, and the helper is done with it
-    before the next block is handed over, so at most two blocks are alive.
-    Both files are written under temporary names, then moved into place,
-    the payload first and the manifest last; on any error the temporary
-    files are removed, so a failed write leaves no partial set.
+    so a value JSON cannot hold (a NaN) fails first.  The one helper thread
+    hashes each slice while it is written and is done before the next is
+    drawn.  Both files are written under temporary names and moved into
+    place, the payload first; on any error the temporary files are removed.
     """
-    directory, N = Path(directory), ygrid.meta["args"]["N"]
-    shape = [len(sgrid), N, N, N, 3]
+    directory, N = Path(directory), coeffs.ygrid.meta["args"]["N"]
+    shape = [len(coeffs.sgrid), N, N, N, 3]
     manifest = {
         "format": _MANIFEST_FORMAT,
         "version": _MANIFEST_VERSION,
         "axis_order": ["s", "y_z", "y_y", "y_x", "component"],
         "dtype": "little-endian float64 (re, im) pairs",
         "shape": shape,
-        "t": t,
-        "ygrid": {"builder": ygrid.meta["builder"], "args": ygrid.meta["args"]},
-        "sgrid": {"builder": sgrid.meta["builder"], "args": sgrid.meta["args"]},
-        "provenance": provenance,
+        "t": coeffs.t,
+        "ygrid": {"builder": coeffs.ygrid.meta["builder"], "args": coeffs.ygrid.meta["args"]},
+        "sgrid": {"builder": coeffs.sgrid.meta["builder"], "args": coeffs.sgrid.meta["args"]},
+        "provenance": coeffs.provenance,
         "payload": f"{name}.bin",
         "payload_bytes": 16 * math.prod(shape),
     }
@@ -614,13 +626,11 @@ def _write_coefficients(directory, name: str, ygrid, sgrid, t: float, provenance
     digest = hashlib.sha256()
     try:
         with open(temps[0], "wb") as stream, ThreadPoolExecutor(max_workers=1) as helper:
-            hashed = []
-            for block in blocks:
-                data = np.ascontiguousarray(block, dtype="<c16").reshape(-1).view(np.uint8)
-                wait(hashed)  # the helper lets go of the previous block
-                hashed = [helper.submit(digest.update, data)]
+            for c in coeffs.values:
+                data = np.ascontiguousarray(c, dtype="<c16").reshape(-1).view(np.uint8)
+                hashed = helper.submit(digest.update, data)
                 stream.write(data)
-            wait(hashed)
+                hashed.result()
         manifest["payload_sha256"] = digest.hexdigest()
         temps[1].write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for temp, final in zip(temps, paths):
@@ -632,41 +642,29 @@ def _write_coefficients(directory, name: str, ygrid, sgrid, t: float, provenance
     return paths[1]
 
 
-def save_coefficients(
-    coeffs: EuclideanCoefficients, directory, name: str = "coefficients"
-) -> Path:
-    """Write coefficients as a JSON manifest plus a flat binary payload.
+def save_coefficients(coeffs, directory, name: str = "coefficients") -> Path:
+    """Write coefficients (a set or a stream) as a JSON manifest plus a flat binary payload.
 
-    The payload is the values array in axis order (s, y_z, y_y, y_x,
-    vector component), C-order, as little-endian (re, im) float64 pairs,
-    written slice by slice straight from the values' own buffer and hashed
-    (SHA-256) alongside, on one helper thread.  The manifest records the
-    grid builders and arguments (sufficient to rebuild both grids), the
-    generation time, provenance, and the payload's SHA-256, so a reload is
+    The payload is the values in axis order (s, y_z, y_y, y_x, vector
+    component), C-order, as little-endian (re, im) float64 pairs, written
+    and hashed (SHA-256) one scale slice at a time.  The manifest records
+    the grid records, the time, provenance and the digest, so a reload is
     byte-exact and self-validating.  A failed save leaves no partial set.
     Returns the manifest path.
     """
-    return _write_coefficients(
-        directory, name, coeffs.ygrid, coeffs.sgrid, coeffs.t, coeffs.provenance, coeffs.values
-    )
+    return _write_coefficients(coeffs, directory, name)
 
 
 _MANIFEST_KEYS = ("payload", "payload_bytes", "payload_sha256", "shape", "t", "ygrid", "sgrid")
 
 
-def _read_coefficients(manifest_path, whole: bool):
-    """Check a saved set, then yield ``(ygrid, sgrid, t, provenance, values)`` and its scale slices.
+def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, QuadratureGrid]:
+    """A saved set's manifest, payload path and grids, once every check that reads no payload byte holds.
 
-    Each slice, in order, is a view of ``values``: the whole payload if
-    ``whole``, else one slice that the next overwrites.  Every defect
-    raises `EmwaveError`.  An unreadable manifest, a missing key or a
-    payload outside the manifest's directory is refused first; then, in
-    this order and before anything is allocated or read, the payload
-    file's size against ``payload_bytes`` and ``shape``, the time (a finite
-    number), the grid records, the shape against the grids and the
-    provenance.  The payload is read in chunks that one helper thread
-    hashes, and the digest is compared once the last slice is read, before
-    it is yielded.  Format and digest are those of every earlier version.
+    Each defect raises `EmwaveError`.  An unreadable manifest, a missing key
+    or a payload outside the manifest's directory is refused first; then,
+    in this order, the payload file's size against ``payload_bytes`` and
+    ``shape``, the time (a finite number), the grids, the shape and the provenance.
     """
     path = Path(manifest_path)
     try:
@@ -684,69 +682,74 @@ def _read_coefficients(manifest_path, whole: bool):
     payload_path = (directory / str(manifest["payload"])).resolve()
     if not payload_path.is_relative_to(directory):
         raise EmwaveError(f"payload {manifest['payload']!r} lies outside {directory}")
-    shape, t, provenance = manifest["shape"], manifest["t"], manifest.get("provenance", {})
+    shape, t = manifest["shape"], manifest["t"]
     try:
-        with open(payload_path, "rb", buffering=0) as stream:
+        with open(payload_path, "rb") as stream:
             size = os.fstat(stream.fileno()).st_size
-            if size != manifest["payload_bytes"]:
-                raise EmwaveError(f"payload length {size} does not match manifest payload_bytes "
-                                  f"{manifest['payload_bytes']!r}")
-            if not (
-                isinstance(shape, list)
-                and all(isinstance(n, int) and n >= 0 for n in shape)
-                and 16 * math.prod(shape) == size
-            ):
-                raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
-            if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
-                raise EmwaveError(f"manifest time {t!r} is not a finite number")
-            try:
-                ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
-                sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
-            _check_set(ygrid, sgrid, shape, provenance)
-            values = np.empty(shape if whole else [1] + shape[1:], dtype="<c16")
-            yield ygrid, sgrid, t, provenance, values
-            digest, hashed = hashlib.sha256(), []
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                for i in range(shape[0]):
-                    if i >= len(values):  # the slice buffer is hashed before it is overwritten
-                        wait(hashed)
-                    view = memoryview(values[i % len(values)].reshape(-1).view(np.uint8))
-                    done = 0
-                    while done < len(view):
-                        n = stream.readinto(view[done : done + _IO_CHUNK])
-                        if not n:
-                            raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
-                        hashed.append(helper.submit(digest.update, view[done : done + n]))
-                        done += n
-                    if i == shape[0] - 1:
-                        wait(hashed)
-                        if digest.hexdigest() != manifest["payload_sha256"]:
-                            raise EmwaveError(
-                                f"payload checksum mismatch for {manifest['payload']}: "
-                                f"{digest.hexdigest()} != {manifest['payload_sha256']}"
-                            )
-                    yield values[i % len(values)]
+    except OSError as exc:
+        raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
+    if size != manifest["payload_bytes"]:
+        raise EmwaveError(f"payload length {size} does not match manifest payload_bytes "
+                          f"{manifest['payload_bytes']!r}")
+    if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
+            and 16 * math.prod(shape) == size):
+        raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
+        raise EmwaveError(f"manifest time {t!r} is not a finite number")
+    try:
+        ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
+        sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
+    _check_set(ygrid, sgrid, shape, manifest.setdefault("provenance", {}))
+    return manifest, payload_path, ygrid, sgrid
+
+
+def _payload_slices(manifest: dict, payload_path: Path, out=None):
+    """Yield a checked payload's scale slices in order, slice i read into ``out[i % len(out)]``.
+
+    ``out`` is the whole payload's buffer, or else one slice buffer.  One
+    helper thread hashes the chunks as they are read, and the digest is
+    compared once the last slice is read, before it is yielded.
+    """
+    shape = manifest["shape"]
+    out = np.empty([1] + shape[1:], dtype="<c16") if out is None else out
+    digest, hashed = hashlib.sha256(), []
+    try:
+        with open(payload_path, "rb", buffering=0) as stream, ThreadPoolExecutor(max_workers=1) as helper:
+            for i in range(shape[0]):
+                if i >= len(out):  # the slice buffer is hashed before it is overwritten
+                    wait(hashed)
+                view = memoryview(out[i % len(out)].reshape(-1).view(np.uint8))
+                done = 0
+                while done < len(view):
+                    n = stream.readinto(view[done : done + _IO_CHUNK])
+                    if not n:
+                        raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
+                    hashed.append(helper.submit(digest.update, view[done : done + n]))
+                    done += n
+                if i == shape[0] - 1:
+                    wait(hashed)
+                    if digest.hexdigest() != manifest["payload_sha256"]:
+                        raise EmwaveError(
+                            f"payload checksum mismatch for {manifest['payload']}: "
+                            f"{digest.hexdigest()} != {manifest['payload_sha256']}"
+                        )
+                yield out[i % len(out)]
     except OSError as exc:
         raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
 
 
+def _read_coefficients(manifest_path) -> _CoefficientStream:
+    """A saved set as a `_CoefficientStream`: checked now, its payload read one reused slice at a time."""
+    manifest, path, ygrid, sgrid = _checked_manifest(manifest_path)
+    return _CoefficientStream(ygrid, sgrid, _payload_slices(manifest, path), manifest["t"], manifest["provenance"])
+
+
 def load_coefficients(manifest_path) -> EuclideanCoefficients:
-    """Rebuild coefficients from a manifest written by `save_coefficients`.
-
-    `_read_coefficients` checks the manifest and reads the payload into
-    one buffer, which becomes the read-only values.
-    """
-    reader = _read_coefficients(manifest_path, whole=True)
-    ygrid, sgrid, t, provenance, values = next(reader)
-    for _ in reader:
+    """Rebuild coefficients from a manifest written by `save_coefficients`, read into one buffer."""
+    manifest, payload_path, ygrid, sgrid = _checked_manifest(manifest_path)
+    values = np.empty(manifest["shape"], dtype="<c16")
+    for _ in _payload_slices(manifest, payload_path, out=values):
         pass
-    return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)
-
-
-def _load_synthesis_table(manifest_path) -> _SynthesisTable:
-    """The `_SynthesisTable` of a saved set, folded while one slice at a time is read."""
-    with contextlib.closing(_read_coefficients(manifest_path, whole=False)) as reader:
-        ygrid, sgrid, t, _, _ = next(reader)
-        return _fold_slices(ygrid, sgrid, t, reader)
+    return EuclideanCoefficients(ygrid, sgrid, values, t=manifest["t"], provenance=manifest["provenance"])

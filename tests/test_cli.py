@@ -392,14 +392,25 @@ def test_analyze_refuses_a_payload_beyond_the_free_disk_space(tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
-def test_out_of_memory_exits_2_and_leaves_no_partial_set(tmp_path, monkeypatch, capsys):
+def test_streamed_analyze_sets_the_amplitude_up_once(tmp_path, monkeypatch):
+    # seven slices per block: six blocks, and one per-amplitude set-up for all of them
     calls = []
 
+    def counted(amp):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(amp)
+
+    real = transform.amplitude_vectors
+    monkeypatch.setattr(transform, "amplitude_vectors", counted)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 7 * 3 * 16**3)
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, _analyze_cfg("out")))]) == 0
+    assert calls.count("_field_on_grid") == 1, calls
+
+
+def test_out_of_memory_exits_2_and_leaves_no_partial_set(tmp_path, monkeypatch, capsys):
     def failing(*args, **kwargs):
-        calls.append(1)
-        if len(calls) > 1:  # the first block is written, the second cannot be allocated
-            raise MemoryError("Unable to allocate 12.0 GiB")
-        return real(*args, **kwargs)
+        yield next(real(*args, **kwargs))  # the first block is written, the second cannot be allocated
+        raise MemoryError("Unable to allocate 12.0 GiB")
 
     real = transform._field_on_grid
     monkeypatch.setattr(transform, "_field_on_grid", failing)

@@ -166,6 +166,27 @@ def test_spatial_grid_rejects_bad_sizes():
             grids.build_spatial_grid(8, L)
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: grids.build_scale_grid((0.5, 4.0), 6.5), "nodes_per_sign"),  # used to raise TypeError
+        (lambda: grids.build_scale_grid((0.5, 4.0), True), "nodes_per_sign"),  # used to be read as 1
+        (lambda: grids.build_scale_grid((0.5, 4.0), 24.0), "nodes_per_sign"),
+        (lambda: grids.build_spatial_grid(8.0, 5.0), "N"),  # used to raise TypeError
+        (lambda: grids.build_spatial_grid(True, 5.0), "N"),
+    ],
+    ids=["scale-6.5", "scale-True", "scale-24.0", "spatial-8.0", "spatial-True"],
+)
+def test_grid_counts_must_be_true_integers(build, name):
+    with pytest.raises(EmwaveError, match=f"^{name} must be an integer"):
+        build()
+
+
+def test_grid_counts_accept_numpy_integers():
+    assert len(grids.build_scale_grid((0.5, 4.0), np.int64(6))) == 12
+    assert len(grids.build_spatial_grid(np.int32(4), 5.0)) == 64
+
+
 def test_spatial_parseval_on_sampled_gaussian():
     grid = grids.build_spatial_grid(32, 20.0)
     delta = grid.meta["spacing"]

@@ -51,3 +51,42 @@ def test_guard_sees_every_way_of_reading_the_markers(tmp_path):
         "flat_indices": {"lattice", "attribute"},
         "_evaluate_many": {"dense", "qualified"},
     }
+
+
+def _library_analyze_calls(path: pathlib.Path) -> set[str]:
+    """The functions of one module that call `transform.analyze` or import it by name."""
+    tree = python_ast.parse(path.read_text())
+    callers = {  # from .transform import analyze
+        f"import from {node.module}"
+        for node in python_ast.walk(tree)
+        if isinstance(node, python_ast.ImportFrom) and any(alias.name == "analyze" for alias in node.names)
+    }
+    for func in python_ast.walk(tree):
+        if not isinstance(func, (python_ast.FunctionDef, python_ast.AsyncFunctionDef)):
+            continue
+        for node in python_ast.walk(func):
+            if (
+                isinstance(node, python_ast.Attribute)
+                and node.attr == "analyze"
+                and isinstance(node.value, python_ast.Name)
+                and node.value.id == "transform"
+            ):
+                callers.add(func.name)  # transform.analyze(...)
+    return callers
+
+
+def test_the_command_line_never_holds_a_library_analysis():
+    # every command streams its coefficients; transform.analyze holds the whole payload
+    assert _library_analyze_calls(pathlib.Path(emwave.__file__).parent / "cli.py") == set()
+
+
+def test_analyze_guard_sees_a_call_and_an_import(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from .transform import analyze\n"
+        "def norms(amp, ygrid, sgrid):\n"
+        "    return transform.analyze(amp, ygrid, sgrid)\n"
+        "def stream(amp, ygrid, sgrid):\n"
+        "    return transform._analysis_stream(amp, ygrid, sgrid, 0.0)\n"
+    )
+    assert _library_analyze_calls(sample) == {"norms", "import from transform"}

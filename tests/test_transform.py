@@ -154,6 +154,10 @@ def _traced_peak(run):
         # (two sheet sums), plus the dense reference's phase block (added below)
         ("cli-analyze", 0.4),
         ("cli-reconstruct", 0.2),
+        # norms, and reconstruct without a coefficients file, read the same
+        # analysis stream one block at a time
+        ("cli-norms", 0.4),
+        ("cli-reconstruct-unsaved", 0.4),
     ],
 )
 def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeffs_a, coeffs_b, tmp_path, monkeypatch):
@@ -167,7 +171,7 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({
             "schema": cli.SCHEMA,
-            "pipeline": stage[4:],
+            "pipeline": stage.split("-")[1],
             "grids": {"spatial": {"N": N, "L": L}, "scale": {"omega_band": list(BAND), "nodes_per_sign": 20}},
             "amplitude": {"profile": "gaussian", "center": 2.0, "width": 0.35, "angular": {"nz": 0.25},
                           "sheet_weights": [1.0, 0.6]},
@@ -182,14 +186,13 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
         "norm_euclidean": lambda: norm_euclidean(coeffs_a),
         "inner_product": lambda: inner_product(coeffs_a, coeffs_b),
         "synthesize_many": lambda: synthesize_many(coeffs_a, probes, 0.4),
-        "cli-analyze": lambda: cli.main(["analyze", "--scenario", str(scenario)]),
-        "cli-reconstruct": lambda: cli.main(["reconstruct", "--scenario", str(scenario)]),
-    }[stage]
+    }.get(stage, lambda: cli.main([stage.split("-")[1], "--scenario", str(scenario)]))
     peak, result = _traced_peak(run)
     assert not stage.startswith("cli-") or result == 0
     blocks = {
         "analyze-dense": 24 * fieldcore._BLOCK_ENTRIES,
         "cli-reconstruct": 24 * 50 * len(amp_a.grid),  # 50 probes, the default count
+        "cli-reconstruct-unsaved": 24 * 50 * len(amp_a.grid),
     }.get(stage, 0)
     assert peak <= bound * coeffs_a.values.nbytes + blocks
 
@@ -239,6 +242,13 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
         assert np.linalg.norm(b - a) <= 1e-15 * np.linalg.norm(a)
 
 
+def test_an_analysis_stream_is_read_once(amp_a, ygrid, sgrid, coeffs_a):
+    stream = transform._analysis_stream(amp_a, ygrid, sgrid, 0.0)
+    assert transform._synthesis_table(stream).sums[1].tobytes() == transform._synthesis_table(coeffs_a).sums[1].tobytes()
+    with pytest.raises(ValueError, match="zip"):  # its slices are drawn; folding nothing would give a zero field
+        transform._synthesis_table(stream)
+
+
 @pytest.mark.parametrize("provenance", [["a"], {"cone_grid": 5}, {"cone_grid": {"args": {"omega_max": "4"}}}])
 def test_coefficients_refuse_an_unreadable_provenance(ygrid, sgrid, provenance):
     values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
@@ -262,12 +272,13 @@ def test_a_failed_write_keeps_the_previous_set_and_leaves_no_temporary_file(coef
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
-    def blocks():
-        yield coeffs_b.values[:3]
-        raise RuntimeError("the third block fails")
+    def slices():
+        yield from coeffs_b.values[:3]
+        raise RuntimeError("the fourth slice fails")
 
-    with pytest.raises(RuntimeError, match="third block"):
-        transform._write_coefficients(tmp_path, "c", coeffs_b.ygrid, coeffs_b.sgrid, 0.0, {}, blocks())
+    stream = transform._CoefficientStream(coeffs_b.ygrid, coeffs_b.sgrid, slices(), 0.0, {})
+    with pytest.raises(RuntimeError, match="fourth slice"):
+        transform._write_coefficients(stream, tmp_path, "c")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert np.array_equal(load_coefficients(manifest).values, coeffs_a.values)
 
@@ -326,6 +337,16 @@ def test_non_finite_time_is_refused(amp_a, ygrid, sgrid, t):
     values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
     with pytest.raises(EmwaveError, match="t="):
         EuclideanCoefficients(ygrid, sgrid, values, t=t)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("t", "1"), ("t", True), ("workers", 0), ("workers", -1), ("workers", 2.0), ("workers", True), ("workers", "2")],
+)
+def test_analyze_refuses_a_time_or_worker_count_of_the_wrong_kind(amp_a, ygrid, sgrid, name, value):
+    # t="1" and t=True used to be accepted, and workers=0 escaped as scipy's bare ValueError
+    with pytest.raises(EmwaveError, match=f"analyze .*{name}="):
+        analyze(amp_a, ygrid, sgrid, **{name: value})
 
 
 def test_manifest_is_never_written_with_a_non_finite_token(ygrid, sgrid, tmp_path):
@@ -742,7 +763,7 @@ def test_lattice_field_at_t0_equals_the_dense_sum(sheets):
     ygrid = grids.build_spatial_grid(16, 10.0)
     cone = grids.build_cartesian_cone_grid(ygrid, 0.3, 2.5, sheets=sheets)
     amp = amplitude_from_scalar(cone, _profile_b)
-    lattice = transform._field_on_grid(amp, ygrid, 0.0, 0.0)[0]
+    lattice = next(transform._field_on_grid(amp, ygrid, 0.0, 0.0))[0]
     dense = _evaluate_many(amp, ygrid.nodes, 0.0).reshape(lattice.shape)
     assert np.linalg.norm(lattice - dense) <= 1e-13 * np.linalg.norm(dense)
 
@@ -751,7 +772,7 @@ def test_nonlocal_field_of_another_lattice_is_summed_densely(amp_a):
     # amp_a lives on the N = 16, L = 12 lattice; on another grid the FFT
     # route does not apply
     other = grids.build_spatial_grid(8, 6.0)
-    F = transform._field_on_grid(amp_a, other, 0.0, 0.0)[0]
+    F = next(transform._field_on_grid(amp_a, other, 0.0, 0.0))[0]
     assert np.array_equal(F, _evaluate_many(amp_a, other.nodes, 0.0).reshape(8, 8, 8, 3))
 
 
@@ -802,7 +823,7 @@ def test_streamed_table_has_the_bits_of_the_loaded_set(coeffs_a, tmp_path, monke
     if chunk:
         monkeypatch.setattr(transform, "_IO_CHUNK", chunk)
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
-    streamed = transform._load_synthesis_table(manifest)
+    streamed = transform._synthesis_table(transform._read_coefficients(manifest))
     kept = transform._synthesis_table(load_coefficients(manifest))
     assert grids.grids_equal(streamed.ygrid, kept.ygrid) and streamed.t == kept.t
     assert np.array_equal(streamed.index, kept.index) and np.array_equal(streamed.omega, kept.omega)
@@ -819,12 +840,12 @@ def test_streamed_table_names_the_checksum_before_a_non_finite_sample(coeffs_a, 
     payload[len(payload) // 2] = complex(np.nan, 0.0)
     payload.tofile(tmp_path / "c.bin")
     with pytest.raises(EmwaveError, match="checksum"):
-        transform._load_synthesis_table(manifest)
+        transform._synthesis_table(transform._read_coefficients(manifest))
     meta = json.loads(manifest.read_text())
     meta["payload_sha256"] = hashlib.sha256(payload.tobytes()).hexdigest()
     manifest.write_text(json.dumps(meta))
     with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
-        transform._load_synthesis_table(manifest)
+        transform._synthesis_table(transform._read_coefficients(manifest))
     assert np.isnan(load_coefficients(manifest).values).sum() == 1  # a load keeps the bytes as they are
 
 
