@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmwaveError, NonFiniteSampleError
+from .errors import EmwaveError, NonFiniteSampleError, check_array, check_count, check_real
 from .fieldcore import gate2
 from .grids import gauss_legendre_panels
 
@@ -46,6 +46,8 @@ class LineSignal:
     - ``"oscillatory"``: f oscillates with angular rate at least ``rate``
       and bounded envelope; the tail is summed by half-period chunks with
       iterated averaging.
+
+    ``rate`` is a finite real number and ``limit`` a finite complex one.
     """
 
     sampler: Callable[[float], complex]
@@ -56,6 +58,8 @@ class LineSignal:
     def __post_init__(self):
         if self.decay not in _DECAY_CLASSES:
             raise EmwaveError(f"unknown decay class {self.decay!r}; expected one of {_DECAY_CLASSES}")
+        check_real(self.rate, "rate")
+        check_array(self.limit, "limit", (), complex)
         if self.decay == "power" and not self.rate > 1.0:
             raise EmwaveError("power decay needs rate > 1 for an integrable Cauchy tail")
         if self.decay == "oscillatory" and not self.rate > 0.0:
@@ -71,13 +75,11 @@ class Spectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
-        weights = np.asarray(self.weights, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
+        nodes = np.atleast_2d(check_array(self.nodes, "spectrum nodes"))
         if len(nodes) == 0:
             raise EmwaveError("spectrum must have at least one node")
-        if weights.shape != (len(nodes),) or values.shape != (len(nodes),):
-            raise EmwaveError("spectrum nodes, weights and values must have matching lengths")
+        weights = check_array(self.weights, "spectrum weights", (len(nodes),))
+        values = check_array(self.values, "spectrum values", (len(nodes),), complex)
         if not np.all(weights > 0.0):
             raise EmwaveError("spectrum weights must be strictly positive")
         object.__setattr__(self, "nodes", nodes)
@@ -144,13 +146,14 @@ def ast_line_with_tail(sig: LineSignal, truncation: float, nodes: int) -> tuple[
 
     Composite Gauss-Legendre on ``[-truncation, truncation]`` with the
     Cauchy kernel ``1 / (pi i (tau - i))``; the declared decay class
-    supplies the tail handling (see `LineSignal`).  Returns
+    supplies the tail handling (see `LineSignal`).  ``truncation`` is a
+    finite real number > 0 and ``nodes`` an integer >= 16.  Returns
     ``(value, tail_bound)``.
     """
-    T = float(truncation)
+    T = check_real(truncation, "truncation")
     if not T > 0.0:
         raise EmwaveError(f"truncation must be positive, got {truncation}")
-    if nodes < 16:
+    if check_count(nodes, "nodes") < 16:
         raise EmwaveError(f"need at least 16 nodes, got {nodes}")
 
     if sig.decay == "constant":
@@ -185,15 +188,11 @@ def ast_fourier(spec: Spectrum, x, y) -> complex:
     Computes ``(2 pi)^-n  sum_j w_j 2 theta(p_j . y) e^{i p_j . (x + i y)}
     v_j`` with ``theta(0) = 1/2`` applied literally at gate-boundary
     nodes.  With ``y = 0`` every gate factor is 1 and the plain inverse
-    Fourier evaluation of the spectrum at ``x`` is recovered.
+    Fourier evaluation of the spectrum at ``x`` is recovered.  ``x`` and
+    ``y`` are finite real vectors with one component per spectrum dimension.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
-    if y.shape != (n,) or spec.nodes.shape[1] != n:
-        raise EmwaveError(
-            f"dimension mismatch: x has {n} components, y {y.shape}, spectrum nodes {spec.nodes.shape}"
-        )
+    n = spec.nodes.shape[1]
+    x, y = check_array(x, "ast_fourier x", (n,)), check_array(y, "ast_fourier y", (n,))
     py = spec.nodes @ y
     phase = np.exp(1j * (spec.nodes @ x) - py)
     return complex((2.0 * np.pi) ** -n * np.sum(spec.weights * gate2(py) * phase * spec.values))

@@ -23,6 +23,8 @@ from .errors import (
     EmptyAmplitudeError,
     EmwaveError,
     InvalidDirectionError,
+    check_array,
+    check_real,
 )
 from .grids import QuadratureGrid
 
@@ -48,29 +50,25 @@ _BLOCK_ENTRIES = 1 << 20
 
 @dataclass(frozen=True)
 class SpacetimePoint:
-    """A real spacetime point (x, t) with c = 1."""
+    """A real spacetime point (x, t) with c = 1: a finite real 3-vector and a finite real number."""
 
     x: np.ndarray
     t: float
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.shape != (3,) or not np.all(np.isfinite(x)) or not np.isfinite(self.t):
-            raise EmwaveError(f"spacetime point must be finite (3-vector, scalar), got {self.x!r}, {self.t!r}")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", check_array(self.x, "spacetime point x", (3,)))
+        object.__setattr__(self, "t", check_real(self.t, "spacetime point t"))
 
 
 @dataclass(frozen=True)
 class ConePoint:
-    """A point on the double light cone: momentum p and sheet +/-1."""
+    """A point on the double light cone: a finite real nonzero momentum 3-vector p and sheet +/-1."""
 
     p: np.ndarray
     sheet: int
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise EmwaveError(f"cone point momentum must be a finite 3-vector, got {self.p!r}")
+        p = check_array(self.p, "cone point momentum p", (3,))
         if np.linalg.norm(p) <= 0.0:
             raise EmwaveError("the origin p = 0 is excluded from the cone")
         if self.sheet not in (1, -1):
@@ -90,7 +88,8 @@ class ConePoint:
 class FieldSample:
     """Field value F = E + iB at a (possibly complex-time) point.
 
-    ``t`` is real for ordinary spacetime samples and complex (t - i sigma)
+    ``F`` is a finite complex 3-vector and ``x`` a finite real one.  ``t``
+    is finite, real for ordinary spacetime samples and complex (t - i sigma)
     for samples of the analytically continued field.
     ``truncation_estimate`` is filled by evaluators that bound their own
     quadrature error: `transform.synthesize` and `reproduce_complex_time`
@@ -105,14 +104,11 @@ class FieldSample:
     truncation_estimate: float | None = None
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=complex)
-        x = np.asarray(self.x, dtype=float)
-        if F.shape != (3,) or not np.all(np.isfinite(F)):
-            raise EmwaveError("field sample must be a finite complex 3-vector")
-        if x.shape != (3,) or not np.all(np.isfinite(x)) or not np.isfinite(self.t):
-            raise EmwaveError("field sample location must be finite")
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "F", check_array(self.F, "field sample F", (3,), complex))
+        object.__setattr__(self, "x", check_array(self.x, "field sample location x", (3,)))
+        object.__setattr__(self, "t", complex(check_array(self.t, "field sample time t", (), complex)))
+        if self.truncation_estimate is not None:
+            object.__setattr__(self, "truncation_estimate", check_real(self.truncation_estimate, "truncation_estimate"))
 
 
 def _transverse_frames(nhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,12 +149,12 @@ def polarization_basis(
 
     Raises
     ------
+    EmwaveError
+        If ``n`` is not a finite real 3-vector.
     InvalidDirectionError
         If ``n`` is (numerically) the zero vector.
     """
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or not np.all(np.isfinite(n)):
-        raise InvalidDirectionError(f"direction must be a finite 3-vector, got {n!r}")
+    n = check_array(n, "direction n", (3,))
     norm = np.linalg.norm(n)
     if norm < 1e-14:
         raise InvalidDirectionError("zero vector has no transverse frame")
@@ -186,13 +182,7 @@ class ConeAmplitude:
     def __post_init__(self):
         if self.grid.kind != "cone":
             raise EmwaveError(f"ConeAmplitude needs a cone grid, got kind {self.grid.kind!r}")
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (len(self.grid),):
-            raise EmwaveError(
-                f"amplitude shape {values.shape} does not match grid size {len(self.grid)}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise EmwaveError("amplitude values must be finite")
+        values = check_array(self.values, "amplitude values", (len(self.grid),), complex)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -246,11 +236,11 @@ def amplitude_from_vectors(
 
     The helicity scalar is the circular component matching each node's
     sheet; any residual outside that component means the input violates
-    the transversality/curl constraints and is rejected.
+    the transversality/curl constraints and is rejected.  ``rtol`` is a
+    finite real number.
     """
-    fvecs = np.asarray(fvecs, dtype=complex)
-    if fvecs.shape != (len(grid), 3):
-        raise EmwaveError(f"expected vectors of shape ({len(grid)}, 3), got {fvecs.shape}")
+    rtol = check_real(rtol, "rtol")
+    fvecs = check_array(fvecs, "fvecs", (len(grid), 3), complex)
     circ = _sheet_polarizations(grid)
     values = np.sum(np.conj(circ) * fvecs, axis=1)
     recon = values[:, None] * circ
@@ -340,8 +330,10 @@ def evaluate_field(
     With ``s = 0`` this is the plane-wave superposition over the cone
     grid.  With ``s != 0`` it evaluates the analytic continuation to
     complex time ``t - is``: the sheet gate ``2 theta(p0 s)`` turns on and
-    every surviving mode is damped by ``exp(-|p0 s|)``.
+    every surviving mode is damped by ``exp(-|p0 s|)``.  ``s`` is a finite
+    real number.
     """
+    s = check_real(s, "evaluate_field scale s")
     F = _evaluate_many(amp, pt.x[None, :], pt.t, s)[0]
     t_label = complex(pt.t, -s) if s != 0.0 else complex(pt.t)
     return FieldSample(F=F, x=pt.x, t=t_label)
@@ -358,9 +350,11 @@ def maxwell_residual(
     Central differences of step ``h`` approximate div F and
     (i dF/dt - curl F) at every node of the spatial ``grid``; the
     max-norms of both residuals are returned.  For amplitudes built by the
-    public constructors both are pure truncation error, O(h^2).
+    public constructors both are pure truncation error, O(h^2).  ``t`` and
+    ``h`` are finite real numbers, ``h > 0``.
     """
-    if not (h > 0.0):
+    t, h = check_real(t, "maxwell_residual time t"), check_real(h, "maxwell_residual step h")
+    if not h > 0.0:
         raise EmwaveError(f"step must be positive, got {h}")
     if grid.kind != "spatial":
         raise EmwaveError("maxwell_residual needs a spatial grid")

@@ -14,14 +14,13 @@ conjugate momentum lattice exposed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import EmwaveError
+from .errors import EmwaveError, check_array, check_count, check_real
 
 __all__ = [
     "QuadratureGrid",
@@ -82,18 +81,15 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse a ``value`` that is not a true integer count (a float or a bool), naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise EmwaveError(f"{name} must be an integer, got {value!r}")
-
-
-def _validate_band(omega_min: float, omega_max: float) -> None:
-    if not (0.0 < omega_min < omega_max) or not np.isfinite(omega_max):
+def _validate_band(omega_min: float, omega_max: float) -> tuple[float, float]:
+    """The band ends as floats, once each is a finite real number and ``0 < omega_min < omega_max``."""
+    omega_min, omega_max = check_real(omega_min, "omega_min"), check_real(omega_max, "omega_max")
+    if not 0.0 < omega_min < omega_max:
         raise EmwaveError(
             f"invalid frequency band [{omega_min}, {omega_max}]: "
             "need 0 < omega_min < omega_max < inf (the origin is excluded)"
         )
+    return omega_min, omega_max
 
 
 def gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +97,11 @@ def gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Panel ``[a, b]`` gets the nodes ``a + (b - a)/2 (x + 1)`` and weights
     ``(b - a)/2 w`` of the n-point rule ``(x, w)`` on [-1, 1]; nodes and
-    weights come back flat, panel by panel.
+    weights come back flat, panel by panel.  ``n`` must be an integer >= 1;
+    non-finite edges give non-finite nodes, which `build_scale_grid` refuses.
     """
+    if check_count(n, "n") < 1:
+        raise EmwaveError(f"a Gauss-Legendre panel needs at least 1 node, got n={n}")
     x, w = roots_legendre(n)
     edges = np.asarray(edges, dtype=float)
     a = edges[:-1, None]
@@ -147,8 +146,8 @@ def build_cone_grid(
     sheets : {"both", "plus", "minus"}
         Which cone sheets to populate.
     """
-    _validate_band(omega_min, omega_max)
-    if radial_nodes < 2 or angular_order < 2:
+    omega_min, omega_max = _validate_band(omega_min, omega_max)
+    if check_count(radial_nodes, "radial_nodes") < 2 or check_count(angular_order, "angular_order") < 2:
         raise EmwaveError("cone grid needs at least 2 radial and 2 angular nodes")
 
     omega, w_omega = gauss_legendre_panels((omega_min, omega_max), radial_nodes)
@@ -239,10 +238,8 @@ def build_scale_grid(
     included: the worst `scale_recovery_error` over 4096 log-spaced
     frequencies and the parabola vertex of each sampled peak.
     """
-    omega_min, omega_max = omega_band
-    _validate_band(omega_min, omega_max)
-    _check_count(nodes_per_sign, "nodes_per_sign")
-    if nodes_per_sign < 6:
+    omega_min, omega_max = _validate_band(*check_array(omega_band, "omega_band", (2,)))
+    if check_count(nodes_per_sign, "nodes_per_sign") < 6:
         raise EmwaveError("scale grid needs at least 6 nodes per sign")
 
     # an extreme band overflows the panel edges; the NaN nodes are rejected below
@@ -282,10 +279,12 @@ def scale_recovery_error(grid: QuadratureGrid, omega):
 
     Compares the weighted sum of ``exp(-2 omega |s|)`` over each sign's
     nodes against the exact half-line value ``1 / (2 omega)`` and returns
-    the worse of the signs present, elementwise for an array of ``omega``.
+    the worse of the signs present, elementwise for an array of ``omega``
+    (finite real numbers).
     """
     if grid.kind != "scale":
         raise EmwaveError("scale_recovery_error needs a scale grid")
+    omega = check_array(omega, "omega")
     worst = 0.0
     for sign in (1, -1):
         mask = np.sign(grid.nodes) == sign
@@ -304,10 +303,11 @@ def build_spatial_grid(N: int, L: float) -> QuadratureGrid:
     Every weight is the cell volume ``(L/N)^3``.  The conjugate momentum
     lattice is exposed through `momentum_axis` / `momentum_mesh`.
     """
-    _check_count(N, "N")
+    N = check_count(N, "N")
     if N < 2 or (N & (N - 1)) != 0:
         raise EmwaveError(f"N must be a power of two >= 2, got {N}")
-    if not (L > 0.0):
+    L = check_real(L, "L")
+    if not L > 0.0:
         raise EmwaveError(f"box length must be positive, got {L}")
     delta = L / N
     try:
@@ -380,7 +380,7 @@ def build_cartesian_cone_grid(
     """
     if spatial.kind != "spatial":
         raise EmwaveError("build_cartesian_cone_grid needs a spatial grid")
-    _validate_band(omega_min, omega_max)
+    omega_min, omega_max = _validate_band(omega_min, omega_max)
 
     N = spatial.meta["args"]["N"]
     L = spatial.meta["args"]["L"]

@@ -36,15 +36,14 @@ class OracleConfig:
     ``radial_nodes`` is the Gauss-Laguerre count (minimum 32),
     ``angular_order`` the Gauss-Legendre order in cos(theta) (minimum 11;
     phi always gets twice as many midpoint nodes), ``radial_scale`` the
-    exponential substitution rate for the Laguerre rule,
-    ``line_truncation``/``line_nodes`` the half-line cutoff and node
-    budget for line quadratures.
+    exponential substitution rate for the Laguerre rule, ``line_nodes``
+    the node budget of the radial line quadratures (doubled for the
+    refinement; their cutoff is fixed at 60 decay lengths).
     """
 
     radial_nodes: int = 48
     angular_order: int = 16
     radial_scale: float = 2.0
-    line_truncation: float = 60.0
     line_nodes: int = 16
 
     def __post_init__(self):

@@ -40,6 +40,8 @@ from .errors import (
     EmwaveError,
     GridMismatchError,
     InvalidScaleError,
+    check_array,
+    check_real,
 )
 from .fieldcore import _BLOCK_ENTRIES, FieldSample, _evaluate_many, amplitude_vectors, gate2
 from .grids import QuadratureGrid, grids_equal
@@ -113,12 +115,9 @@ class EuclideanCoefficients:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
         _check_set(self.ygrid, self.sgrid, vals.shape, self.provenance)
-        t = float(self.t)
-        if not math.isfinite(t):
-            raise EmwaveError(f"coefficient time t={t} is not finite")
+        object.__setattr__(self, "t", check_real(self.t, "coefficient time t"))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "t", t)
 
 
 # the fields of `EuclideanCoefficients`, with ``values`` an iterator over the scale slices in order,
@@ -211,13 +210,12 @@ def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t, worke
         raise EmwaveError("scale grid is empty")
     if np.any(sgrid.nodes == 0.0):
         raise InvalidScaleError("scale grid contains s = 0")
-    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
-        raise EmwaveError(f"analyze time t={t!r} is not a finite real number")
+    t = check_real(t, "analyze time t")
     if workers is not None and (isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1):
         raise EmwaveError(f"analyze workers={workers!r} is neither None nor an integer >= 1")
     _check_aliasing(amp, ygrid)
     cone = {"builder": amp.grid.meta.get("builder"), "args": amp.grid.meta.get("args")}
-    return float(t), {"kind": type(amp).__name__, "cone_grid": cone}
+    return t, {"kind": type(amp).__name__, "cone_grid": cone}
 
 
 def analyze(
@@ -308,14 +306,13 @@ def _synthesis_table(coeffs) -> _SynthesisTable:
     return table
 
 
-def _synthesize_engine(coeffs, xs, t, sigma) -> np.ndarray:
+def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.ndarray:
     """Shared reconstruction core for sigma = 0 (plain) and sigma != 0 (kernel).
 
-    ``coeffs`` is a coefficient set or a `_SynthesisTable`.  The points
-    must be a finite (K, 3) array and ``t`` and ``sigma`` finite numbers;
-    anything else raises `EmwaveError` before any work is done.
-    The band-limited wavelet symbol ``gate(sigma, s) omega
-    e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
+    ``coeffs`` is a coefficient set or a `_SynthesisTable`; the callers
+    have checked that ``pts`` is a finite real (K, 3) array and ``t`` and
+    ``sigma`` are floats.  The band-limited wavelet symbol ``gate(sigma, s)
+    omega e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
     the table times ``gate omega e^{-+omega(sigma + i(t - t0))}``;
     the gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
     the other.  That factor is evaluated once per |k| shell of the same
@@ -331,15 +328,6 @@ def _synthesize_engine(coeffs, xs, t, sigma) -> np.ndarray:
     is.  The first call on a coefficient set builds the table with the
     ``scipy.fft`` worker count in effect; the result does not depend on it.
     """
-    try:
-        pts = np.atleast_2d(np.asarray(xs, dtype=float))
-        t, sigma = float(t), float(sigma)
-    except (TypeError, ValueError) as exc:
-        raise EmwaveError(f"synthesis needs real points and times: {exc}") from None
-    if pts.ndim != 2 or pts.shape[1] != 3 or not np.isfinite(pts).all():
-        raise EmwaveError(f"synthesis points must be a finite (K, 3) array, got shape {pts.shape}")
-    if not (math.isfinite(t) and math.isfinite(sigma)):
-        raise EmwaveError(f"synthesis time t={t} and offset sigma={sigma} must be finite")
     table = _synthesis_table(coeffs)
     N = table.ygrid.meta["args"]["N"]
     K = len(pts)
@@ -372,8 +360,14 @@ def _synthesize_engine(coeffs, xs, t, sigma) -> np.ndarray:
 
 
 def synthesize_many(coeffs, xs: np.ndarray, t: float) -> np.ndarray:
-    """Reconstructed field at many points, shape (K, 3), from a set or a `_SynthesisTable`."""
-    return _synthesize_engine(coeffs, xs, t, 0.0)
+    """Reconstructed field at many points, shape (K, 3), from a set or a `_SynthesisTable`.
+
+    ``xs`` is one point or an array of points along a last axis of length
+    3, finite and real, read in C order; ``t`` is a finite real number.
+    Anything else raises `EmwaveError` before any work is done.
+    """
+    pts = check_array(xs, "synthesis points", (..., 3)).reshape(-1, 3)
+    return _synthesize_engine(coeffs, pts, check_real(t, "synthesis time t"), 0.0)
 
 
 def synthesize(coeffs: EuclideanCoefficients, x, t: float) -> FieldSample:
@@ -397,15 +391,18 @@ def reproduce_complex_time(
     matching-sign scale nodes contribute (doubled), and the extra
     e^{-omega sigma} damping makes convergence faster than plain
     synthesis.  ``sigma = 0`` runs the identical code path as `synthesize`.
+    ``x`` is a finite real 3-vector and ``t`` and ``sigma`` finite real
+    numbers; anything else raises `EmwaveError` before any work is done.
     """
-    F = _synthesize_engine(coeffs, [x], t, sigma)[0]
-    t, sigma = float(t), float(sigma)
+    x = check_array(x, "synthesis point x", (3,))
+    t, sigma = check_real(t, "synthesis time t"), check_real(sigma, "synthesis offset sigma")
+    F = _synthesize_engine(coeffs, x[None, :], t, sigma)[0]
     t_label = complex(t) if sigma == 0.0 else complex(t, -sigma)
     lo, hi = coeffs.sgrid.meta["args"]["omega_band"]
     cone = coeffs.provenance.get("cone_grid", {}).get("args") or {}
     covered = lo <= cone.get("omega_min", lo) and cone.get("omega_max", hi) <= hi  # else the bound does not apply
     bound = coeffs.sgrid.meta["recovery_bound"] if covered else None
-    return FieldSample(F=F, x=np.asarray(x, dtype=float), t=t_label, truncation_estimate=bound)
+    return FieldSample(F=F, x=x, t=t_label, truncation_estimate=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +530,8 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
 
     P = 2 * N
     power = np.zeros((P, P, P))
-    for c in range(3):
-        pad = np.zeros((P, P, P), dtype=complex)
-        pad[:N, :N, :N] = F[..., c]
-        power += np.abs(scipy.fft.fftn(pad, overwrite_x=True)) ** 2
+    for c in range(3):  # s= zero-pads each component to P^3
+        power += np.abs(scipy.fft.fftn(F[..., c], s=(P, P, P))) ** 2
     corr = scipy.fft.ifftn(power)
 
     idx = np.arange(P)
@@ -601,8 +596,10 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
     The manifest but its digest is serialized before any file is touched,
     so a value JSON cannot hold (a NaN) fails first.  The one helper thread
     hashes each slice while it is written and is done before the next is
-    drawn.  Both files are written under temporary names and moved into
-    place, the payload first; on any error the temporary files are removed.
+    drawn.  A stream that gives more or fewer bytes than the manifest's
+    ``payload_bytes`` is refused before any file is moved.  Both files are
+    written under temporary names and moved into place, the payload first;
+    on any error the temporary files are removed.
     """
     directory, N = Path(directory), coeffs.ygrid.meta["args"]["N"]
     shape = [len(coeffs.sgrid), N, N, N, 3]
@@ -623,14 +620,17 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / manifest["payload"], directory / f"{name}.json"]
     temps = [directory / f".{p.name}.tmp" for p in paths]
-    digest = hashlib.sha256()
+    digest, written = hashlib.sha256(), 0
     try:
         with open(temps[0], "wb") as stream, ThreadPoolExecutor(max_workers=1) as helper:
             for c in coeffs.values:
                 data = np.ascontiguousarray(c, dtype="<c16").reshape(-1).view(np.uint8)
                 hashed = helper.submit(digest.update, data)
-                stream.write(data)
+                written += stream.write(data)
                 hashed.result()
+        if written != manifest["payload_bytes"]:
+            raise EmwaveError(f"the coefficient slices hold {written} bytes, not the "
+                              f"{manifest['payload_bytes']} of shape {shape}")
         manifest["payload_sha256"] = digest.hexdigest()
         temps[1].write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for temp, final in zip(temps, paths):
@@ -694,12 +694,11 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
     if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
             and 16 * math.prod(shape) == size):
         raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not -math.inf < t < math.inf:
-        raise EmwaveError(f"manifest time {t!r} is not a finite number")
+    check_real(t, "manifest time t")
     try:
         ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
         sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, EmwaveError) as exc:
         raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
     _check_set(ygrid, sgrid, shape, manifest.setdefault("provenance", {}))
     return manifest, payload_path, ygrid, sgrid

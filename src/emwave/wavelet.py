@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmwaveError, InvalidScaleError, SingularKernelError
+from .errors import EmwaveError, InvalidScaleError, SingularKernelError, check_array, check_real
 from .fieldcore import ConePoint, gate2
 
 __all__ = [
@@ -36,27 +36,23 @@ _SINGULAR_CUTOFF = 1e-30
 
 @dataclass(frozen=True)
 class WaveletLabel:
-    """Label (y, s) of one wavelet, with optional evaluation offsets.
+    """Label (y, s) of one wavelet, with an optional label time.
 
-    ``y`` is the spatial center; ``s`` is the nonzero scale whose sign
-    selects the frequency sheet; ``t`` and ``sigma`` are optional real-time
-    and imaginary-time offsets used where a full complex-time label is
-    needed.  The kernel against another label of scale s' vanishes unless
-    ``sigma * s' >= 0``.
+    ``y`` is the spatial center, a finite real 3-vector; ``s`` is the
+    finite nonzero scale whose sign selects the frequency sheet; ``t`` is
+    the finite real time at which `wavelet_momentum` reads the label.
     """
 
     y: np.ndarray
     s: float
     t: float = 0.0
-    sigma: float = 0.0
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (3,) or not np.all(np.isfinite(y)):
-            raise EmwaveError(f"wavelet center must be a finite 3-vector, got {self.y!r}")
-        if self.s == 0.0 or not np.isfinite(self.s):
-            raise InvalidScaleError("wavelet scale must be nonzero and finite")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", check_array(self.y, "wavelet center y", (3,)))
+        object.__setattr__(self, "s", check_real(self.s, "wavelet scale s"))
+        if self.s == 0.0:
+            raise InvalidScaleError("wavelet scale must be nonzero")
+        object.__setattr__(self, "t", check_real(self.t, "wavelet label time t"))
 
 
 def eval_kernel(x, t, sigma: float, y, s: float):
@@ -64,29 +60,37 @@ def eval_kernel(x, t, sigma: float, y, s: float):
 
     Evaluates ``(2 theta(sigma s) / pi^2) (3 tau^2 - r^2) / (tau^2 + r^2)^3``
     with ``tau = s + sigma + i t`` and ``r = |x - y|``.  ``x`` may be a
-    single 3-vector or an array of them (broadcasting over ``t`` as well);
-    scalars in, scalar out.
+    single 3-vector or an array of them along a last axis of length 3, and
+    ``t`` a number or an array that broadcasts against the points; scalars
+    in, scalar out.
 
     Raises
     ------
+    EmwaveError
+        If ``x``, ``t``, ``sigma``, ``y`` or ``s`` is not finite and real,
+        or a shape does not fit.
     SingularKernelError
         If ``|tau^2 + r^2|`` falls below 1e-30 (reachable only when
         ``sigma + s = 0``).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = check_array(x, "kernel point x", (..., 3)), check_array(y, "kernel center y", (3,))
+    t = check_array(t, "kernel time t")
+    sigma, s = check_real(sigma, "kernel offset sigma"), check_real(s, "kernel scale s")
+    try:
+        np.broadcast_shapes(x.shape[:-1], t.shape)
+    except ValueError:
+        raise EmwaveError(f"kernel times t of shape {t.shape} do not broadcast against points x {x.shape}") from None
     scalar = x.ndim == 1 and np.ndim(t) == 0
     r = np.linalg.norm(np.atleast_2d(x) - y[None, :], axis=-1)
     if x.ndim == 1:
         r = r[0]
-    tau = (s + sigma) + 1j * np.asarray(t)
+    tau = (s + sigma) + 1j * t
     tau_sq = tau * tau
     r_sq = r * r
     den = tau_sq + r_sq
     if np.any(np.abs(den) < _SINGULAR_CUTOFF):
-        idx = np.argmin(np.abs(np.atleast_1d(den)))
-        bad_tau = np.atleast_1d(tau)[idx if np.ndim(tau) else 0]
-        bad_r = np.atleast_1d(r)[idx if np.ndim(r) else 0]
+        idx = np.argmin(np.abs(den))  # a flat index into the broadcast shape of tau and r
+        bad_tau, bad_r = (np.broadcast_to(v, den.shape).flat[idx] for v in (tau, r))
         raise SingularKernelError(complex(bad_tau), float(bad_r))
     value = gate2(sigma * s) * (3.0 * tau_sq - r_sq) / (PI_SQ * den**3)
     return complex(value) if scalar else value
@@ -114,7 +118,7 @@ def scaling_check(label: WaveletLabel, x, t) -> tuple[complex, complex]:
     s = label.s
     lhs = eval_wavelet(label, x, t)
     unit = WaveletLabel(label.y / s, 1.0)
-    rhs = s**-4.0 * eval_wavelet(unit, np.asarray(x, dtype=float) / s, t / s)
+    rhs = s**-4.0 * eval_wavelet(unit, np.asarray(x, dtype=float) / s, np.asarray(t, dtype=float) / s)
     return lhs, rhs
 
 

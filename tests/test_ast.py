@@ -182,6 +182,27 @@ def test_line_quadrature_preconditions():
         ast_line(sig, 10.0, 8)
 
 
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda sig: ast_line_with_tail(sig, 10.0, 20.5), "^nodes must be an integer"),  # used to be accepted
+        (lambda sig: ast_line_with_tail(sig, 10.0, True), "^nodes must be an integer"),
+        (lambda sig: ast_line_with_tail(sig, "10", 100), "truncation="),  # used to be read as 10
+        (lambda sig: ast_line(sig, np.nan, 100), "truncation="),
+        (lambda sig: LineSignal(sampler=sig.sampler, decay="power", rate="2"), "rate="),  # TypeError
+        (lambda sig: LineSignal(sampler=sig.sampler, decay="constant", limit=np.nan), "limit="),
+        (lambda sig: ast_fourier(Spectrum(np.eye(3), np.ones(3), np.ones(3)), [0.0, np.nan, 0.0], np.zeros(3)), "x="),
+        (lambda sig: ast_fourier(Spectrum(np.eye(3), np.ones(3), np.ones(3)), np.zeros(3), [np.nan, 0.0, 0.0]), "y="),
+    ],
+    ids=["nodes-20.5", "nodes-bool", "truncation-text", "truncation-nan", "rate-text", "limit-nan", "fourier-x-nan",
+         "fourier-y-nan"],
+)
+def test_numbers_and_counts_of_the_wrong_kind_are_refused_by_name(call, needle):
+    # the two NaN points of ast_fourier used to return NaN
+    with pytest.raises(EmwaveError, match=needle):
+        call(gaussian_signal(np.zeros(3), np.array([1.0, 0, 0])))
+
+
 # ---------------------------------------------------------------------------
 # Fourier form
 # ---------------------------------------------------------------------------

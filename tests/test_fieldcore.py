@@ -1,5 +1,7 @@
 """Helicity amplitudes on the light cone: frames, constraints, evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,3 +299,24 @@ def test_maxwell_residual_validates_inputs(cone_grid):
         maxwell_residual(amp, probe, 0.0, -1e-3)
     with pytest.raises(EmwaveError):
         maxwell_residual(amp, grids.build_scale_grid((0.5, 2.0), 12), 0.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda amp, probe: SpacetimePoint(np.zeros(3), "1"), "t="),  # used to escape as TypeError
+        (lambda amp, probe: SpacetimePoint(np.zeros(3), True), "t="),  # used to be read as 1
+        (lambda amp, probe: evaluate_field(amp, SpacetimePoint(np.zeros(3), 0.0), np.nan), "s="),  # named F
+        (lambda amp, probe: evaluate_field(amp, SpacetimePoint(np.zeros(3), 0.0), "1"), "s="),  # TypeError
+        (lambda amp, probe: maxwell_residual(amp, probe, np.nan, 1e-3), "t="),  # returned NaN residuals
+        (lambda amp, probe: maxwell_residual(amp, probe, 0.0, np.inf), "h="),  # ended in a RuntimeWarning
+        (lambda amp, probe: maxwell_residual(amp, probe, 0.0, "1e-3"), "h="),  # escaped as TypeError
+    ],
+    ids=["point-t-text", "point-t-bool", "field-s-nan", "field-s-text", "maxwell-t-nan", "maxwell-h-inf",
+         "maxwell-h-text"],
+)
+def test_numbers_of_the_wrong_kind_are_refused_by_name(cone_grid, call, needle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmwaveError, match=needle):
+            call(_radial_amp(cone_grid), grids.build_spatial_grid(2, 2.0))

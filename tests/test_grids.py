@@ -174,11 +174,32 @@ def test_spatial_grid_rejects_bad_sizes():
         (lambda: grids.build_scale_grid((0.5, 4.0), 24.0), "nodes_per_sign"),
         (lambda: grids.build_spatial_grid(8.0, 5.0), "N"),  # used to raise TypeError
         (lambda: grids.build_spatial_grid(True, 5.0), "N"),
+        (lambda: grids.build_cone_grid(0.5, 3.0, 6.5, 4), "radial_nodes"),  # used to raise scipy's ValueError
+        (lambda: grids.build_cone_grid(0.5, 3.0, 6, True), "angular_order"),
+        (lambda: grids.gauss_legendre_panels([0.0, 1.0], 6.5), "n"),  # used to raise scipy's ValueError
+        (lambda: grids.gauss_legendre_panels([0.0, 1.0], True), "n"),  # used to be read as 1
     ],
-    ids=["scale-6.5", "scale-True", "scale-24.0", "spatial-8.0", "spatial-True"],
+    ids=["scale-6.5", "scale-True", "scale-24.0", "spatial-8.0", "spatial-True", "cone-radial-6.5", "cone-angular-True",
+         "panels-6.5", "panels-True"],
 )
 def test_grid_counts_must_be_true_integers(build, name):
     with pytest.raises(EmwaveError, match=f"^{name} must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: grids.build_spatial_grid(8, "5"), "L="),  # used to raise TypeError
+        (lambda: grids.build_spatial_grid(8, True), "L="),  # used to be read as 1
+        (lambda: grids.build_cone_grid(0.5, "3", 6, 4), "omega_max="),
+        (lambda: grids.build_scale_grid((0.5, 4.0, 9.0), 6), "omega_band="),  # used to raise ValueError
+        (lambda: grids.scale_recovery_error(grids.build_scale_grid((0.5, 4.0), 6), np.nan), "omega="),
+    ],
+    ids=["spatial-L-text", "spatial-L-bool", "cone-band-text", "scale-band-triple", "recovery-nan"],
+)
+def test_grid_numbers_must_be_finite_reals(build, needle):
+    with pytest.raises(EmwaveError, match=needle):
         build()
 
 

@@ -283,6 +283,20 @@ def test_a_failed_write_keeps_the_previous_set_and_leaves_no_temporary_file(coef
     assert np.array_equal(load_coefficients(manifest).values, coeffs_a.values)
 
 
+@pytest.mark.parametrize("extra", [-37, 1], ids=["short", "long"])
+def test_a_stream_of_the_wrong_length_is_refused_and_keeps_the_previous_set(coeffs_a, coeffs_b, tmp_path, extra):
+    # a stream of 3 of its 40 slices used to be written as a complete-looking set,
+    # whose manifest claimed more payload bytes than its file held
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    slices = itertools.islice(itertools.cycle(coeffs_b.values), len(coeffs_b.sgrid) + extra)
+    stream = transform._CoefficientStream(coeffs_b.ygrid, coeffs_b.sgrid, slices, 0.0, {})
+    with pytest.raises(EmwaveError, match="bytes"):
+        transform._write_coefficients(stream, tmp_path, "c")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert np.array_equal(load_coefficients(manifest).values, coeffs_a.values)
+
+
 @pytest.mark.parametrize(
     "xs",
     [
@@ -301,9 +315,10 @@ def test_synthesize_many_refuses_malformed_points(coeffs_a, xs):
             synthesize_many(coeffs_a, xs, 0.0)
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "later"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, "later", "1", True])
 def test_synthesis_refuses_a_non_finite_time_or_offset(coeffs_a, bad):
-    # synthesize_many(c, xs, inf) used to return NaN with only a RuntimeWarning
+    # synthesize_many(c, xs, inf) used to return NaN with only a RuntimeWarning,
+    # and "1" and True used to be read as 1
     x = np.array([0.4, -0.2, 0.7])
     calls = [
         lambda: synthesize_many(coeffs_a, x[None, :], bad),
@@ -330,8 +345,9 @@ def test_single_point_synthesis_needs_one_point(coeffs_a, x):
         reproduce_complex_time(coeffs_a, x, 0.0, 0.5)
 
 
-@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, "0.5", True])
 def test_non_finite_time_is_refused(amp_a, ygrid, sgrid, t):
+    # EuclideanCoefficients used to read "0.5" and True as numbers
     with pytest.raises(EmwaveError, match="t="):
         analyze(amp_a, ygrid, sgrid, t=t)
     values = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)

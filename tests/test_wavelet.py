@@ -1,5 +1,7 @@
 """Closed-form wavelets and reproducing kernel: anchors, symmetries, analyticity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,6 +105,38 @@ def test_zero_scale_rejected():
         WaveletLabel(ORIGIN, 0.0)
     with pytest.raises(EmwaveError):
         WaveletLabel(np.array([1.0, np.nan, 0.0]), 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (lambda: WaveletLabel(ORIGIN, "1"), "s="),  # used to escape as TypeError
+        (lambda: WaveletLabel(ORIGIN, 1.0, t=np.nan), "t="),
+        (lambda: eval_kernel(np.zeros((4, 2)), 0.0, 1.0, ORIGIN, 1.0), "x="),  # escaped as ValueError
+        (lambda: eval_kernel(ORIGIN, "0", 1.0, ORIGIN, 1.0), "t="),
+        (lambda: eval_kernel(ORIGIN, 0.0, np.nan, ORIGIN, 1.0), "sigma="),  # ended in a RuntimeWarning
+        (lambda: eval_kernel(ORIGIN, 0.0, 1.0, [0.0, np.inf, 0.0], 1.0), "y="),
+        (lambda: eval_kernel(ORIGIN, 0.0, 1.0, ORIGIN, True), "s="),
+        (lambda: eval_kernel(np.zeros((4, 3)), np.zeros(5), 1.0, ORIGIN, 1.0), "broadcast"),  # ValueError
+        (lambda: eval_wavelet(WaveletLabel(ORIGIN, 1.0), [[0.0, 1.0, 2.0], [0.0, 1.0]], 0.0), "x="),
+        (lambda: eval_wavelet(WaveletLabel(ORIGIN, 1.0), ORIGIN, np.nan), "t="),  # returned NaN
+    ],
+    ids=["label-s-text", "label-t-nan", "kernel-x-K-by-2", "kernel-t-text", "kernel-sigma-nan", "kernel-y-inf",
+         "kernel-s-bool", "kernel-t-mismatch", "wavelet-x-ragged", "wavelet-t-nan"],
+)
+def test_arguments_of_the_wrong_kind_are_refused_by_name(call, needle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmwaveError, match=needle):
+            call()
+
+
+def test_singular_kernel_is_reported_at_a_broadcast_point():
+    # the (2, 2) broadcast of two points and two times used to index tau past its end
+    x = np.array([[[2.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]])  # singular only at the last entry
+    with pytest.raises(SingularKernelError) as info:
+        eval_kernel(x, np.array([1.0, 0.0]), -1.0, ORIGIN, 1.0)
+    assert (info.value.tau, info.value.r) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
