@@ -27,15 +27,15 @@ class SingularKernelError(EmwaveError):
     """Kernel evaluation hit the singular set.
 
     Carries the complex time ``tau`` and the radius ``r`` at which the
-    denominator vanished.
+    denominator ``|tau^2 + r^2|`` fell below its 1e-30 cutoff.
     """
 
     def __init__(self, tau: complex, r: float):
         self.tau = tau
         self.r = r
         super().__init__(
-            f"kernel denominator vanished at tau={tau!r}, r={r!r} "
-            "(reachable only when the combined scale is zero)"
+            f"kernel denominator |tau^2 + r^2| fell below 1e-30 at tau={tau!r}, r={r!r} "
+            "(it is exactly zero only on the singular set s + sigma = 0, r = |t|)"
         )
 
 
@@ -97,7 +97,7 @@ def check_array(value, name: str, shape: tuple | None = None, dtype=float) -> np
     fits = shape is None or array.shape == shape or shape[:1] == (...,) and array.shape[1 - len(shape) :] == shape[1:]
     kinds = "iuf" if dtype is float else "iufc"
     if array.dtype.kind not in kinds or not fits or np.count_nonzero(np.isfinite(array)) != array.size:
-        what = "number" if shape == () else f"array of shape {shape}".replace("Ellipsis", "...")
+        what = "number" if shape == () else "array" if shape is None else f"array of shape {shape}".replace("Ellipsis", "...")
         got = f"<array of shape {value.shape}>" if isinstance(value, np.ndarray) and value.ndim else f"{value!r:.60}"
         raise EmwaveError(f"{name}={got} is not a finite {'real' if dtype is float else 'complex'} {what}")
     return array.astype(dtype, copy=False)

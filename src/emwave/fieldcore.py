@@ -24,6 +24,7 @@ from .errors import (
     EmwaveError,
     InvalidDirectionError,
     check_array,
+    check_count,
     check_real,
 )
 from .grids import QuadratureGrid
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 _POLE_CUTOFF = 1e-6
+# relative residual outside the sheet's circular component that `amplitude_from_vectors` tolerates
+_CONSTRAINT_RTOL = 1e-10
 # complex entries (16 MiB) of the one reused block in which every probe-point
 # sum is built, so its transient memory does not grow with the probe count
 _BLOCK_ENTRIES = 1 << 20
@@ -62,7 +65,11 @@ class SpacetimePoint:
 
 @dataclass(frozen=True)
 class ConePoint:
-    """A point on the double light cone: a finite real nonzero momentum 3-vector p and sheet +/-1."""
+    """A point on the double light cone: a finite real nonzero momentum 3-vector p and sheet +/-1.
+
+    The sheet must be the integer 1 or -1 (a numpy integer too, stored as
+    an int); a bool, a float, a string or an array is refused.
+    """
 
     p: np.ndarray
     sheet: int
@@ -71,9 +78,11 @@ class ConePoint:
         p = check_array(self.p, "cone point momentum p", (3,))
         if np.linalg.norm(p) <= 0.0:
             raise EmwaveError("the origin p = 0 is excluded from the cone")
-        if self.sheet not in (1, -1):
+        sheet = check_count(self.sheet, "sheet")
+        if sheet not in (1, -1):
             raise EmwaveError(f"sheet must be +1 or -1, got {self.sheet!r}")
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "sheet", sheet)
 
     @property
     def omega(self) -> float:
@@ -229,29 +238,25 @@ def amplitude_vectors(amp: ConeAmplitude | _RawVectorField) -> np.ndarray:
     return amp.values[:, None] * _sheet_polarizations(amp.grid)
 
 
-def amplitude_from_vectors(
-    grid: QuadratureGrid, fvecs: np.ndarray, rtol: float = 1e-10
-) -> ConeAmplitude:
+def amplitude_from_vectors(grid: QuadratureGrid, fvecs: np.ndarray) -> ConeAmplitude:
     """Import raw vector amplitudes: validate the constraints, then project.
 
     The helicity scalar is the circular component matching each node's
-    sheet; any residual outside that component means the input violates
-    the transversality/curl constraints and is rejected.  ``rtol`` is a
-    finite real number.
+    sheet; a residual outside that component above `_CONSTRAINT_RTOL`
+    (1e-10) of the node's vector norm means the input violates the
+    transversality/curl constraints and is rejected.
     """
-    rtol = check_real(rtol, "rtol")
     fvecs = check_array(fvecs, "fvecs", (len(grid), 3), complex)
     circ = _sheet_polarizations(grid)
     values = np.sum(np.conj(circ) * fvecs, axis=1)
     recon = values[:, None] * circ
     scale = np.maximum(np.linalg.norm(fvecs, axis=1), 1e-300)
     mismatch = np.linalg.norm(fvecs - recon, axis=1) / scale
-    bad = mismatch > rtol
-    if np.any(bad):
+    if np.any(mismatch > _CONSTRAINT_RTOL):
         i = int(np.argmax(mismatch))
         raise EmwaveError(
             f"vector amplitude violates the cone constraints at node {i} "
-            f"(relative residual {mismatch[i]:.3e} > {rtol:.1e})"
+            f"(relative residual {mismatch[i]:.3e} > {_CONSTRAINT_RTOL:.1e})"
         )
     return ConeAmplitude(grid, values)
 

@@ -32,6 +32,7 @@ __all__ = [
     "spatial_axis",
     "momentum_axis",
     "momentum_mesh",
+    "momentum_magnitudes",
     "scale_recovery_error",
     "rebuild",
     "grids_equal",
@@ -97,13 +98,15 @@ def gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Panel ``[a, b]`` gets the nodes ``a + (b - a)/2 (x + 1)`` and weights
     ``(b - a)/2 w`` of the n-point rule ``(x, w)`` on [-1, 1]; nodes and
-    weights come back flat, panel by panel.  ``n`` must be an integer >= 1;
-    non-finite edges give non-finite nodes, which `build_scale_grid` refuses.
+    weights come back flat, panel by panel.  ``edges`` must be a 1-D array
+    of finite real numbers and ``n`` an integer >= 1.
     """
     if check_count(n, "n") < 1:
         raise EmwaveError(f"a Gauss-Legendre panel needs at least 1 node, got n={n}")
+    edges = check_array(edges, "edges")
+    if edges.ndim != 1:
+        raise EmwaveError(f"panel edges must be a 1-D array, got shape {edges.shape}")
     x, w = roots_legendre(n)
-    edges = np.asarray(edges, dtype=float)
     a = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - a)
     return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
@@ -183,8 +186,6 @@ def build_cone_grid(
             "angular_order": int(angular_order),
             "sheets": sheets,
         },
-        "radial_rule": "gauss-legendre",
-        "angular_rule": "gauss-legendre(cos theta) x midpoint(phi)",
     }
     return QuadratureGrid("cone", nodes, weights, sheet_arr, meta)
 
@@ -242,17 +243,20 @@ def build_scale_grid(
     if check_count(nodes_per_sign, "nodes_per_sign") < 6:
         raise EmwaveError("scale grid needs at least 6 nodes per sign")
 
-    # an extreme band overflows the panel edges; the NaN nodes are rejected below
-    with np.errstate(over="ignore", invalid="ignore"):
-        layout = _scale_panel_layout(0.05 / omega_max, 8.0 / omega_min, nodes_per_sign)
-        panels = [gauss_legendre_panels((a, b), n) for a, b, n in layout]
+    refusal = EmwaveError(
+        f"scale quadrature over the band [{omega_min}, {omega_max}] has a node or weight "
+        f"that is not a positive finite number (panels from 0.05 / omega_max to 8 / omega_min)"
+    )
+    s_min, s_max = 0.05 / omega_max, 8.0 / omega_min
+    # an extreme band underflows s_min or overflows the ratio that spaces the panel edges
+    if not (s_min > 0.0 and s_max / s_min < math.inf):
+        raise refusal
+    layout = _scale_panel_layout(s_min, s_max, nodes_per_sign)
+    panels = [gauss_legendre_panels((a, b), n) for a, b, n in layout]
     s_pos = np.concatenate([x for x, _ in panels])
     w_pos = np.concatenate([w for _, w in panels])
     if not all(np.all((v > 0) & (v < np.inf)) for v in (s_pos, w_pos)):
-        raise EmwaveError(
-            f"scale quadrature over the band [{omega_min}, {omega_max}] has a node or weight "
-            f"that is not a positive finite number (panels from 0.05 / omega_max to 8 / omega_min)"
-        )
+        raise refusal
     nodes, weights, labels = _per_sheet(s_pos, w_pos, signs)
     half = QuadratureGrid("scale", s_pos, w_pos)  # the other sign mirrors its error
 
@@ -345,6 +349,17 @@ def momentum_axis(grid: QuadratureGrid) -> np.ndarray:
     return TWO_PI * np.fft.fftfreq(N, d=grid.meta["spacing"])
 
 
+def momentum_magnitudes(grid: QuadratureGrid) -> np.ndarray:
+    """``|p|`` on the momentum lattice of a spatial grid, shape (N, N, N) in FFT index order ``(kz, ky, kx)``.
+
+    Broadcast from the squared 1-D `momentum_axis` as ``(px^2 + py^2) + pz^2``,
+    so the only (N, N, N) array formed is the result itself.
+    """
+    sq = momentum_axis(grid) ** 2
+    omega = sq[None, None, :] + sq[None, :, None] + sq[:, None, None]
+    return np.sqrt(omega, out=omega)
+
+
 def momentum_mesh(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Momentum lattice of a spatial grid.
 
@@ -354,13 +369,10 @@ def momentum_mesh(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
         Momentum vectors, FFT index order ``(kz, ky, kx)``, components
         ``(px, py, pz)``.
     Omega : ndarray, shape (N, N, N)
-        ``|P|`` per lattice point.
+        ``|P|`` per lattice point, from `momentum_magnitudes`.
     """
     pax = momentum_axis(grid)
-    PZ, PY, PX = np.meshgrid(pax, pax, pax, indexing="ij")
-    P = np.stack([PX, PY, PZ], axis=-1)
-    Omega = np.sqrt(PX**2 + PY**2 + PZ**2)
-    return P, Omega
+    return np.stack(np.meshgrid(pax, pax, pax, indexing="ij")[::-1], axis=-1), momentum_magnitudes(grid)
 
 
 def build_cartesian_cone_grid(
@@ -382,14 +394,13 @@ def build_cartesian_cone_grid(
         raise EmwaveError("build_cartesian_cone_grid needs a spatial grid")
     omega_min, omega_max = _validate_band(omega_min, omega_max)
 
-    N = spatial.meta["args"]["N"]
-    L = spatial.meta["args"]["L"]
-    P, Omega = momentum_mesh(spatial)
-    mask = (Omega >= omega_min) & (Omega <= omega_max)
-    flat_indices = np.flatnonzero(mask.ravel())
-    p = P.reshape(-1, 3)[flat_indices]
+    Omega = momentum_magnitudes(spatial)
+    flat_indices = np.flatnonzero((Omega >= omega_min) & (Omega <= omega_max))
+    pax = momentum_axis(spatial)
+    kz, ky, kx = np.unravel_index(flat_indices, Omega.shape)
+    p = np.column_stack([pax[kx], pax[ky], pax[kz]])
     omega = Omega.ravel()[flat_indices]
-    dp = TWO_PI / L
+    dp = TWO_PI / spatial.meta["args"]["L"]
     # checked before dp**3 is formed: a box so small that no lattice point
     # lies in the band would overflow it
     if flat_indices.size == 0:
@@ -408,11 +419,7 @@ def build_cartesian_cone_grid(
             "omega_max": float(omega_max),
             "sheets": sheets,
         },
-        "N": int(N),
-        "L": float(L),
         "flat_indices": flat_indices,
-        "points_per_sheet": int(flat_indices.size),
-        "nyquist": float(np.pi * N / L),
     }
     return QuadratureGrid("cone", nodes, weights, sheet_arr, meta)
 

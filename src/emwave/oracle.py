@@ -20,7 +20,6 @@ from scipy import integrate
 from scipy.special import roots_laguerre, roots_legendre
 
 __all__ = [
-    "OracleConfig",
     "OracleResult",
     "cone_inner_product",
     "wavelet_by_quadrature",
@@ -29,28 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Node-count knobs for the brute-force evaluators.
-
-    ``radial_nodes`` is the Gauss-Laguerre count (minimum 32),
-    ``angular_order`` the Gauss-Legendre order in cos(theta) (minimum 11;
-    phi always gets twice as many midpoint nodes), ``radial_scale`` the
-    exponential substitution rate for the Laguerre rule, ``line_nodes``
-    the node budget of the radial line quadratures (doubled for the
-    refinement; their cutoff is fixed at 60 decay lengths).
-    """
-
-    radial_nodes: int = 48
-    angular_order: int = 16
-    radial_scale: float = 2.0
-    line_nodes: int = 16
-
-    def __post_init__(self):
-        if self.radial_nodes < 32:
-            raise ValueError("oracle radial rule needs at least 32 nodes")
-        if self.angular_order < 11:
-            raise ValueError("oracle angular rule needs at least order 11")
+# fixed rules: Gauss-Laguerre radial nodes at substitution rate omega = x / rate,
+# the order of the product sphere rule, and the per-panel node count of the
+# radial line quadratures; each count is doubled for the convergence estimate
+_RADIAL_NODES = 48
+_RADIAL_RATE = 2.0
+_ANGULAR_ORDER = 16
+_LINE_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -93,12 +77,7 @@ def _sphere_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nhat, w
 
 
-def cone_inner_product(
-    amp_a,
-    amp_b,
-    config: OracleConfig | None = None,
-    tol: float = 1e-10,
-) -> OracleResult:
+def cone_inner_product(amp_a, amp_b, tol: float = 1e-10) -> OracleResult:
     """Momentum-space inner product of two closed-form amplitudes.
 
     ``amp_a`` and ``amp_b`` are callables ``(omega, nhat, sheet) ->
@@ -109,18 +88,16 @@ def cone_inner_product(
 
         sum_sheets (2 pi)^-3 INT d^3p / (2 omega) . omega^-2 conj(a) . b
 
-    by Gauss-Laguerre (radial, with exponential substitution
-    ``omega = x / radial_scale``) times a product sphere rule, then doubles
+    by 48-node Gauss-Laguerre (radial, with exponential substitution
+    ``omega = x / 2``) times a product sphere rule of order 16, then doubles
     both node counts for the convergence estimate.
     """
-    cfg = config or OracleConfig()
 
     def _once(radial: int, order: int) -> complex:
         x, wx = roots_laguerre(radial)
-        beta = cfg.radial_scale
-        omega = x / beta
+        omega = x / _RADIAL_RATE
         # undo the e^-x Laguerre weight; fold in the measure (2pi)^-3/(2 omega)
-        w_rad = wx * np.exp(x) / beta
+        w_rad = wx * np.exp(x) / _RADIAL_RATE
         nhat, w_ang = _sphere_rule(order)
         total = 0.0 + 0.0j
         for sheet in (1, -1):
@@ -134,8 +111,8 @@ def cone_inner_product(
             total += np.sum(ww * pair)
         return complex(total * (2.0 * np.pi) ** -3)
 
-    coarse = _once(cfg.radial_nodes, cfg.angular_order)
-    fine = _once(2 * cfg.radial_nodes, 2 * cfg.angular_order)
+    coarse = _once(_RADIAL_NODES, _ANGULAR_ORDER)
+    fine = _once(2 * _RADIAL_NODES, 2 * _ANGULAR_ORDER)
     est = _relative_gap(coarse, fine)
     return OracleResult(fine, est, est <= tol)
 
@@ -169,7 +146,6 @@ def wavelet_by_quadrature(
     s: float,
     x,
     t: float,
-    config: OracleConfig | None = None,
     tol: float = 1e-9,
     form: str = "reduced",
 ) -> OracleResult:
@@ -184,14 +160,13 @@ def wavelet_by_quadrature(
         full:     (1 / (4 pi^2)) INT_0^inf omega^3 e^{-omega alpha}
                   [INT_-1^1 e^{i omega r mu} dmu] domega
 
-    both evaluated with composite Gauss-Legendre panels sized to the
-    oscillation; the node count doubles for the convergence estimate.
+    both evaluated with composite Gauss-Legendre panels of 16 nodes sized
+    to the oscillation; the node count doubles for the convergence estimate.
     """
     if s == 0.0:
         raise ValueError("wavelet scale must be nonzero")
     if form not in ("reduced", "full"):
         raise ValueError(f"unknown form {form!r}")
-    cfg = config or OracleConfig()
     r = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     alpha = abs(s) + 1j * np.sign(s) * t
     decay = abs(s)
@@ -205,8 +180,8 @@ def wavelet_by_quadrature(
             def integrand(om):
                 return om**2 * np.exp(-om * alpha) * np.sin(om * r) / (2.0 * np.pi**2 * r)
 
-        coarse = _radial_line_quadrature(integrand, decay, phase_rate, cfg.line_nodes)
-        fine = _radial_line_quadrature(integrand, decay, phase_rate, 2 * cfg.line_nodes)
+        coarse = _radial_line_quadrature(integrand, decay, phase_rate, _LINE_NODES)
+        fine = _radial_line_quadrature(integrand, decay, phase_rate, 2 * _LINE_NODES)
     else:
         def _full(n_rad: int, n_mu: int) -> complex:
             mu, wmu = roots_legendre(n_mu)
@@ -218,8 +193,8 @@ def wavelet_by_quadrature(
             return _radial_line_quadrature(integrand, decay, phase_rate, n_rad)
 
         n_mu = int(np.ceil(0.5 * (60.0 / decay) * r)) + 16
-        coarse = _full(cfg.line_nodes, n_mu)
-        fine = _full(2 * cfg.line_nodes, 2 * n_mu)
+        coarse = _full(_LINE_NODES, n_mu)
+        fine = _full(2 * _LINE_NODES, 2 * n_mu)
 
     est = _relative_gap(coarse, fine)
     return OracleResult(fine, est, est <= tol)
@@ -231,7 +206,6 @@ def kernel_by_quadrature(
     sigma: float,
     y,
     s: float,
-    config: OracleConfig | None = None,
     tol: float = 1e-9,
     form: str = "reduced",
 ) -> OracleResult:
@@ -249,7 +223,7 @@ def kernel_by_quadrature(
     if prod < 0.0:
         return OracleResult(0.0 + 0.0j, 0.0, True)
     gate = 1.0 if prod == 0.0 else 2.0
-    base = wavelet_by_quadrature(y, s + sigma, x, t, config=config, tol=tol, form=form)
+    base = wavelet_by_quadrature(y, s + sigma, x, t, tol=tol, form=form)
     return OracleResult(gate * base.value, base.estimate, base.converged)
 
 

@@ -127,11 +127,8 @@ _CoefficientStream = namedtuple("_CoefficientStream", "ygrid sgrid values t prov
 
 def _lattice(ygrid: QuadratureGrid):
     """Momentum magnitudes Omega of the lattice and the centered-grid FFT phase."""
-    N = ygrid.meta["args"]["N"]
-    _, Omega = _grids.momentum_mesh(ygrid)
-    ph = (-1.0) ** np.arange(N)
-    PH = ph[:, None, None] * ph[None, :, None] * ph[None, None, :]
-    return Omega, PH
+    ph = (-1.0) ** np.arange(ygrid.meta["args"]["N"])
+    return _grids.momentum_magnitudes(ygrid), ph[:, None, None] * ph[None, :, None] * ph[None, None, :]
 
 
 def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
@@ -453,6 +450,16 @@ def inner_product(
 _NONLOCAL_BUDGET = 24**3  # grid points per factor of the double sum
 
 
+def _nonlocal_workspace(N: int) -> int:
+    """Peak bytes of `norm_nonlocal_t0` at N^3 points, P = 2N.
+
+    8 * 800 P^2 for the (800, P^2) kernel-factor products and 48 P^3 for
+    the spectra, the correlation and the kernel weights.
+    """
+    P = 2 * N
+    return 8 * 800 * P**2 + 48 * P**3
+
+
 def _cell_kernel_factors(d) -> tuple[np.ndarray, np.ndarray]:
     """Log-time rule ``w`` and per-axis factors ``g`` with A(d) = sum_j w_j prod_i g[j, d_i].
 
@@ -497,7 +504,6 @@ class NonlocalNormResult:
 
     value: float
     imag_ratio: float
-    grid_points: int
 
 
 def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
@@ -521,8 +527,8 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     if npts > _NONLOCAL_BUDGET:
         raise BudgetExceededError(
             f"{npts} points per factor exceeds budget {_NONLOCAL_BUDGET}: the double sum "
-            f"covers {npts**2:.3e} pairs (~{16 * 8 * npts / 2**20:.0f} MiB of "
-            f"correlation workspace and O(N^3 log N) FFT work per component)"
+            f"covers {npts**2:.3e} pairs (~{_nonlocal_workspace(N) / 2**20:.0f} MiB of "
+            f"workspace and O(N^3 log N) FFT work per component)"
         )
 
     dlt = ygrid.meta["spacing"]
@@ -541,7 +547,7 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
 
     total = complex(dlt**4 / np.pi**2 * np.sum(A * corr))
     imag_ratio = abs(total.imag) / abs(total.real) if total.real != 0.0 else 0.0
-    return NonlocalNormResult(total.real, imag_ratio, npts)
+    return NonlocalNormResult(total.real, imag_ratio)
 
 
 @dataclass(frozen=True)

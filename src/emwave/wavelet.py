@@ -68,10 +68,12 @@ def eval_kernel(x, t, sigma: float, y, s: float):
     ------
     EmwaveError
         If ``x``, ``t``, ``sigma``, ``y`` or ``s`` is not finite and real,
-        or a shape does not fit.
+        a shape does not fit, or the closed form overflows: ``(tau^2 +
+        r^2)^3`` leaves the float range once ``|tau|`` or ``r`` nears 1.7e51.
     SingularKernelError
-        If ``|tau^2 + r^2|`` falls below 1e-30 (reachable only when
-        ``sigma + s = 0``).
+        If ``|tau^2 + r^2|`` falls below 1e-30: on the singular set
+        ``sigma + s = 0``, ``r = |t|``, or within rounding of it (a combined
+        scale below 1e-15 at ``r = t = 0``, say).
     """
     x, y = check_array(x, "kernel point x", (..., 3)), check_array(y, "kernel center y", (3,))
     t = check_array(t, "kernel time t")
@@ -81,18 +83,25 @@ def eval_kernel(x, t, sigma: float, y, s: float):
     except ValueError:
         raise EmwaveError(f"kernel times t of shape {t.shape} do not broadcast against points x {x.shape}") from None
     scalar = x.ndim == 1 and np.ndim(t) == 0
-    r = np.linalg.norm(np.atleast_2d(x) - y[None, :], axis=-1)
-    if x.ndim == 1:
-        r = r[0]
-    tau = (s + sigma) + 1j * t
-    tau_sq = tau * tau
-    r_sq = r * r
-    den = tau_sq + r_sq
-    if np.any(np.abs(den) < _SINGULAR_CUTOFF):
-        idx = np.argmin(np.abs(den))  # a flat index into the broadcast shape of tau and r
-        bad_tau, bad_r = (np.broadcast_to(v, den.shape).flat[idx] for v in (tau, r))
-        raise SingularKernelError(complex(bad_tau), float(bad_r))
-    value = gate2(sigma * s) * (3.0 * tau_sq - r_sq) / (PI_SQ * den**3)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            r = np.linalg.norm(np.atleast_2d(x) - y[None, :], axis=-1)
+            if x.ndim == 1:
+                r = r[0]
+            tau = (s + sigma) + 1j * t
+            tau_sq = tau * tau
+            r_sq = r * r
+            den = tau_sq + r_sq
+            if np.any(np.abs(den) < _SINGULAR_CUTOFF):
+                idx = np.argmin(np.abs(den))  # a flat index into the broadcast shape of tau and r
+                bad_tau, bad_r = (np.broadcast_to(v, den.shape).flat[idx] for v in (tau, r))
+                raise SingularKernelError(complex(bad_tau), float(bad_r))
+            value = gate2(sigma * s) * (3.0 * tau_sq - r_sq) / (PI_SQ * den**3)
+    except FloatingPointError:
+        raise EmwaveError(
+            f"the kernel at combined scale s + sigma = {s + sigma!r} overflows floating point: "
+            "(tau^2 + r^2)^3 needs |tau| and r = |x - y| below about 1.7e51"
+        ) from None
     return complex(value) if scalar else value
 
 
@@ -113,12 +122,19 @@ def scaling_check(label: WaveletLabel, x, t) -> tuple[complex, complex]:
     The left side is ``e_{y,-is}(x, t)``; the right side is
     ``s^-4 e_{y/s,-i}(x/s, t/s)``, evaluated through `eval_wavelet`.  The
     two agree to relative 1e-12 (the identity is exact in real
-    arithmetic; only rounding separates the sides).
+    arithmetic; only rounding separates the sides).  A scale so small that
+    ``s^-4``, ``x / s`` or ``t / s`` leaves the float range raises
+    `EmwaveError`.
     """
     s = label.s
     lhs = eval_wavelet(label, x, t)
-    unit = WaveletLabel(label.y / s, 1.0)
-    rhs = s**-4.0 * eval_wavelet(unit, np.asarray(x, dtype=float) / s, np.asarray(t, dtype=float) / s)
+    try:
+        with np.errstate(over="raise"):
+            factor = s**-4.0
+            unit = WaveletLabel(label.y / s, 1.0)
+            rhs = factor * eval_wavelet(unit, np.asarray(x, dtype=float) / s, np.asarray(t, dtype=float) / s)
+    except (OverflowError, FloatingPointError):
+        raise EmwaveError(f"the rescaled side of the scaling identity at s = {s!r} overflows floating point") from None
     return lhs, rhs
 
 

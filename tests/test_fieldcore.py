@@ -106,8 +106,12 @@ def test_cone_point_frequency_and_energy():
 def test_cone_point_validation():
     with pytest.raises(EmwaveError):
         ConePoint(np.zeros(3), 1)
-    with pytest.raises(EmwaveError):
-        ConePoint(np.array([1.0, 0.0, 0.0]), 2)
+    # True and np.array([1]) compared equal to 1 and were accepted
+    for sheet in (2, True, np.True_, np.array([1]), 1.0, "1", None):
+        with pytest.raises(EmwaveError, match="sheet"):
+            ConePoint(np.array([1.0, 0.0, 0.0]), sheet)
+    q = ConePoint(np.array([1.0, 0.0, 0.0]), np.int64(-1))
+    assert type(q.sheet) is int and q.sheet == -1
 
 
 def test_spacetime_point_validation():

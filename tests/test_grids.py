@@ -1,6 +1,7 @@
 """Quadrature grid construction: measure factors, recovery, rebuildability."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,8 +196,12 @@ def test_grid_counts_must_be_true_integers(build, name):
         (lambda: grids.build_cone_grid(0.5, "3", 6, 4), "omega_max="),
         (lambda: grids.build_scale_grid((0.5, 4.0, 9.0), 6), "omega_band="),  # used to raise ValueError
         (lambda: grids.scale_recovery_error(grids.build_scale_grid((0.5, 4.0), 6), np.nan), "omega="),
+        (lambda: grids.gauss_legendre_panels([0.0, np.nan], 4), "edges="),  # used to return NaN nodes
+        (lambda: grids.gauss_legendre_panels([-np.inf, 1.0], 4), "edges="),
+        (lambda: grids.gauss_legendre_panels(0.5, 4), "edges must be a 1-D array"),
     ],
-    ids=["spatial-L-text", "spatial-L-bool", "cone-band-text", "scale-band-triple", "recovery-nan"],
+    ids=["spatial-L-text", "spatial-L-bool", "cone-band-text", "scale-band-triple", "recovery-nan", "panels-edge-nan",
+         "panels-edge-inf", "panels-edge-scalar"],
 )
 def test_grid_numbers_must_be_finite_reals(build, needle):
     with pytest.raises(EmwaveError, match=needle):
@@ -257,6 +262,32 @@ def test_cartesian_cone_empty_band_rejected():
     with pytest.raises(EmwaveError):
         # below the smallest nonzero lattice frequency
         grids.build_cartesian_cone_grid(spatial, 1e-4, 2e-4)
+
+
+@pytest.mark.parametrize("sheets", ["both", "minus"])
+def test_cartesian_cone_nodes_are_the_momentum_mesh_at_the_band(sheets):
+    spatial = grids.build_spatial_grid(16, 12.0)
+    cone = grids.build_cartesian_cone_grid(spatial, 0.8, 3.5, sheets)
+    P, Omega = grids.momentum_mesh(spatial)
+    flat = np.flatnonzero(((Omega >= 0.8) & (Omega <= 3.5)).ravel())
+    assert np.array_equal(cone.meta["flat_indices"], flat)
+    blocks = 2 if sheets == "both" else 1
+    assert np.array_equal(cone.nodes, np.tile(P.reshape(-1, 3)[flat], (blocks, 1)))
+    # the broadcast |k| has the bits of the norms of the momentum vectors
+    assert np.array_equal(Omega, np.sqrt(P[..., 0] ** 2 + P[..., 1] ** 2 + P[..., 2] ** 2))
+
+
+def test_lattice_magnitudes_hold_no_momentum_array():
+    # broadcast from the 1-D axis: the (N, N, N, 3) vectors and three meshgrid
+    # copies of the momentum axis used to take 16 MiB at N = 64
+    spatial = grids.build_spatial_grid(64, 20.0)
+    tracemalloc.start()
+    try:
+        grids.momentum_magnitudes(spatial)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 64**3
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ YGRID = grids.build_spatial_grid(4, 6.0)
 SGRID = grids.build_scale_grid((0.8, 2.0), 6)
 CONE = grids.build_cartesian_cone_grid(YGRID, 0.8, 2.0)
 AMP = fieldcore.amplitude_from_scalar(CONE, lambda om, nn, sheets: np.exp(-om) * (1.0 + 0.5j * nn[:, 2]))
-VECTORS = fieldcore.amplitude_vectors(AMP)
 COEFFS = transform.analyze(AMP, YGRID, SGRID)
 POINT = fieldcore.SpacetimePoint(np.zeros(3), 0.5)
 LABEL = wavelet.WaveletLabel(np.array([0.1, -0.2, 0.3]), 0.7)
@@ -78,7 +77,8 @@ def _points():
 
 def _counts(lo, hi):
     good = st.one_of(st.integers(lo, hi), st.integers(lo, hi).map(np.int64))
-    return _kinds(good, st.sampled_from([6.5, 8.0, np.float64(8.0), True, np.True_, "8", None, np.nan]))
+    bad = [6.5, 8.0, np.float64(8.0), True, np.True_, "8", None, np.nan, np.array([1]), np.array(1)]
+    return _kinds(good, st.sampled_from(bad))
 
 
 REAL = _kinds(_GOOD_REAL, _BAD_REAL)
@@ -105,8 +105,13 @@ ARRAY = _kinds(
     _BAD_REAL.filter(lambda v: not isinstance(v, (list, np.ndarray))),
 )
 
-# well-formed panel edges only: non-finite edges pass through to non-finite nodes (see grids)
-EDGES = st.lists(_FLOAT, min_size=1, max_size=4).map(lambda v: (sorted(v), False))
+EDGES = _kinds(
+    st.lists(_FLOAT, min_size=1, max_size=4).map(sorted),
+    st.one_of(
+        st.tuples(st.lists(_FLOAT, min_size=1, max_size=3).map(sorted), _BAD_ENTRY).map(lambda g: g[0] + [g[1]]),
+        st.sampled_from([0.5, [[0.0, 1.0]], [True, False], "abc", None]),
+    ),
+)
 
 
 def _optional(kind):
@@ -122,10 +127,9 @@ CALLS = {
     "grids.gauss_legendre_panels": lambda a: grids.gauss_legendre_panels(a(EDGES), a(_counts(-1, 12))),
     "grids.scale_recovery_error": lambda a: grids.scale_recovery_error(SGRID, a(ARRAY)),
     "fieldcore.SpacetimePoint": lambda a: fieldcore.SpacetimePoint(a(VEC3), a(REAL)),
-    "fieldcore.ConePoint": lambda a: fieldcore.ConePoint(a(VEC3), 1),
+    "fieldcore.ConePoint": lambda a: fieldcore.ConePoint(a(VEC3), a(_counts(-1, 1))),
     "fieldcore.FieldSample": lambda a: fieldcore.FieldSample(a(FIELD), a(VEC3), a(COMPLEX), a(_optional(REAL))),
     "fieldcore.polarization_basis": lambda a: fieldcore.polarization_basis(a(VEC3)),
-    "fieldcore.amplitude_from_vectors": lambda a: fieldcore.amplitude_from_vectors(CONE, VECTORS, a(REAL)),
     "fieldcore.evaluate_field": lambda a: fieldcore.evaluate_field(AMP, POINT, a(REAL)),
     "fieldcore.maxwell_residual": lambda a: fieldcore.maxwell_residual(AMP, YGRID, a(REAL), a(REAL)),
     "wavelet.WaveletLabel": lambda a: wavelet.WaveletLabel(a(VEC3), a(REAL), a(REAL)),

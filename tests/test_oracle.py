@@ -6,7 +6,6 @@ from scipy.special import wofz
 
 from emwave import oracle
 from emwave.oracle import (
-    OracleConfig,
     OracleResult,
     ast_by_quadrature,
     cone_inner_product,
@@ -78,13 +77,6 @@ def test_oracle_flags_unconverged_results():
     res = cone_inner_product(_plus_sheet_amp, _plus_sheet_amp, tol=1e-18)
     assert not res.converged
     assert res.estimate > 1e-18
-
-
-def test_oracle_config_floors():
-    with pytest.raises(ValueError):
-        OracleConfig(radial_nodes=8)
-    with pytest.raises(ValueError):
-        OracleConfig(angular_order=4)
 
 
 # ---------------------------------------------------------------------------

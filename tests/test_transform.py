@@ -769,7 +769,6 @@ def test_nonlocal_norm_agrees_with_momentum_norm():
     nm = norm_momentum(amp)
     assert abs(res.value - nm) / nm < 5e-2
     assert res.imag_ratio < 1e-8
-    assert res.grid_points == 16**3
 
 
 @pytest.mark.parametrize("sheets", ["both", "plus", "minus"])
@@ -798,6 +797,25 @@ def test_nonlocal_norm_refuses_oversized_grids(amp_a):
         norm_nonlocal_t0(amp_a, big)
     with pytest.raises(GridMismatchError):
         norm_nonlocal_t0(amp_a, grids.build_scale_grid(BAND, 12))
+
+
+def test_nonlocal_budget_message_quotes_the_traced_workspace(monkeypatch):
+    # the message used to quote 16 * 8 N^3 bytes (4 MiB at N = 32) against a traced 39 MiB
+    N = 32
+    ygrid = grids.build_spatial_grid(N, 20.0)
+    amp = amplitude_from_scalar(grids.build_cartesian_cone_grid(ygrid, 0.3, 2.5, sheets="plus"),
+                                lambda om, nn, sh: (om**2 * np.exp(-3.0 * om)).astype(complex))
+    quoted = transform._nonlocal_workspace(N)
+    with pytest.raises(BudgetExceededError, match=f"~{quoted / 2**20:.0f} MiB of workspace"):
+        norm_nonlocal_t0(amp, ygrid)
+    monkeypatch.setattr(transform, "_NONLOCAL_BUDGET", N**3)
+    tracemalloc.start()
+    try:
+        norm_nonlocal_t0(amp, ygrid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(quoted - peak) <= 0.25 * peak
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_zero_offset_gate_is_half():
 
 
 def test_singular_set_raises_with_location():
-    with pytest.raises(SingularKernelError) as info:
+    with pytest.raises(SingularKernelError, match=r"singular set s \+ sigma = 0, r = \|t\|") as info:
         eval_kernel(ORIGIN, 0.0, -1.0, ORIGIN, 1.0)  # tau = 0, r = 0
     assert info.value.tau == 0.0
     assert info.value.r == 0.0
@@ -120,9 +120,15 @@ def test_zero_scale_rejected():
         (lambda: eval_kernel(np.zeros((4, 3)), np.zeros(5), 1.0, ORIGIN, 1.0), "broadcast"),  # ValueError
         (lambda: eval_wavelet(WaveletLabel(ORIGIN, 1.0), [[0.0, 1.0, 2.0], [0.0, 1.0]], 0.0), "x="),
         (lambda: eval_wavelet(WaveletLabel(ORIGIN, 1.0), ORIGIN, np.nan), "t="),  # returned NaN
+        # finite arguments out of the closed form's float range
+        (lambda: eval_kernel(ORIGIN, 1e200, 1.0, ORIGIN, 1.0), "overflows"),  # overflowed to NaN
+        (lambda: eval_kernel(np.full(3, 1e200), 0.0, 1.0, ORIGIN, 1.0), "overflows"),
+        (lambda: scaling_check(WaveletLabel(ORIGIN, 1e-300), np.ones(3), 0.5), "overflows"),  # a raw OverflowError
+        (lambda: eval_wavelet(WaveletLabel(ORIGIN, 1e-16), ORIGIN, 0.0), "fell below 1e-30"),  # "scale is zero"
     ],
     ids=["label-s-text", "label-t-nan", "kernel-x-K-by-2", "kernel-t-text", "kernel-sigma-nan", "kernel-y-inf",
-         "kernel-s-bool", "kernel-t-mismatch", "wavelet-x-ragged", "wavelet-t-nan"],
+         "kernel-s-bool", "kernel-t-mismatch", "wavelet-x-ragged", "wavelet-t-nan", "kernel-t-1e200",
+         "kernel-x-1e200", "scaling-s-1e-300", "wavelet-s-1e-16"],
 )
 def test_arguments_of_the_wrong_kind_are_refused_by_name(call, needle):
     with warnings.catch_warnings():
