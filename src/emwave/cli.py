@@ -480,8 +480,8 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
             if have != want:
                 raise EmwaveError(f"holds a spatial grid (N, L) = ({have['N']}, {have['L']}), "
                                   f"the scenario's is ({want['N']}, {want['L']})")
-            # folded slice by slice into the synthesis table, which refuses a bad
-            # checksum after the last slice and a non-finite sample
+            # folded slice by slice into the synthesis table; the reader checks each
+            # slice's digest before the table folds it, and the table refuses a non-finite sample
             coeffs = transform._synthesis_table(stream)
         except EmwaveError as exc:
             _fail("coefficients", f"{coeffs_path}: {exc}")

@@ -19,14 +19,17 @@ Conventions used throughout (fixed once here):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import numbers
 import os
+import queue
+import re
 import warnings
-from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections import deque, namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -414,10 +417,71 @@ def norm_momentum(amp) -> float:
     return float(np.sum(amp.grid.weights * f2 / omega**2))
 
 
+_SLICE_THREADS = 2  # threads of the pool that hashes and sums scale slices
+
+
+@contextlib.contextmanager
+def _slice_pool():
+    """A pool of `_SLICE_THREADS` threads for one call; on exit its queued work is dropped and its threads joined."""
+    pool = ThreadPoolExecutor(max_workers=_SLICE_THREADS)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _per_slice(fn, work_dtype, *coeffs) -> list:
+    """``fn(*slices, work)`` of each scale slice of the arguments, in scale order.
+
+    ``work`` is a ``work_dtype`` buffer of one slice's shape for ``fn``'s
+    temporary.  When every argument is a set, whose frozen values stay
+    valid, the slices run on the slice pool; a stream, whose slice is
+    overwritten once the next is drawn, runs serially.  The calling thread
+    allocates one buffer per thread that runs ``fn``, so no pool thread's
+    heap keeps a slice once the call returns.  Each result has the same
+    bits either way.
+    """
+    frozen = all(isinstance(c, EuclideanCoefficients) for c in coeffs)
+    N = coeffs[0].ygrid.meta["args"]["N"]
+    spare = queue.SimpleQueue()
+    for _ in range(_SLICE_THREADS if frozen else 1):
+        spare.put(np.empty((N, N, N, 3), dtype=work_dtype))
+
+    def run(*slices):
+        work = spare.get()
+        try:
+            return fn(*slices, work)
+        finally:
+            spare.put(work)
+
+    if not frozen:
+        return [run(*slices) for slices in zip(*(c.values for c in coeffs))]
+    with _slice_pool() as pool:
+        return list(pool.map(run, *(c.values for c in coeffs)))
+
+
+def _power_sum(c, work) -> float:
+    """SUM |c|^2 over a slice, formed in ``work``: the bits of ``np.sum(np.abs(c) ** 2)``."""
+    np.abs(c, out=work)
+    return np.sum(np.square(work, out=work))
+
+
+def _pair_sum(a, b, work) -> complex:
+    """SUM conj(a) b over a pair of slices, formed in ``work``: the bits of ``np.sum(np.conj(a) * b)``."""
+    np.conj(a, out=work)
+    work *= b
+    return np.sum(work)
+
+
 def norm_euclidean(coeffs) -> float:
-    """Squared scale-space norm INT d^3y ds |F(y, t - is)|^2 of a set or a stream, one slice at a time."""
+    """Squared scale-space norm INT d^3y ds |F(y, t - is)|^2 of a set or a stream.
+
+    Each slice's sum runs on the slice pool for a set and in turn for a
+    stream (`_per_slice`); the weighted sums are combined in scale order,
+    so the value has the same bits either way.
+    """
     dy3 = coeffs.ygrid.meta["spacing"] ** 3
-    per_slice = np.array([np.sum(np.abs(c) ** 2) for c in coeffs.values])
+    per_slice = np.array(_per_slice(_power_sum, float, coeffs))
     return float(np.sum(coeffs.sgrid.weights * per_slice) * dy3)
 
 
@@ -428,7 +492,8 @@ def inner_product(
 
     Conjugate-linear in the first slot; ``inner_product(c, c)`` equals
     `norm_euclidean`.  Both coefficient sets must share grids and
-    generation time.
+    generation time.  The per-slice sums run on the slice pool and are
+    combined in scale order, as in `norm_euclidean`.
     """
     if not grids_equal(coeffs_a.ygrid, coeffs_b.ygrid) or not grids_equal(
         coeffs_a.sgrid, coeffs_b.sgrid
@@ -439,7 +504,7 @@ def inner_product(
             f"coefficients generated at different times: {coeffs_a.t} vs {coeffs_b.t}"
         )
     dy3 = coeffs_a.ygrid.meta["spacing"] ** 3
-    pair = np.array([np.sum(np.conj(a) * b) for a, b in zip(coeffs_a.values, coeffs_b.values)])
+    pair = np.array(_per_slice(_pair_sum, complex, coeffs_a, coeffs_b))
     return complex(np.sum(coeffs_a.sgrid.weights * pair) * dy3)
 
 
@@ -592,20 +657,26 @@ def norm_report(amp, coeffs, nonlocal_grid: QuadratureGrid | None = None) -> Nor
 # ---------------------------------------------------------------------------
 
 _MANIFEST_FORMAT = "emwave-coefficients"
-_MANIFEST_VERSION = 1
-_IO_CHUNK = 8 << 20  # bytes per read of a payload load; one chunk is hashed while the next is read
+_MANIFEST_VERSION = 2  # the version written; version 1, one digest of the whole payload, is still read
+_IO_CHUNK = 8 << 20  # most bytes per read call of a payload load
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_coefficients(coeffs, directory, name: str) -> Path:
     """Write a set or a stream slice by slice, in scale order, and return the manifest path.
 
-    The manifest but its digest is serialized before any file is touched,
-    so a value JSON cannot hold (a NaN) fails first.  The one helper thread
-    hashes each slice while it is written and is done before the next is
-    drawn.  A stream that gives more or fewer bytes than the manifest's
-    ``payload_bytes`` is refused before any file is moved.  Both files are
-    written under temporary names and moved into place, the payload first;
-    on any error the temporary files are removed.
+    The manifest but its digests is serialized before any file is touched,
+    so a value JSON cannot hold (a NaN) fails first.  The slice pool
+    computes each slice's SHA-256 while the main thread writes: a set's
+    slices are hashed two at a time, as views of its frozen values, and a
+    stream's slice is hashed before the next one is drawn.  A stream that
+    gives more or fewer bytes than the manifest's ``payload_bytes`` is
+    refused before any file is moved.  Both files are written under
+    temporary names and moved into place, the payload first; on any error
+    the temporary files are removed.
     """
     directory, N = Path(directory), coeffs.ygrid.meta["args"]["N"]
     shape = [len(coeffs.sgrid), N, N, N, 3]
@@ -626,18 +697,21 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / manifest["payload"], directory / f"{name}.json"]
     temps = [directory / f".{p.name}.tmp" for p in paths]
-    digest, written = hashlib.sha256(), 0
+    frozen = isinstance(coeffs, EuclideanCoefficients)
+    hashed, written = [], 0
     try:
-        with open(temps[0], "wb") as stream, ThreadPoolExecutor(max_workers=1) as helper:
+        with open(temps[0], "wb") as stream, _slice_pool() as pool:
             for c in coeffs.values:
                 data = np.ascontiguousarray(c, dtype="<c16").reshape(-1).view(np.uint8)
-                hashed = helper.submit(digest.update, data)
+                hashed.append(pool.submit(_sha256, data))
                 written += stream.write(data)
-                hashed.result()
+                if not frozen:  # a stream may overwrite this slice once the next is drawn
+                    hashed[-1].result()
+            digests = [h.result() for h in hashed]
         if written != manifest["payload_bytes"]:
             raise EmwaveError(f"the coefficient slices hold {written} bytes, not the "
                               f"{manifest['payload_bytes']} of shape {shape}")
-        manifest["payload_sha256"] = digest.hexdigest()
+        manifest["slice_sha256"] = digests
         temps[1].write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
         for temp, final in zip(temps, paths):
             os.replace(temp, final)
@@ -653,24 +727,33 @@ def save_coefficients(coeffs, directory, name: str = "coefficients") -> Path:
 
     The payload is the values in axis order (s, y_z, y_y, y_x, vector
     component), C-order, as little-endian (re, im) float64 pairs, written
-    and hashed (SHA-256) one scale slice at a time.  The manifest records
-    the grid records, the time, provenance and the digest, so a reload is
-    byte-exact and self-validating.  A failed save leaves no partial set.
-    Returns the manifest path.
+    one scale slice at a time.  The manifest (version 2) records the grid
+    records, the time, the provenance and ``slice_sha256``, the SHA-256 of
+    each scale slice in scale order, computed on the slice pool while the
+    payload is written; so a reload is byte-exact and self-validating.  A
+    failed save leaves no partial set.  Returns the manifest path.
     """
     return _write_coefficients(coeffs, directory, name)
 
 
-_MANIFEST_KEYS = ("payload", "payload_bytes", "payload_sha256", "shape", "t", "ygrid", "sgrid")
+# the keys a manifest must hold, per version read: version 2 gives one digest
+# per scale slice, version 1 one digest of the whole payload
+_MANIFEST_KEYS = {
+    1: ("payload", "payload_bytes", "payload_sha256", "shape", "t", "ygrid", "sgrid"),
+    2: ("payload", "payload_bytes", "slice_sha256", "shape", "t", "ygrid", "sgrid"),
+}
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, QuadratureGrid]:
     """A saved set's manifest, payload path and grids, once every check that reads no payload byte holds.
 
-    Each defect raises `EmwaveError`.  An unreadable manifest, a missing key
-    or a payload outside the manifest's directory is refused first; then,
-    in this order, the payload file's size against ``payload_bytes`` and
-    ``shape``, the time (a finite number), the grids, the shape and the provenance.
+    Each defect raises `EmwaveError`.  An unreadable manifest, a version
+    other than 1 or 2, a missing key of its version or a payload outside
+    the manifest's directory is refused first; then, in this order, the
+    payload file's size against ``payload_bytes`` and ``shape``, a version-2
+    ``slice_sha256`` (``shape[0]`` lowercase hex SHA-256 digests), the time
+    (a finite number), the grids, the shape and the provenance.
     """
     path = Path(manifest_path)
     try:
@@ -679,9 +762,10 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
         raise EmwaveError(f"cannot read coefficients manifest {path}: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise EmwaveError(f"{path} is not a coefficients manifest")
-    if manifest.get("version") != _MANIFEST_VERSION:
-        raise EmwaveError(f"unsupported manifest version {manifest.get('version')}")
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    version = manifest.get("version")
+    if type(version) is not int or version not in _MANIFEST_KEYS:
+        raise EmwaveError(f"unsupported manifest version {version!r}")
+    missing = [key for key in _MANIFEST_KEYS[version] if key not in manifest]
     if missing:
         raise EmwaveError(f"manifest {path} lacks keys {missing}")
     directory = path.parent.resolve()
@@ -700,6 +784,10 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
     if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
             and 16 * math.prod(shape) == size):
         raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
+    digests = manifest.get("slice_sha256")
+    if version == 2 and not (isinstance(digests, list) and len(digests) == shape[0]
+                             and all(isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests)):
+        raise EmwaveError(f"manifest slice_sha256 is not a list of {shape[0]} lowercase hex SHA-256 digests")
     check_real(t, "manifest time t")
     try:
         ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
@@ -711,48 +799,73 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
 
 
 def _payload_slices(manifest: dict, payload_path: Path, out=None):
-    """Yield a checked payload's scale slices in order, slice i read into ``out[i % len(out)]``.
+    """Yield a checked payload's scale slices in order, each only once its digest holds.
 
-    ``out`` is the whole payload's buffer, or else one slice buffer.  One
-    helper thread hashes the chunks as they are read, and the digest is
-    compared once the last slice is read, before it is yielded.
+    Slice i is read into ``out[i % len(out)]``: ``out`` is the whole
+    payload's buffer, or else two slice buffers, so a yielded slice stays
+    valid until the next one is drawn.  The main thread reads slice i + 1
+    while the slice pool hashes the earlier ones.  A slice whose SHA-256
+    differs from its ``slice_sha256`` entry raises `EmwaveError` naming it,
+    before it is yielded, so the slices before it are all that is yielded.
+    A version-1 manifest holds one digest of the whole payload instead: the
+    main thread updates it slice by slice and compares it once the last
+    slice is read, before that slice is yielded.
     """
     shape = manifest["shape"]
-    out = np.empty([1] + shape[1:], dtype="<c16") if out is None else out
-    digest, hashed = hashlib.sha256(), []
+    out = np.empty([min(2, shape[0])] + shape[1:], dtype="<c16") if out is None else out
+    digests = manifest["slice_sha256"] if manifest["version"] == 2 else None
+    whole = hashlib.sha256()  # read by version 1 only
+    pending = deque()  # (slice, its digest's future or None) of the slices read and not yet yielded
+
+    def checked(i, hashed):
+        if hashed is not None and hashed.result() != digests[i]:
+            raise EmwaveError(f"payload checksum mismatch in slice {i} of {manifest['payload']}: "
+                              f"{hashed.result()} != {digests[i]}")
+        return out[i % len(out)]
+
     try:
-        with open(payload_path, "rb", buffering=0) as stream, ThreadPoolExecutor(max_workers=1) as helper:
+        with open(payload_path, "rb", buffering=0) as stream, _slice_pool() as pool:
             for i in range(shape[0]):
-                if i >= len(out):  # the slice buffer is hashed before it is overwritten
-                    wait(hashed)
+                if len(pending) == len(out):  # every buffer holds a slice not yet yielded
+                    yield checked(*pending.popleft())
                 view = memoryview(out[i % len(out)].reshape(-1).view(np.uint8))
                 done = 0
                 while done < len(view):
                     n = stream.readinto(view[done : done + _IO_CHUNK])
                     if not n:
                         raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
-                    hashed.append(helper.submit(digest.update, view[done : done + n]))
                     done += n
-                if i == shape[0] - 1:
-                    wait(hashed)
-                    if digest.hexdigest() != manifest["payload_sha256"]:
-                        raise EmwaveError(
-                            f"payload checksum mismatch for {manifest['payload']}: "
-                            f"{digest.hexdigest()} != {manifest['payload_sha256']}"
-                        )
-                yield out[i % len(out)]
+                if digests is not None:
+                    pending.append((i, pool.submit(_sha256, view)))
+                else:
+                    whole.update(view)
+                    if i == shape[0] - 1 and whole.hexdigest() != manifest["payload_sha256"]:
+                        raise EmwaveError(f"payload checksum mismatch for {manifest['payload']}: "
+                                          f"{whole.hexdigest()} != {manifest['payload_sha256']}")
+                    pending.append((i, None))
+                while pending and (pending[0][1] is None or pending[0][1].done()):
+                    yield checked(*pending.popleft())
+            while pending:
+                yield checked(*pending.popleft())
     except OSError as exc:
         raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
 
 
 def _read_coefficients(manifest_path) -> _CoefficientStream:
-    """A saved set as a `_CoefficientStream`: checked now, its payload read one reused slice at a time."""
+    """A saved set as a `_CoefficientStream`: checked now, its payload read and verified one slice at a time."""
     manifest, path, ygrid, sgrid = _checked_manifest(manifest_path)
     return _CoefficientStream(ygrid, sgrid, _payload_slices(manifest, path), manifest["t"], manifest["provenance"])
 
 
 def load_coefficients(manifest_path) -> EuclideanCoefficients:
-    """Rebuild coefficients from a manifest written by `save_coefficients`, read into one buffer."""
+    """Rebuild coefficients from a manifest written by `save_coefficients`, read into one buffer.
+
+    The main thread reads the payload slice by slice into the buffer that
+    becomes the read-only values, while the slice pool checks each
+    slice's digest; a mismatch raises `EmwaveError` naming the first bad
+    slice.  Version-1 manifests are checked against their whole-payload
+    digest once the last slice is read.
+    """
     manifest, payload_path, ygrid, sgrid = _checked_manifest(manifest_path)
     values = np.empty(manifest["shape"], dtype="<c16")
     for _ in _payload_slices(manifest, payload_path, out=values):

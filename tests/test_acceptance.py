@@ -375,12 +375,12 @@ def test_criterion_11_byte_identical_outputs_across_workers(tmp_path):
         assert cli.run(path, workers=workers) == 0
     payload_one = (tmp_path / "one" / "c.bin").read_bytes()
     payload_eight = (tmp_path / "eight" / "c.bin").read_bytes()
-    sha_one = json.loads((tmp_path / "one" / "c.json").read_text())["payload_sha256"]
-    sha_eight = json.loads((tmp_path / "eight" / "c.json").read_text())["payload_sha256"]
+    sha_one = json.loads((tmp_path / "one" / "c.json").read_text())["slice_sha256"]
+    sha_eight = json.loads((tmp_path / "eight" / "c.json").read_text())["slice_sha256"]
     ok = payload_one == payload_eight and sha_one == sha_eight
     _criterion(
         11,
         "declared outputs are byte-identical for 1 vs 8 workers",
         ok,
-        f"payload sha256 {sha_one[:12]}... equal: {sha_one == sha_eight}",
+        f"{len(sha_one)} slice sha256, the first {sha_one[0][:12]}... equal: {sha_one == sha_eight}",
     )

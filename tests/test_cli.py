@@ -332,7 +332,7 @@ def test_analyze_payload_is_worker_independent(tmp_path):
     assert (tmp_path / "a" / "c.bin").read_bytes() == (tmp_path / "b" / "c.bin").read_bytes()
     ma = json.loads((tmp_path / "a" / "c.json").read_text())
     mb = json.loads((tmp_path / "b" / "c.json").read_text())
-    assert ma["payload_sha256"] == mb["payload_sha256"]
+    assert ma["slice_sha256"] == mb["slice_sha256"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -355,7 +355,7 @@ def test_streamed_analyze_writes_the_bytes_of_save_after_analyze(tmp_path, monke
 def test_reconstruct_refuses_a_flipped_payload_byte_before_any_output(tmp_path, capsys):
     assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, _analyze_cfg("coeff"), "a.json"))]) == 0
     blob = bytearray((tmp_path / "coeff" / "c.bin").read_bytes())
-    blob[len(blob) // 3] ^= 0x01
+    blob[len(blob) // 3] ^= 0x01  # in slice 13 of 40
     (tmp_path / "coeff" / "c.bin").write_bytes(bytes(blob))
     rcfg = _analyze_cfg("recon")
     rcfg["pipeline"] = "reconstruct"
@@ -363,7 +363,8 @@ def test_reconstruct_refuses_a_flipped_payload_byte_before_any_output(tmp_path, 
     capsys.readouterr()
     assert main(["reconstruct", "--scenario", str(_write_cfg(tmp_path, rcfg, "r.json"))]) == 2
     err = capsys.readouterr().err
-    assert "config error at coefficients: " in err and "checksum mismatch" in err
+    assert "config error at coefficients: " in err and "checksum mismatch in slice 13 of c.bin" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "recon").exists()
 
 
@@ -695,7 +696,9 @@ def test_non_finite_payload_is_a_config_error(tmp_path, capsys):
     payload.tofile(tmp_path / "coeff" / "c.bin")
     manifest_path = tmp_path / "coeff" / "c.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["payload_sha256"] = hashlib.sha256(payload.tobytes()).hexdigest()
+    slices = payload.reshape(manifest["shape"][0], -1)
+    k = len(payload) // 2 // slices.shape[1]  # the slice that holds the NaN, re-digested
+    manifest["slice_sha256"][k] = hashlib.sha256(slices[k].tobytes()).hexdigest()
     manifest_path.write_text(json.dumps(manifest))
     cfg = _small_scenarios()[1]
     cfg["coefficients"] = "coeff/c.json"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -876,7 +877,8 @@ def test_streamed_table_names_the_checksum_before_a_non_finite_sample(coeffs_a, 
     with pytest.raises(EmwaveError, match="checksum"):
         transform._synthesis_table(transform._read_coefficients(manifest))
     meta = json.loads(manifest.read_text())
-    meta["payload_sha256"] = hashlib.sha256(payload.tobytes()).hexdigest()
+    k = len(payload) // 2 // (3 * N**3)  # the slice that holds the NaN, re-digested
+    meta["slice_sha256"][k] = hashlib.sha256(payload.reshape(40, -1)[k].tobytes()).hexdigest()
     manifest.write_text(json.dumps(meta))
     with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
         transform._synthesis_table(transform._read_coefficients(manifest))
@@ -901,6 +903,8 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
     "defect, needle",
     [
         ("missing-key", "lacks keys"),
+        ("slice-digest-count", "slice_sha256"),
+        ("slice-digest-text", "slice_sha256"),
         ("shape", "shape"),
         ("outside-payload", "outside"),
         ("t-text", "time"),
@@ -916,7 +920,11 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
     manifest = save_coefficients(coeffs_a, tmp_path / "m", name="c")
     meta = json.loads(manifest.read_text())
     if defect == "missing-key":
-        del meta["payload_sha256"]
+        del meta["slice_sha256"]
+    elif defect == "slice-digest-count":
+        meta["slice_sha256"].pop()
+    elif defect == "slice-digest-text":
+        meta["slice_sha256"][3] = meta["slice_sha256"][3].upper()
     elif defect == "shape":
         meta["shape"][0] += 1
     elif defect == "t-text":
@@ -959,20 +967,33 @@ def test_payload_checksum_spans_read_chunks(coeffs_a, tmp_path, monkeypatch):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     blob = (tmp_path / "c.bin").read_bytes()
     assert len(blob) > 100 * 4099 and len(blob) % 4099 != 0
-    assert json.loads(manifest.read_text())["payload_sha256"] == hashlib.sha256(blob).hexdigest()
+    step = len(blob) // 40
+    digests = [hashlib.sha256(blob[i : i + step]).hexdigest() for i in range(0, len(blob), step)]
+    assert json.loads(manifest.read_text())["slice_sha256"] == digests
     assert np.array_equal(load_coefficients(manifest).values, coeffs_a.values)
     (tmp_path / "c.bin").write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
     with pytest.raises(EmwaveError, match="checksum"):
         load_coefficients(manifest)
 
 
-def test_no_helper_thread_outlives_a_save_or_load(coeffs_a, tmp_path):
+def test_no_helper_thread_outlives_a_save_or_load(coeffs_a, coeffs_b, tmp_path):
     before = threading.active_count()
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     assert threading.active_count() == before
     load_coefficients(manifest)
     assert threading.active_count() == before
+    norm_euclidean(coeffs_a), inner_product(coeffs_a, coeffs_b)
+    assert threading.active_count() == before
     blob = bytearray((tmp_path / "c.bin").read_bytes())
+    blob[len(blob) // 2] ^= 0xFF  # a middle slice: the read may stop with hashes still queued
+    (tmp_path / "c.bin").write_bytes(bytes(blob))
+    with pytest.raises(EmwaveError, match="checksum mismatch in slice 20"):
+        load_coefficients(manifest)
+    assert threading.active_count() == before
+    with pytest.raises(EmwaveError, match="checksum mismatch in slice 20"):
+        list(transform._read_coefficients(manifest).values)
+    assert threading.active_count() == before
+    blob[len(blob) // 2] ^= 0xFF
     blob[-1] ^= 0xFF
     (tmp_path / "c.bin").write_bytes(bytes(blob))
     with pytest.raises(EmwaveError, match="checksum"):
@@ -987,6 +1008,89 @@ def test_no_helper_thread_outlives_a_save_or_load(coeffs_a, tmp_path):
     assert threading.active_count() == before
 
 
+def _flip_in_slice(path, k, slices=40):
+    """Flip one byte in the middle of scale slice ``k`` of the payload at ``path``."""
+    blob = bytearray(path.read_bytes())
+    blob[(2 * k + 1) * len(blob) // (2 * slices)] ^= 0x10
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("k", [0, 17, 39])
+def test_no_slice_is_yielded_before_its_digest_holds(coeffs_a, tmp_path, k):
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    _flip_in_slice(tmp_path / "c.bin", k)
+    yielded = []
+    with pytest.raises(EmwaveError, match=f"checksum mismatch in slice {k} of c.bin"):
+        for c in transform._read_coefficients(manifest).values:
+            yielded.append(c.copy())
+    assert len(yielded) == k
+    for got, want in zip(yielded, coeffs_a.values):
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(EmwaveError, match=f"checksum mismatch in slice {k} of c.bin"):
+        load_coefficients(manifest)
+
+
+@pytest.fixture(params=[1, 2, 8], ids=["1-thread", "2-threads", "8-threads"])
+def slice_threads(request, monkeypatch):
+    """The slice pool at 1, 2 (its size) or 8 threads, the last with the thread switch interval at 1 us."""
+    monkeypatch.setattr(transform, "_SLICE_THREADS", request.param)
+    interval = sys.getswitchinterval()
+    if request.param > 2:
+        sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_slice_digests_hash_each_slice_whatever_the_pool_size(coeffs_a, ygrid, sgrid, tmp_path, slice_threads):
+    manifest = save_coefficients(coeffs_a, tmp_path / "set", name="c")
+    assert json.loads(manifest.read_text())["version"] == 2
+    digests = json.loads(manifest.read_text())["slice_sha256"]
+    assert digests == [hashlib.sha256(c.astype("<c16").tobytes()).hexdigest() for c in coeffs_a.values]
+    # a stream is hashed one slice at a time and gives the same manifest
+    stream = transform._CoefficientStream(ygrid, sgrid, (c.copy() for c in coeffs_a.values), coeffs_a.t,
+                                          coeffs_a.provenance)
+    assert save_coefficients(stream, tmp_path / "stream", name="c").read_bytes() == manifest.read_bytes()
+    assert load_coefficients(manifest).values.tobytes() == coeffs_a.values.tobytes()
+
+
+def test_set_norms_on_the_pool_keep_the_bits_of_the_serial_sums(coeffs_a, coeffs_b, slice_threads):
+    dy3 = coeffs_a.ygrid.meta["spacing"] ** 3
+    w = coeffs_a.sgrid.weights
+    serial = np.array([np.sum(np.abs(c) ** 2) for c in coeffs_a.values])
+    pair = np.array([np.sum(np.conj(a) * b) for a, b in zip(coeffs_a.values, coeffs_b.values)])
+    for _ in range(3):
+        assert norm_euclidean(coeffs_a) == float(np.sum(w * serial) * dy3)
+        assert inner_product(coeffs_a, coeffs_b) == complex(np.sum(w * pair) * dy3)
+    stream = transform._CoefficientStream(coeffs_a.ygrid, coeffs_a.sgrid, iter(coeffs_a.values), coeffs_a.t, {})
+    assert norm_euclidean(stream) == norm_euclidean(coeffs_a)
+
+
+def _forge_version_1(manifest):
+    """Rewrite a saved manifest as version 1: one SHA-256 of the whole payload, no slice digests."""
+    meta = json.loads(manifest.read_text())
+    meta["version"] = 1
+    del meta["slice_sha256"]
+    meta["payload_sha256"] = hashlib.sha256((manifest.parent / meta["payload"]).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(meta))
+
+
+def test_a_version_1_manifest_loads_and_is_checked_after_its_last_slice(coeffs_a, tmp_path):
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    _forge_version_1(manifest)
+    assert load_coefficients(manifest).values.tobytes() == coeffs_a.values.tobytes()
+    streamed = transform._synthesis_table(transform._read_coefficients(manifest))
+    assert streamed.sums[1].tobytes() == transform._synthesis_table(coeffs_a).sums[1].tobytes()
+    _flip_in_slice(tmp_path / "c.bin", 17)
+    with pytest.raises(EmwaveError, match="checksum"):
+        load_coefficients(manifest)
+    yielded = []
+    with pytest.raises(EmwaveError, match="checksum"):
+        yielded.extend(c.copy() for c in transform._read_coefficients(manifest).values)
+    assert len(yielded) == 39  # the whole digest is compared before the last slice is yielded
+
+
 LEGACY = Path(__file__).resolve().parent / "data" / "legacy_scale_record" / "coefficients.json"
 
 
@@ -995,7 +1099,9 @@ def test_legacy_scale_record_loads_bit_exactly():
     # still carries them at the only values this version builds
     record = json.loads(LEGACY.read_text())["sgrid"]["args"]
     assert (record["s_min_factor"], record["s_max_factor"]) == (0.05, 8.0)
-    coeffs = load_coefficients(LEGACY)  # verifies the payload checksum
+    coeffs = load_coefficients(LEGACY)  # verifies the whole-payload checksum of version 1
+    assert json.loads(LEGACY.read_text())["version"] == 1
+    assert coeffs.values.tobytes() == LEGACY.with_suffix(".bin").read_bytes()
     assert grids.grids_equal(coeffs.ygrid, grids.build_spatial_grid(2, 3.0))
     assert grids.grids_equal(coeffs.sgrid, grids.build_scale_grid((0.9, 2.8), 6))
     assert "s_max_factor" not in coeffs.sgrid.meta["args"]
