@@ -567,7 +567,7 @@ PIPELINE_RUNNERS = {
 
 def run(config_path, workers: int | None = None) -> int:
     """Execute a scenario config with ``workers`` (else the scenario's) FFT threads; returns the exit status."""
-    t_start = time.time()
+    t_start = time.monotonic()
     cfg = load_scenario(config_path)
     base = Path(config_path).resolve().parent
     workers = cfg["workers"] if workers is None else workers
@@ -586,7 +586,7 @@ def run(config_path, workers: int | None = None) -> int:
         "workers": workers,
         "outputs": [str(p) for p in outputs],
         "exit_status": status,
-        "timings_s": {"total": time.time() - t_start},
+        "timings_s": {"total": time.monotonic() - t_start},
     }
     _write_json(_out_dir(cfg, base) / "run_manifest.json", manifest)
     return status

@@ -152,6 +152,39 @@ def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
         )
 
 
+def _index_runs(indices, N: int) -> list:
+    """The maximal runs of consecutive values among ``indices`` (each in 0..N-1), as slices in order."""
+    occupied = np.zeros(N + 2, dtype=np.int8)
+    occupied[np.asarray(indices) + 1] = 1
+    edges = np.flatnonzero(np.diff(occupied))
+    return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _pruned_ifftn(block, y_runs, x_runs, workers):
+    """``scipy.fft.ifftn(block, axes=(1, 2, 3))`` in place, for a block whose (z, y, x) spectrum is zero
+    wherever y is outside ``y_runs`` or x outside ``x_runs``; returns ``block``.
+
+    ifftn transforms axis 1, then 2, then 3, each one line at a time.  The
+    1-D transforms here run in that order on basic-slice views, and only
+    on the lines that can be nonzero: axis 1 on the (y-run x x-run)
+    columns, axis 2 on the x-run planes (axis 1 has filled every z), axis 3
+    on the whole block.  A skipped line is all zeros and stays so, and each
+    transformed line gets ifftn's arithmetic, so every bit is ifftn's.  At
+    N = 64 and band [0.5, 4] (25 of 64 indices per axis) that is 51 % of
+    its lines.  norm="forward" leaves the inverse unscaled (the N^3 / L^3
+    volume factor is folded into the sheet factor); overwrite_x makes each
+    transform write into its view.
+    """
+    kw = {"norm": "forward", "workers": workers, "overwrite_x": True}
+    for y in y_runs:
+        for x in x_runs:
+            scipy.fft.ifft(block[:, :, y, x], axis=1, **kw)
+    for x in x_runs:
+        scipy.fft.ifft(block[:, :, :, x], axis=2, **kw)
+    scipy.fft.ifft(block, axis=3, **kw)
+    return block
+
+
 def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None = None, out=None):
     """Yield F(y, t - is) at the nodes of ``ygrid`` for the scales ``s``, in blocks of shape (k, N, N, N, 3).
 
@@ -159,8 +192,9 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     amplitude on the Cartesian cone lattice of ``ygrid`` itself is written,
     per scale, only at the cone shell's lattice points: each sheet with
     ``p0 = +-omega`` carries ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH``,
-    the sheets not gated off are summed, and one in-place inverse FFT per
-    block (bit-equal to a batched one) pushes them onto the grid.  Other
+    the sheets not gated off are summed, and `_pruned_ifftn` pushes them
+    onto the grid in place, transforming only the lines that the shell's
+    index runs (found once, in the set-up) can reach.  Other
     amplitudes are summed densely by `_evaluate_many`.  The blocks reuse
     one buffer of at most `_BLOCK_ENTRIES` entries (or one slice), so each
     is overwritten once the next is drawn; a caller passing the whole
@@ -178,6 +212,8 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
         om, ph = Omega.ravel()[flat], PH.ravel()[flat]
         f = amplitude_vectors(amp)
         sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
+        _, iy, ix = np.unravel_index(flat, (N, N, N))
+        y_runs, x_runs = _index_runs(iy, N), _index_runs(ix, N)
     buffer = np.zeros((min(step, len(s)), N, N, N, 3), dtype=complex) if out is None else out
     for lo in range(0, len(s), step):
         scales = s[lo : lo + step]
@@ -197,9 +233,7 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
             ]
             if live:
                 slices[i, flat] = sum(live[1:], live[0])
-        # norm="forward" leaves the inverse unscaled (the N^3 / L^3 volume
-        # factor is folded into the sheet factor); overwrite_x lets it run in place
-        yield scipy.fft.ifftn(block, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
+        yield _pruned_ifftn(block, y_runs, x_runs, workers)
 
 
 def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t, workers) -> tuple[float, dict]:
@@ -228,11 +262,11 @@ def analyze(
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
     `_field_on_grid` fills the whole payload as one block, in place: one
-    zeroed buffer and one batched inverse FFT.  ``t`` must be a finite real
-    number.  Linear in ``amp``.  ``workers`` is the ``scipy.fft`` worker
-    count, ``None`` (scipy's default, 1 unless set by
-    ``scipy.fft.set_workers``) or an integer >= 1; the result does not
-    depend on it.
+    zeroed buffer, transformed by `_pruned_ifftn` with the bits of one
+    batched inverse FFT.  ``t`` must be a finite real number.  Linear in
+    ``amp``.  ``workers`` is the ``scipy.fft`` worker count, ``None``
+    (scipy's default, 1 unless set by ``scipy.fft.set_workers``) or an
+    integer >= 1; the result does not depend on it.
     """
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
     N = ygrid.meta["args"]["N"]

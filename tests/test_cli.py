@@ -252,6 +252,16 @@ def test_norms_pipeline_passes_and_writes_manifest(tmp_path):
     assert any(p.endswith("norms.json") for p in manifest["outputs"])
 
 
+def test_manifest_total_ignores_a_stepping_wall_clock(monkeypatch, tmp_path):
+    # a wall clock set back by an hour at every read, as by NTP or by hand
+    readings = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(cli.time, "time", lambda: float(next(readings)))
+    path = _write_cfg(tmp_path, _norms_cfg("out"))
+    assert main(["norms", "--scenario", str(path)]) == 0
+    total = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["timings_s"]["total"]
+    assert 0.0 <= total < 60.0
+
+
 def test_norms_pipeline_fails_tight_tolerance(tmp_path):
     path = _write_cfg(tmp_path, _norms_cfg("out", tol=1e-9))
     assert main(["norms", "--scenario", str(path)]) == 1

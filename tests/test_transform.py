@@ -134,7 +134,7 @@ def _traced_peak(run):
     "stage, bound",
     [
         # the output array the coefficients take over, nothing more; a
-        # defensive copy or an out-of-place batched inverse FFT adds a payload
+        # defensive copy or an out-of-place inverse FFT adds a payload
         ("analyze", 1.25),
         # the read bytes, viewed as the values without a conversion copy
         ("load", 1.15),
@@ -713,6 +713,87 @@ def test_worker_default_comes_from_scipy_set_workers(amp_a, ygrid, sgrid):
         from_context = analyze(amp_a, ygrid, sgrid)
     explicit = analyze(amp_a, ygrid, sgrid, workers=1)
     assert np.array_equal(from_context.values, explicit.values)
+
+
+# ---------------------------------------------------------------------------
+# the pruned lattice transform
+# ---------------------------------------------------------------------------
+
+
+def _batched_ifftn(block, y_runs, x_runs, workers):
+    return scipy.fft.ifftn(block, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
+
+
+def _lattice_runs(cone, n):
+    _, ky, kx = np.unravel_index(cone.meta["flat_indices"], (n, n, n))
+    return transform._index_runs(ky, n), transform._index_runs(kx, n)
+
+
+@pytest.mark.parametrize(
+    ("indices", "runs"),
+    [([], []), ([3], [(3, 4)]), ([0, 1, 2, 6, 7], [(0, 3), (6, 8)]), ([7, 0, 4, 5, 0], [(0, 1), (4, 6), (7, 8)]),
+     (range(8), [(0, 8)])],
+)
+def test_index_runs_are_the_maximal_runs_in_order(indices, runs):
+    assert transform._index_runs(np.array(list(indices), dtype=int), 8) == [slice(a, b) for a, b in runs]
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("case", ["interior", "edge", "plus"])
+def test_pruned_transform_has_the_bits_of_one_batched_ifftn(monkeypatch, n, case):
+    box = 10.0
+    nyquist = np.pi * n / box
+    # "edge" reaches the Nyquist index, so each axis's two runs merge into one
+    top = 1.01 * nyquist if case == "edge" else 0.6 * nyquist
+    ygrid_n = grids.build_spatial_grid(n, box)
+    cone_n = grids.build_cartesian_cone_grid(ygrid_n, 0.4, top, sheets="plus" if case == "plus" else "both")
+    amp = amplitude_from_scalar(cone_n, _profile_a)
+    sgrid_n = grids.build_scale_grid((0.4, top), 6)  # 12 slices
+    y_runs, x_runs = _lattice_runs(cone_n, n)
+    if case == "edge":
+        assert y_runs == x_runs == [slice(0, n)]
+    else:
+        assert len(y_runs) == len(x_runs) == 2 and sum(r.stop - r.start for r in y_runs) < n
+
+    def paths():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "edge" reaches beyond the Nyquist frequency
+            sets = [analyze(amp, ygrid_n, sgrid_n, workers=w).values.tobytes() for w in (1, 2)]
+            with monkeypatch.context() as m:
+                m.setattr(transform, "_BLOCK_ENTRIES", 5 * 3 * n**3)  # blocks of 5, 5 and 2 slices
+                stream = transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4)
+                streamed = b"".join(c.tobytes() for c in stream.values)
+            return sets, streamed, norm_nonlocal_t0(amp, ygrid_n)
+
+    pruned = paths()
+    monkeypatch.setattr(transform, "_pruned_ifftn", _batched_ifftn)
+    batched = paths()
+    assert pruned[0] == batched[0] and pruned[0][0] == pruned[0][1]
+    assert pruned[1] == batched[1]
+    assert pruned[2] == batched[2]
+
+
+def test_pruned_transform_skips_the_lines_outside_the_shell(monkeypatch):
+    n = 32
+    ygrid_n = grids.build_spatial_grid(n, 20.0)
+    cone_n = grids.build_cartesian_cone_grid(ygrid_n, 0.5, 2.0)
+    amp = amplitude_from_scalar(cone_n, _profile_a)
+    sgrid_n = grids.build_scale_grid((0.5, 2.0), 6)
+    y_runs, x_runs = _lattice_runs(cone_n, n)
+    ny, nx = (sum(r.stop - r.start for r in runs) for runs in (y_runs, x_runs))
+    assert ny == nx == 13  # |p| <= 2 reaches index 6 of 32 either way
+    lines = []
+    real = scipy.fft.ifft
+
+    def counting(x, *args, axis=-1, **kwargs):
+        lines.append(x.size // x.shape[axis])
+        return real(x, *args, axis=axis, **kwargs)
+
+    monkeypatch.setattr(transform.scipy.fft, "ifft", counting)
+    analyze(amp, ygrid_n, sgrid_n)
+    per_slice = ny * nx + n * nx + n * n  # z-lines on the (y-run x x-run) columns, y-lines on the x-run planes, all x-lines
+    assert sum(lines) == len(sgrid_n) * 3 * per_slice
+    assert sum(lines) <= 0.55 * len(sgrid_n) * 3 * (3 * n * n)
 
 
 # ---------------------------------------------------------------------------
