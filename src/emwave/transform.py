@@ -294,7 +294,9 @@ class _SynthesisTable:
     ``index`` has the bits of one evaluated at every lattice point.
     ``sums`` maps each sheet to ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``,
     the part of the symbol that depends on neither the probe points, ``t``
-    nor ``sigma``.
+    nor ``sigma``.  Each sum is component-major, shape (3, N, N, N) in
+    (component, kz, ky, kx) order, so a lattice factor multiplies it over
+    N^3 contiguous points per component.
     """
 
     ygrid: QuadratureGrid
@@ -326,8 +328,8 @@ def _synthesis_table(coeffs) -> _SynthesisTable:
             bad += 1
             continue
         sheet = 1 if s > 0 else -1
-        chat = scipy.fft.fftn(c, axes=(0, 1, 2))
-        chat *= ((w * np.exp(-sheet * omega * s))[index] * PH)[..., None]
+        chat = scipy.fft.fftn(np.moveaxis(c, -1, 0), axes=(1, 2, 3))
+        chat *= (w * np.exp(-sheet * omega * s))[index] * PH
         if sheet in sums:
             sums[sheet] += chat
         else:
@@ -350,16 +352,20 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     the table times ``gate omega e^{-+omega(sigma + i(t - t0))}``;
     the gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
     the other.  That factor is evaluated once per |k| shell of the same
-    table and gathered to the lattice, so a warm call runs no FFT
-    and no exponential over the N^3 points.  The combined lattice array G,
-    in (kz, ky, kx, component) order, is formed once per call and summed at
-    the K probe points with separable phases
-    ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``, one block of probes at
-    a time: per block, three (k, N) tables of 3 k N exponentials, one
-    (k, N) x (N, 3 N^2) product over kz into a reused block of at most
-    `_BLOCK_ENTRIES` complex entries, then batched products over ky and kx.
-    Besides G and the (K, 3) result the call holds one block, whatever K
-    is.  The first call on a coefficient set builds the table with the
+    table and gathered to the lattice, so a warm call runs no FFT and no
+    exponential over the N^3 points.  One pass over the lattice forms the
+    component-major array G = SUM_sheet factor H, and G is summed at the K
+    probe points with separable phases
+    ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``, (ky, kx) first, one
+    block of at most ``_BLOCK_ENTRIES // (3 N^2)`` probes at a time: per
+    block, three (k, N) tables of 3 k N exponentials, their (k, N^2)
+    outer product over (ky, kx) in a reused block of at most
+    ``_BLOCK_ENTRIES / 3`` entries, one (k, N^2) x (N^2, 3 N) product, then
+    per probe a (3, N) x (N,) product over kz.  Besides G and the (K, 3)
+    result the call holds one block, whatever K is.  Blocks of two or more
+    probes give the same bits for any blocking; a lone probe runs the
+    big product as a matrix-vector one and may differ in the last bit.  The
+    first call on a coefficient set builds the table with the
     ``scipy.fft`` worker count in effect; the result does not depend on it.
     """
     table = _synthesis_table(coeffs)
@@ -371,7 +377,7 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     for sheet, H in table.sums.items():
         gate = gate2(sigma * sheet)
         if gate != 0.0:
-            f = (gate * omega * np.exp(-sheet * omega * (sigma + 1j * dt)))[index][..., None]
+            f = (gate * omega * np.exp(-sheet * omega * (sigma + 1j * dt)))[index]
             if G is None:
                 G = f * H
             else:
@@ -379,17 +385,16 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     if G is None:  # every sheet gated off
         return np.zeros((K, 3), dtype=complex)
     pax = _grids.momentum_axis(table.ygrid)
-    G = G.reshape(N, 3 * N * N)
-    step = max(1, _BLOCK_ENTRIES // G.shape[1])
-    block = np.empty((min(step, K), N, 3 * N), dtype=complex)
+    G = G.reshape(3 * N, N * N).T
+    step = max(1, _BLOCK_ENTRIES // (3 * N * N))
+    block = np.empty((min(step, K), N, N), dtype=complex)
     out = np.empty((K, 3), dtype=complex)
     for lo in range(0, K, step):
         p = pts[lo : lo + step]
         ex, ey, ez = (np.exp(1j * np.outer(p[:, axis], pax)) for axis in range(3))
-        Gz = block[: len(p)]
-        np.matmul(ez, G, out=Gz.reshape(len(p), -1))
-        Gy = (ey[:, None, :] @ Gz).reshape(len(p), N, 3)
-        out[lo : lo + len(p)] = (ex[:, None, :] @ Gy)[:, 0] / N**3
+        exy = np.multiply(ey[:, :, None], ex[:, None, :], out=block[: len(p)]).reshape(len(p), N * N)
+        A = (exy @ G).reshape(len(p), 3, N)
+        out[lo : lo + len(p)] = (A @ ez[:, :, None])[..., 0] / N**3
     return out
 
 

@@ -68,8 +68,11 @@ def eval_kernel(x, t, sigma: float, y, s: float):
     ------
     EmwaveError
         If ``x``, ``t``, ``sigma``, ``y`` or ``s`` is not finite and real,
-        a shape does not fit, or the closed form overflows: ``(tau^2 +
-        r^2)^3`` leaves the float range once ``|tau|`` or ``r`` nears 1.7e51.
+        a shape does not fit, or the value leaves the normal float range,
+        once ``|tau|`` or ``r`` nears 1e77.  Where ``(tau^2 + r^2)^3``
+        overflows (from about 1.6e51) the same form is taken in ``tau/m``
+        and ``r/m`` over ``m^4``, ``m = max(|tau|, r)``; every other point
+        keeps the bits of the direct form.
     SingularKernelError
         If ``|tau^2 + r^2|`` falls below 1e-30: on the singular set
         ``sigma + s = 0``, ``r = |t|``, or within rounding of it (a combined
@@ -83,24 +86,39 @@ def eval_kernel(x, t, sigma: float, y, s: float):
     except ValueError:
         raise EmwaveError(f"kernel times t of shape {t.shape} do not broadcast against points x {x.shape}") from None
     scalar = x.ndim == 1 and np.ndim(t) == 0
+    gate = gate2(sigma * s)
     try:
         with np.errstate(over="raise", invalid="raise"):
             r = np.linalg.norm(np.atleast_2d(x) - y[None, :], axis=-1)
-            if x.ndim == 1:
-                r = r[0]
-            tau = (s + sigma) + 1j * t
+        if x.ndim == 1:
+            r = r[0]
+        tau = (s + sigma) + 1j * t
+        with np.errstate(over="ignore", invalid="ignore"):  # where the cube overflows it is taken again below
             tau_sq = tau * tau
             r_sq = r * r
             den = tau_sq + r_sq
-            if np.any(np.abs(den) < _SINGULAR_CUTOFF):
-                idx = np.argmin(np.abs(den))  # a flat index into the broadcast shape of tau and r
-                bad_tau, bad_r = (np.broadcast_to(v, den.shape).flat[idx] for v in (tau, r))
-                raise SingularKernelError(complex(bad_tau), float(bad_r))
-            value = gate2(sigma * s) * (3.0 * tau_sq - r_sq) / (PI_SQ * den**3)
+            cube = PI_SQ * den**3
+            value = gate * (3.0 * tau_sq - r_sq) / cube
+            singular = np.abs(den) < _SINGULAR_CUTOFF
+        if np.any(singular):
+            idx = np.argmin(np.where(singular, np.abs(den), np.inf))  # a flat index into the broadcast shape of tau and r
+            bad_tau, bad_r = (np.broadcast_to(v, den.shape).flat[idx] for v in (tau, r))
+            raise SingularKernelError(complex(bad_tau), float(bad_r))
+        over = ~np.isfinite(cube)
+        if np.any(over):  # the same form in tau/m and r/m, with m = max(|tau|, r), over m^4
+            tau_o, r_o = (np.broadcast_to(v, over.shape)[over] for v in (tau, r))
+            m = np.maximum(np.abs(tau_o), r_o)
+            u_sq, rho_sq = (tau_o / m) ** 2, (r_o / m) ** 2
+            with np.errstate(over="raise", invalid="raise"):
+                scaled = gate * (3.0 * u_sq - rho_sq) / (PI_SQ * (u_sq + rho_sq) ** 3) / m**4
+            if np.any((scaled != 0.0) & (np.abs(scaled) < np.finfo(float).tiny)):
+                raise FloatingPointError  # subnormal: out of the normal range as well
+            value = np.array(value)
+            value[over] = scaled
     except FloatingPointError:
         raise EmwaveError(
             f"the kernel at combined scale s + sigma = {s + sigma!r} overflows floating point: "
-            "(tau^2 + r^2)^3 needs |tau| and r = |x - y| below about 1.7e51"
+            "it leaves the normal float range once |tau| or r = |x - y| nears 1e77"
         ) from None
     return complex(value) if scalar else value
 

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -204,8 +206,10 @@ def test_synthesis_memory_stays_flat_in_the_probe_count(coeffs_a):
     few, many = (rng.uniform(-L / 2, L / 2, size=(k, 3)) for k in (2000, 20000))
     peak_few, _ = _traced_peak(lambda: synthesize_many(coeffs_a, few, 0.4))
     peak_many, out = _traced_peak(lambda: synthesize_many(coeffs_a, many, 0.4))
-    # ten times the probes add their (K, 3) result and nothing else; one
-    # (K, 3 N^2) product over kz would hold 234 MiB here
+    # ten times the probes add their (K, 3) result and nothing else: each
+    # block of probes holds one (k, N^2) table of e^{i(p_y y + p_x x)} and
+    # its (k, 3 N) product, while one (K, N^2) table for all 20000 probes
+    # would hold 78 MiB here
     assert peak_many - out.nbytes <= 1.1 * peak_few + 2**20
 
 
@@ -224,6 +228,7 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
     def sums():
         return (
             synthesize_many(coeffs_a, probes, 0.9),
+            np.array([reproduce_complex_time(coeffs_a, x, 0.9, sigma).F for sigma in (0.6, -0.6) for x in probes[:5]]),
             _evaluate_many(amp_a, probes, 0.9),
             _evaluate_many(amp_a, probes, 0.9, s=scales),
         )
@@ -236,11 +241,60 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
     monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 64 * len(amp_a.grid))
     blocked = sums()
     assert blocked[0].tobytes() == whole[0].tobytes()
+    assert blocked[1].tobytes() == whole[1].tobytes()
     # the dense sum contracts M = 2436 nodes per row, and OpenBLAS's zgemm
     # rounds some rows differently with the row count of the call (and with
     # its thread count) in the last bit
-    for a, b in zip(whole[1:], blocked[1:]):
+    for a, b in zip(whole[2:], blocked[2:]):
         assert np.linalg.norm(b - a) <= 1e-15 * np.linalg.norm(a)
+
+
+def test_sheet_sums_are_the_component_last_sums_moved(coeffs_a):
+    # each sum is stored component-major; moved back it has the bits of the
+    # per-slice transform over the leading three axes of a (N, N, N, 3) slice
+    table = transform._synthesis_table(coeffs_a)
+    Omega, PH = transform._lattice(coeffs_a.ygrid)
+    want = {}
+    for c, s, w in zip(coeffs_a.values, coeffs_a.sgrid.nodes, coeffs_a.sgrid.weights):
+        sheet = 1 if s > 0 else -1
+        chat = scipy.fft.fftn(c, axes=(0, 1, 2))
+        chat *= ((w * np.exp(-sheet * table.omega * s))[table.index] * PH)[..., None]
+        want[sheet] = want[sheet] + chat if sheet in want else chat
+    assert table.sums.keys() == want.keys()
+    for sheet, H in table.sums.items():
+        assert H.shape == (3, N, N, N)
+        assert np.moveaxis(H, 0, -1).tobytes() == want[sheet].tobytes()
+
+
+_THREADS_PROBE = """
+import hashlib, numpy as np
+from emwave import grids, transform
+from emwave.fieldcore import amplitude_from_scalar
+ygrid = grids.build_spatial_grid(16, 12.0)
+cone = grids.build_cartesian_cone_grid(ygrid, 0.8, 3.5)
+profile = lambda om, nn, sh: np.exp(-0.5 * ((om - 1.6) / 0.4) ** 2) * (1.0 + 0.3 * nn[:, 0] - 0.2j * nn[:, 1])
+coeffs = transform.analyze(amplitude_from_scalar(cone, profile), ygrid, grids.build_scale_grid((0.8, 3.5), 20))
+probes = np.random.default_rng(12).uniform(-6.0, 6.0, size=(200, 3))
+digest = hashlib.sha256(transform.synthesize_many(coeffs, probes, 0.9).tobytes())
+for sigma in (0.6, -0.6):
+    for x in probes[:5]:
+        digest.update(transform.reproduce_complex_time(coeffs, x, 0.9, sigma).F.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_synthesis_bits_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits the (k, N^2) x (N^2, 3N) product over threads by output
+    # blocks, so each entry keeps its reduction order at 1 and 2 threads
+    src = str(Path(transform.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_an_analysis_stream_is_read_once(amp_a, ygrid, sgrid, coeffs_a):
@@ -544,12 +598,13 @@ def test_reproduce_complex_time_matches_continuation(amp_a, coeffs_a):
 
 def _dense_probe_sum(coeffs, pts, t, sigma):
     """Reference synthesis: one phase e^{ip.x} per probe and lattice point,
-    taken from `grids.momentum_mesh`, against the gated per-sheet sums."""
+    taken from `grids.momentum_mesh`, against the gated per-sheet sums
+    (stored component-major, read here in (kz, ky, kx, component) order)."""
     P, Omega = grids.momentum_mesh(coeffs.ygrid)
     G = np.zeros(Omega.shape + (3,), dtype=complex)
     for sheet, H in transform._synthesis_table(coeffs).sums.items():
         gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
-        G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * (t - coeffs.t))))[..., None] * H
+        G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * (t - coeffs.t))))[..., None] * np.moveaxis(H, 0, -1)
     phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
     return phases @ G.reshape(-1, 3) / Omega.size
 

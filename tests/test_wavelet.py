@@ -145,6 +145,26 @@ def test_singular_kernel_is_reported_at_a_broadcast_point():
     assert (info.value.tau, info.value.r) == (0.0, 0.0)
 
 
+def test_kernel_past_the_cube_overflow_matches_the_closed_form():
+    # (tau^2 + r^2)^3 overflows from |tau| or r near 1.6e51; the value stays normal up to about 1e77
+    big = 1.8e51
+    tau = complex(1.0, big)  # s + sigma = 1, t = big, r = 0: 2 * 3 tau^2 / (pi^2 tau^6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eval_kernel(ORIGIN, big, 0.5, ORIGIN, 0.5)
+        want = 6.0 / (np.pi**2 * tau**4)
+        assert abs(got - want) <= 1e-15 * abs(want)
+        got = eval_kernel(np.array([big, 0.0, 0.0]), 0.0, 0.5, ORIGIN, 0.5)  # tau = 1, r = big
+        want = 2.0 * (3.0 - big * big) / (1.0 + big * big) ** 3 / np.pi**2
+        assert abs(got - want) <= 1e-15 * abs(want)
+        # an ordinary point keeps the bits of the direct form beside an overflowing one
+        x = np.array([[big, 0.0, 0.0], [1.0, 0.3, 0.2]])
+        assert eval_kernel(x, 0.4, 0.5, ORIGIN, 0.5)[1] == eval_kernel(x[1], 0.4, 0.5, ORIGIN, 0.5)
+        assert eval_kernel(ORIGIN, 1e76, 0.5, ORIGIN, 0.5) != 0.0
+        with pytest.raises(EmwaveError, match="overflows"):  # subnormal at 1e77
+            eval_kernel(ORIGIN, 1e77, 0.5, ORIGIN, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # symmetries
 # ---------------------------------------------------------------------------
