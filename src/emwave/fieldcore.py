@@ -294,34 +294,43 @@ def _evaluate_many(
     """Field values at many points at complex time t - is.
 
     A scalar ``s`` gives shape (K, 3).  A 1-D array of scales gives shape
-    (len(s), K, 3), written into ``out`` when given: each chunk of
-    plane-wave phases is built once and contracted against every scale in
-    one matrix product.  The phases of a chunk of probes fill one block of
-    at most `_BLOCK_ENTRIES` complex entries in place, and that block is
-    reused for every chunk, so besides ``out`` the sum holds one block and
-    the real ``x.p`` matrix it is filled from, whatever K is.
+    (len(s), K, 3), written into ``out`` when given.  The phases of a chunk
+    of probes fill one reused block of at most `_BLOCK_ENTRIES` complex
+    entries in place: ``(x p_x + y p_y) + z p_z`` goes into its imaginary
+    part, with the real part as the only scratch, then ``exp`` runs in
+    place.  ``np.einsum`` contracts the block against one scale's (3, M)
+    node table at a time, each entry summed over the nodes in order without
+    BLAS, so the bits depend neither on the BLAS thread count nor on the
+    chunk size.  Besides ``out`` the sum holds the block and one table.
     """
     grid = amp.grid
     if len(grid) == 0:
         raise EmptyAmplitudeError("amplitude has no cone nodes")
-    f = amplitude_vectors(amp)
+    f = np.ascontiguousarray(amplitude_vectors(amp).T)
     omega = np.linalg.norm(grid.nodes, axis=1)
     p0 = grid.sheets * omega
-    scales = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
-    # per-node factor weight * gate * exp(-i p0 t - p0 s) * f, columns (scale, component)
-    factor = grid.weights * gate2(p0 * scales) * np.exp(-p0 * (scales + 1j * t))
-    coeff = (factor.T[:, :, None] * f[:, None, :]).reshape(len(grid), -1)
+    scales = np.atleast_1d(np.asarray(s, dtype=float))
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if out is None:
         out = np.empty((len(scales), len(xs), 3), dtype=complex)
     chunk = max(1, _BLOCK_ENTRIES // len(grid))
     block = np.empty((min(chunk, len(xs)), len(grid)), dtype=complex)
     for lo in range(0, len(xs), chunk):
-        hi = min(lo + chunk, len(xs))
-        phase = block[: hi - lo]
-        np.multiply(xs[lo:hi] @ grid.nodes.T, 1j, out=phase)
+        x, y, z = (xs[lo : lo + chunk, axis, None] for axis in range(3))
+        phase = block[: len(x)]
+        theta, scratch = phase.imag, phase.real
+        np.multiply(x, grid.nodes[:, 0], out=theta)
+        theta += np.multiply(y, grid.nodes[:, 1], out=scratch)
+        theta += np.multiply(z, grid.nodes[:, 2], out=scratch)
+        scratch.fill(0.0)
         np.exp(phase, out=phase)
-        out[:, lo:hi] = (phase @ coeff).reshape(hi - lo, len(scales), 3).transpose(1, 0, 2)
+        for i, si in enumerate(scales):
+            # weight * gate * exp(-i p0 t - p0 s) * f per node, over the span the gate leaves on
+            gate = gate2(p0 * si)
+            live = np.flatnonzero(gate)
+            on = slice(live[0], live[-1] + 1) if live.size else slice(0)
+            table = grid.weights[on] * gate[on] * np.exp(-p0[on] * (si + 1j * t)) * f[:, on]
+            np.einsum("km,cm->kc", phase[:, on], table, out=out[i, lo : lo + len(x)], optimize=False)
     return out if np.ndim(s) else out[0]
 
 

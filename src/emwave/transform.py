@@ -362,9 +362,12 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     outer product over (ky, kx) in a reused block of at most
     ``_BLOCK_ENTRIES / 3`` entries, one (k, N^2) x (N^2, 3 N) product, then
     per probe a (3, N) x (N,) product over kz.  Besides G and the (K, 3)
-    result the call holds one block, whatever K is.  Blocks of two or more
-    probes give the same bits for any blocking; a lone probe runs the
-    big product as a matrix-vector one and may differ in the last bit.  The
+    result the call holds one block, whatever K is.  The K probes are split
+    into nearly equal blocks, so for K >= 2 no block holds a lone probe
+    (from 3 probes per block on, which covers N <= 256), and blocks of two
+    or more probes give the same bits for any blocking.  A single probe
+    (K = 1, as in `synthesize`) runs the big product as a matrix-vector one
+    and may differ from the same probe in a block in the last bit.  The
     first call on a coefficient set builds the table with the
     ``scipy.fft`` worker count in effect; the result does not depend on it.
     """
@@ -389,12 +392,14 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     step = max(1, _BLOCK_ENTRIES // (3 * N * N))
     block = np.empty((min(step, K), N, N), dtype=complex)
     out = np.empty((K, 3), dtype=complex)
-    for lo in range(0, K, step):
-        p = pts[lo : lo + step]
+    lo = 0
+    # nearly equal blocks: a lone probe would run the big product as a matrix-vector one
+    for p in np.array_split(pts, max(1, -(-K // step))):
         ex, ey, ez = (np.exp(1j * np.outer(p[:, axis], pax)) for axis in range(3))
         exy = np.multiply(ey[:, :, None], ex[:, None, :], out=block[: len(p)]).reshape(len(p), N * N)
         A = (exy @ G).reshape(len(p), 3, N)
         out[lo : lo + len(p)] = (A @ ez[:, :, None])[..., 0] / N**3
+        lo += len(p)
     return out
 
 

@@ -378,6 +378,26 @@ def test_reconstruct_refuses_a_flipped_payload_byte_before_any_output(tmp_path, 
     assert not (tmp_path / "recon").exists()
 
 
+def test_reconstruct_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the synthesis splits its BLAS product by output blocks, and the dense
+    # reference sum behind report.json runs no BLAS product at all
+    src = str(Path(emwave.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        cfg = _analyze_cfg(f"recon-{threads}")
+        cfg["pipeline"] = "reconstruct"
+        cfg["outputs"] = {"directory": f"recon-{threads}"}
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        path = _write_cfg(tmp_path, cfg, f"r{threads}.json")
+        argv = [sys.executable, "-m", "emwave.cli", "reconstruct", "--scenario", str(path)]
+        out = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        outdir = tmp_path / f"recon-{threads}"
+        outputs.append([(outdir / name).read_bytes() for name in ("report.json", "reconstruction.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def _refuse_grid_builds(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a grid was built")

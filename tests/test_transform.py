@@ -148,9 +148,8 @@ def _traced_peak(run):
         # warm: 200 probes without a (200, N^3) phase matrix, which alone
         # would take 1.7 payloads
         ("synthesize_many", 0.5),
-        # the dense plane-wave sum: the payload it fills and its per-node
-        # (scale, component) coefficients (0.6 payloads here), plus one phase
-        # block and the real x.p matrix it is filled from (added below)
+        # the dense plane-wave sum: the payload it fills and one scale's node
+        # table at a time, plus one phase block (added below)
         ("analyze-dense", 2.5),
         # the CLI streams the payload: analyze holds two blocks of 4 of the
         # 40 slices, reconstruct folds one slice at a time into the table
@@ -193,7 +192,7 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
     peak, result = _traced_peak(run)
     assert not stage.startswith("cli-") or result == 0
     blocks = {
-        "analyze-dense": 24 * fieldcore._BLOCK_ENTRIES,
+        "analyze-dense": 16 * fieldcore._BLOCK_ENTRIES,
         "cli-reconstruct": 24 * 50 * len(amp_a.grid),  # 50 probes, the default count
         "cli-reconstruct-unsaved": 24 * 50 * len(amp_a.grid),
     }.get(stage, 0)
@@ -216,9 +215,23 @@ def test_synthesis_memory_stays_flat_in_the_probe_count(coeffs_a):
 def test_dense_sum_holds_one_phase_block(amp_a):
     probes = np.random.default_rng(9).uniform(-L / 2, L / 2, size=(2000, 3))
     peak, _ = _traced_peak(lambda: _evaluate_many(amp_a, probes, 0.4))
-    # one complex block and the real x.p matrix it is filled from, 24 bytes
-    # per entry, plus 1 MiB for the per-node tables and the (K, 3) result
-    assert peak <= 24 * fieldcore._BLOCK_ENTRIES + 2**20
+    # one complex block, filled in place without a real x.p matrix, plus
+    # 1 MiB for the per-node tables and the (K, 3) result
+    assert peak <= 16 * fieldcore._BLOCK_ENTRIES + 2**20
+
+
+def test_dense_analysis_holds_no_table_per_scale(monkeypatch):
+    # an off-lattice cone of more nodes (2000) than grid points (512): a per-node
+    # (scale, component) table would hold 3.9 payloads here, and with its
+    # (scale, node) factors the sum peaked at 10.2; it builds one scale's table at a time
+    monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 16 * 2000)
+    ygrid8 = grids.build_spatial_grid(8, 8.0)
+    cone = grids.build_cone_grid(0.9, 2.8, 5, 10)
+    sgrid8 = grids.build_scale_grid((0.9, 2.8), 24)
+    amp = amplitude_from_scalar(cone, _profile_a)
+    peak, coeffs = _traced_peak(lambda: analyze(amp, ygrid8, sgrid8, t=0.4))
+    assert len(cone) == 2000 and len(sgrid8) == 48
+    assert peak <= 4 * coeffs.values.nbytes
 
 
 def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
@@ -240,13 +253,17 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 64 * 3 * N**2)
     monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 64 * len(amp_a.grid))
     blocked = sums()
-    assert blocked[0].tobytes() == whole[0].tobytes()
-    assert blocked[1].tobytes() == whole[1].tobytes()
-    # the dense sum contracts M = 2436 nodes per row, and OpenBLAS's zgemm
-    # rounds some rows differently with the row count of the call (and with
-    # its thread count) in the last bit
-    for a, b in zip(whole[2:], blocked[2:]):
-        assert np.linalg.norm(b - a) <= 1e-15 * np.linalg.norm(a)
+    for a, b in zip(whole, blocked):
+        assert b.tobytes() == a.tobytes()
+
+
+def test_no_synthesis_block_holds_a_lone_probe(monkeypatch, coeffs_a):
+    # 200 probes at 199 per block: two blocks of 100, not 199 and a lone probe,
+    # which would run its product as a matrix-vector one
+    probes = np.random.default_rng(11).uniform(-L / 2, L / 2, size=(200, 3))
+    whole = synthesize_many(coeffs_a, probes, 0.9)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 199 * 3 * N**2)
+    assert synthesize_many(coeffs_a, probes, 0.9).tobytes() == whole.tobytes()
 
 
 def test_sheet_sums_are_the_component_last_sums_moved(coeffs_a):
@@ -269,7 +286,7 @@ def test_sheet_sums_are_the_component_last_sums_moved(coeffs_a):
 _THREADS_PROBE = """
 import hashlib, numpy as np
 from emwave import grids, transform
-from emwave.fieldcore import amplitude_from_scalar
+from emwave.fieldcore import _evaluate_many, amplitude_from_scalar
 ygrid = grids.build_spatial_grid(16, 12.0)
 cone = grids.build_cartesian_cone_grid(ygrid, 0.8, 3.5)
 profile = lambda om, nn, sh: np.exp(-0.5 * ((om - 1.6) / 0.4) ** 2) * (1.0 + 0.3 * nn[:, 0] - 0.2j * nn[:, 1])
@@ -279,13 +296,19 @@ digest = hashlib.sha256(transform.synthesize_many(coeffs, probes, 0.9).tobytes()
 for sigma in (0.6, -0.6):
     for x in probes[:5]:
         digest.update(transform.reproduce_complex_time(coeffs, x, 0.9, sigma).F.tobytes())
+# the dense plane-wave sum: the round-trip reference, and analyze off the lattice
+digest.update(_evaluate_many(amplitude_from_scalar(cone, profile), probes, 0.9, s=0.0).tobytes())
+dense = amplitude_from_scalar(grids.build_cone_grid(0.8, 3.5, 8, 8), profile)
+ygrid8, sgrid6 = grids.build_spatial_grid(8, 6.0), grids.build_scale_grid((0.8, 3.5), 6)
+digest.update(transform.analyze(dense, ygrid8, sgrid6, 0.4).values.tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_synthesis_bits_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits the (k, N^2) x (N^2, 3N) product over threads by output
-    # blocks, so each entry keeps its reduction order at 1 and 2 threads
+    # OpenBLAS splits the synthesis's (k, N^2) x (N^2, 3N) product over threads
+    # by output blocks, so each entry keeps its reduction order at 1 and 2
+    # threads; the dense sum runs no BLAS product at all
     src = str(Path(transform.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
