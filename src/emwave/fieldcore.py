@@ -46,9 +46,10 @@ __all__ = [
 _POLE_CUTOFF = 1e-6
 # relative residual outside the sheet's circular component that `amplitude_from_vectors` tolerates
 _CONSTRAINT_RTOL = 1e-10
-# complex entries (16 MiB) of the one reused block in which every probe-point
-# sum is built, so its transient memory does not grow with the probe count
-_BLOCK_ENTRIES = 1 << 20
+# complex entries (4 MiB) of the one bound on every transient block: the dense
+# sum's phases, an analysis stream's slices and a synthesis block's (k, N^2)
+# table, so no such block grows with the probe or the scale count
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -294,27 +295,40 @@ def _evaluate_many(
     """Field values at many points at complex time t - is.
 
     A scalar ``s`` gives shape (K, 3).  A 1-D array of scales gives shape
-    (len(s), K, 3), written into ``out`` when given.  The phases of a chunk
-    of probes fill one reused block of at most `_BLOCK_ENTRIES` complex
-    entries in place: ``(x p_x + y p_y) + z p_z`` goes into its imaginary
-    part, with the real part as the only scratch, then ``exp`` runs in
-    place.  ``np.einsum`` contracts the block against one scale's (3, M)
-    node table at a time, each entry summed over the nodes in order without
-    BLAS, so the bits depend neither on the BLAS thread count nor on the
-    chunk size.  Besides ``out`` the sum holds the block and one table.
+    (len(s), K, 3), written into ``out`` when given.  Per call, the
+    scale-free (3, M) node table ``w e^{-i p0 t} f`` is built once, and so
+    is each scale's real damping ``gate e^{-p0 s}`` over the span of nodes
+    its gate leaves on.  The phases of a chunk of probes fill one reused
+    block of at most `_BLOCK_ENTRIES` complex entries in place:
+    ``(x p_x + y p_y) + z p_z`` goes into its imaginary part, with the real
+    part as the only scratch, then ``exp`` runs in place.  Per scale, the
+    product of the table and the damping fills one reused (3, M) buffer,
+    and ``np.einsum`` contracts the block against it, each entry summed
+    over the nodes in order without BLAS, so the bits depend neither on the
+    BLAS thread count nor on the chunk size.  Besides ``out`` the sum holds
+    the block, the table, the buffer and the dampings (at most one float
+    per scale and node).
     """
     grid = amp.grid
     if len(grid) == 0:
         raise EmptyAmplitudeError("amplitude has no cone nodes")
-    f = np.ascontiguousarray(amplitude_vectors(amp).T)
     omega = np.linalg.norm(grid.nodes, axis=1)
     p0 = grid.sheets * omega
+    table = grid.weights * np.exp(-1j * p0 * t) * np.ascontiguousarray(amplitude_vectors(amp).T)
     scales = np.atleast_1d(np.asarray(s, dtype=float))
+    dampings = []
+    for si in scales:
+        # the span the gate leaves on, and gate * exp(-p0 s) over it
+        gate = gate2(p0 * si)
+        live = np.flatnonzero(gate)
+        on = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+        dampings.append((on, gate[on] * np.exp(-p0[on] * si)))
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if out is None:
         out = np.empty((len(scales), len(xs), 3), dtype=complex)
     chunk = max(1, _BLOCK_ENTRIES // len(grid))
     block = np.empty((min(chunk, len(xs)), len(grid)), dtype=complex)
+    damped = np.empty(table.size, dtype=complex)
     for lo in range(0, len(xs), chunk):
         x, y, z = (xs[lo : lo + chunk, axis, None] for axis in range(3))
         phase = block[: len(x)]
@@ -324,13 +338,9 @@ def _evaluate_many(
         theta += np.multiply(z, grid.nodes[:, 2], out=scratch)
         scratch.fill(0.0)
         np.exp(phase, out=phase)
-        for i, si in enumerate(scales):
-            # weight * gate * exp(-i p0 t - p0 s) * f per node, over the span the gate leaves on
-            gate = gate2(p0 * si)
-            live = np.flatnonzero(gate)
-            on = slice(live[0], live[-1] + 1) if live.size else slice(0)
-            table = grid.weights[on] * gate[on] * np.exp(-p0[on] * (si + 1j * t)) * f[:, on]
-            np.einsum("km,cm->kc", phase[:, on], table, out=out[i, lo : lo + len(x)], optimize=False)
+        for i, (on, damping) in enumerate(dampings):
+            node = np.multiply(table[:, on], damping, out=damped[: 3 * damping.size].reshape(3, -1))
+            np.einsum("km,cm->kc", phase[:, on], node, out=out[i, lo : lo + len(x)], optimize=False)
     return out if np.ndim(s) else out[0]
 
 

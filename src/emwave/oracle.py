@@ -35,6 +35,8 @@ _RADIAL_NODES = 48
 _RADIAL_RATE = 2.0
 _ANGULAR_ORDER = 16
 _LINE_NODES = 16
+# radial nodes per chunk of the product rule, each times the whole sphere rule
+_RADIAL_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,22 @@ def cone_inner_product(amp_a, amp_b, tol: float = 1e-10) -> OracleResult:
 
     by 48-node Gauss-Laguerre (radial, with exponential substitution
     ``omega = x / 2``) times a product sphere rule of order 16, then doubles
-    both node counts for the convergence estimate.
+    both node counts for the convergence estimate.  The product rule is
+    evaluated `_RADIAL_CHUNK` radial nodes at a time, times the whole sphere
+    rule, and the chunks are summed in order, so no full product rule is held.
     """
+
+    def _chunk(om_r, w_r, nhat, w_ang, sheet) -> complex:
+        # the radial nodes om_r (weights w_r) times the whole sphere rule, on one sheet
+        om = np.repeat(om_r, len(nhat))
+        nn = np.tile(nhat, (len(om_r), 1))
+        pair = np.conj(np.asarray(amp_a(om, nn, sheet), dtype=complex))
+        pair *= np.asarray(amp_b(om, nn, sheet), dtype=complex)
+        if pair.ndim == 2:
+            pair = np.sum(pair, axis=-1)
+        # radial jacobian omega^2 times the omega^-2 weight cancels: net 1/(2 omega)
+        ww = np.repeat(w_r / (2.0 * om_r), len(nhat)) * np.tile(w_ang, len(om_r))
+        return np.sum(ww * pair)
 
     def _once(radial: int, order: int) -> complex:
         x, wx = roots_laguerre(radial)
@@ -101,14 +117,9 @@ def cone_inner_product(amp_a, amp_b, tol: float = 1e-10) -> OracleResult:
         nhat, w_ang = _sphere_rule(order)
         total = 0.0 + 0.0j
         for sheet in (1, -1):
-            om = np.repeat(omega, len(nhat))
-            nn = np.tile(nhat, (len(omega), 1))
-            a = np.conj(np.asarray(amp_a(om, nn, sheet), dtype=complex))
-            b = np.asarray(amp_b(om, nn, sheet), dtype=complex)
-            pair = np.sum(a * b, axis=-1) if a.ndim == 2 else a * b
-            # radial jacobian omega^2 times the omega^-2 weight cancels: net 1/(2 omega)
-            ww = np.repeat(w_rad / (2.0 * omega), len(nhat)) * np.tile(w_ang, len(omega))
-            total += np.sum(ww * pair)
+            for lo in range(0, radial, _RADIAL_CHUNK):
+                chunk = slice(lo, lo + _RADIAL_CHUNK)
+                total += _chunk(omega[chunk], w_rad[chunk], nhat, w_ang, sheet)
         return complex(total * (2.0 * np.pi) ** -3)
 
     coarse = _once(_RADIAL_NODES, _ANGULAR_ORDER)

@@ -196,9 +196,10 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     onto the grid in place, transforming only the lines that the shell's
     index runs (found once, in the set-up) can reach.  Other
     amplitudes are summed densely by `_evaluate_many`.  The blocks reuse
-    one buffer of at most `_BLOCK_ENTRIES` entries (or one slice), so each
-    is overwritten once the next is drawn; a caller passing the whole
-    zeroed buffer ``out`` gets it filled as the one block.
+    one buffer of at most `_BLOCK_ENTRIES` entries (or one slice): 21
+    slices at N = 16, 2 at N = 32.  So each block is overwritten once the
+    next is drawn; a caller passing the whole zeroed buffer ``out`` gets it
+    filled as the one block.
     """
     N = ygrid.meta["args"]["N"]
     L = ygrid.meta["args"]["L"]
@@ -357,10 +358,10 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     component-major array G = SUM_sheet factor H, and G is summed at the K
     probe points with separable phases
     ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``, (ky, kx) first, one
-    block of at most ``_BLOCK_ENTRIES // (3 N^2)`` probes at a time: per
+    block of at most ``_BLOCK_ENTRIES // N^2`` probes at a time: per
     block, three (k, N) tables of 3 k N exponentials, their (k, N^2)
     outer product over (ky, kx) in a reused block of at most
-    ``_BLOCK_ENTRIES / 3`` entries, one (k, N^2) x (N^2, 3 N) product, then
+    `_BLOCK_ENTRIES` entries, one (k, N^2) x (N^2, 3 N) product, then
     per probe a (3, N) x (N,) product over kz.  Besides G and the (K, 3)
     result the call holds one block, whatever K is.  The K probes are split
     into nearly equal blocks, so for K >= 2 no block holds a lone probe
@@ -389,7 +390,7 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
         return np.zeros((K, 3), dtype=complex)
     pax = _grids.momentum_axis(table.ygrid)
     G = G.reshape(3 * N, N * N).T
-    step = max(1, _BLOCK_ENTRIES // (3 * N * N))
+    step = max(1, _BLOCK_ENTRIES // (N * N))
     block = np.empty((min(step, K), N, N), dtype=complex)
     out = np.empty((K, 3), dtype=complex)
     lo = 0

@@ -328,7 +328,7 @@ def test_reconstruct_streams_the_csv_of_the_synthesized_field(tmp_path, monkeypa
             nums = [*p, t, v[0].real, v[0].imag, v[1].real, v[1].imag, v[2].real, v[2].imag]
             rows.append(",".join(f"{u:.17g}" for u in nums))
     # both probe sums run in blocks of 7 probes
-    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 7 * 3 * 16**2)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 7 * 16**2)
     monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 7 * len(cone))
     assert main(["reconstruct", "--scenario", str(path)]) == 0
     assert (tmp_path / "recon" / "field.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
@@ -348,7 +348,7 @@ def test_analyze_payload_is_worker_independent(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("slices_per_block", [None, 7])
 def test_streamed_analyze_writes_the_bytes_of_save_after_analyze(tmp_path, monkeypatch, workers, slices_per_block):
-    # None: the default block holds all 40 slices; 7: six blocks, the last one short
+    # None: the default block holds 21 of the 40 slices; 7: six blocks, the last one short
     if slices_per_block is not None:
         monkeypatch.setattr(transform, "_BLOCK_ENTRIES", slices_per_block * 3 * 16**3)
     path = _write_cfg(tmp_path, _analyze_cfg("cli"))

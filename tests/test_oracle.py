@@ -1,8 +1,10 @@
 """Brute-force oracle evaluators: anchors, convergence reporting, gates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.special import wofz
+from scipy.special import roots_laguerre, wofz
 
 from emwave import oracle
 from emwave.oracle import (
@@ -71,6 +73,30 @@ def test_inner_product_rotation_invariance():
     a = complex(cone_inner_product(amp, amp))
     b = complex(cone_inner_product(amp_rot, amp_rot))
     assert abs(a - b) / abs(a) < 1e-10
+
+
+def test_inner_product_sums_the_product_rule_in_radial_chunks():
+    # the amplitude of `emwave verify`'s anchor suite
+    def anchor(om, nn, sheet):
+        return np.where(sheet > 0, 2.0 * om**2 * np.exp(-om), 0.0).astype(complex)
+
+    cone_inner_product(anchor, anchor)
+    tracemalloc.start()
+    try:
+        res = cone_inner_product(anchor, anchor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole refined product rule at once, as one sum per sheet
+    x, wx = roots_laguerre(2 * oracle._RADIAL_NODES)
+    omega = x / oracle._RADIAL_RATE
+    nhat, w_ang = oracle._sphere_rule(2 * oracle._ANGULAR_ORDER)
+    om, nn = np.repeat(omega, len(nhat)), np.tile(nhat, (len(omega), 1))
+    ww = np.repeat(wx * np.exp(x) / oracle._RADIAL_RATE / (2.0 * omega), len(nhat)) * np.tile(w_ang, len(omega))
+    whole = sum(np.sum(ww * np.abs(anchor(om, nn, sheet)) ** 2) for sheet in (1, -1)) * (2.0 * PI) ** -3
+    assert len(om) * 16 > 2**21  # one complex value per node of the whole rule would not fit
+    assert abs(complex(res) - whole) <= 1e-15 * abs(whole)
+    assert peak < 2**21
 
 
 def test_oracle_flags_unconverged_results():

@@ -148,8 +148,8 @@ def _traced_peak(run):
         # warm: 200 probes without a (200, N^3) phase matrix, which alone
         # would take 1.7 payloads
         ("synthesize_many", 0.5),
-        # the dense plane-wave sum: the payload it fills and one scale's node
-        # table at a time, plus one phase block (added below)
+        # the dense plane-wave sum: the payload it fills, the scale-free node
+        # table and one real damping per scale, plus one phase block (added below)
         ("analyze-dense", 2.5),
         # the CLI streams the payload: analyze holds two blocks of 4 of the
         # 40 slices, reconstruct folds one slice at a time into the table
@@ -220,6 +220,24 @@ def test_dense_sum_holds_one_phase_block(amp_a):
     assert peak <= 16 * fieldcore._BLOCK_ENTRIES + 2**20
 
 
+def test_multiscale_dense_sum_holds_one_block_and_scale_free_tables(monkeypatch, amp_a):
+    probes = np.random.default_rng(13).uniform(-L / 2, L / 2, size=(200, 3))
+    scales = grids.build_scale_grid(BAND, 6).nodes
+    M = len(amp_a.grid)
+    peak, out = _traced_peak(lambda: _evaluate_many(amp_a, probes, 0.3, s=scales))
+    # one phase block (107 probes here), the scale-free (3, M) node table and
+    # the buffer of its damped copy, one real damping per scale and node, the
+    # result, and 256 KiB for einsum's iteration buffers and the per-node
+    # vectors; a complex table per scale would add 0.7 MiB here
+    assert len(scales) == 12 and len(probes) > fieldcore._BLOCK_ENTRIES // M
+    assert peak <= 16 * fieldcore._BLOCK_ENTRIES + 2 * 48 * M + 8 * len(scales) * M + out.nbytes + 2**18
+    single = _evaluate_many(amp_a, probes, 0.3, s=0.7)
+    for chunk in (1, 2, 15, 64):
+        monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", chunk * M)
+        assert _evaluate_many(amp_a, probes, 0.3, s=scales).tobytes() == out.tobytes()
+        assert _evaluate_many(amp_a, probes, 0.3, s=0.7).tobytes() == single.tobytes()
+
+
 def test_dense_analysis_holds_no_table_per_scale(monkeypatch):
     # an off-lattice cone of more nodes (2000) than grid points (512): a per-node
     # (scale, component) table would hold 3.9 payloads here, and with its
@@ -246,11 +264,14 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
             _evaluate_many(amp_a, probes, 0.9, s=scales),
         )
 
-    whole = sums()  # the default block holds all 200 probes on either route
-    assert 200 * 3 * N**2 <= transform._BLOCK_ENTRIES
-    assert 200 * len(amp_a.grid) <= fieldcore._BLOCK_ENTRIES
+    # one block of all 200 probes on either route: the synthesis's default
+    # block holds them, the dense sum's (107 probes here) is widened
+    assert 200 * N**2 <= transform._BLOCK_ENTRIES
+    with monkeypatch.context() as m:
+        m.setattr(fieldcore, "_BLOCK_ENTRIES", 200 * len(amp_a.grid))
+        whole = sums()
     # 64 probes per block: four blocks, the last one partial
-    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 64 * 3 * N**2)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 64 * N**2)
     monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 64 * len(amp_a.grid))
     blocked = sums()
     for a, b in zip(whole, blocked):
@@ -262,7 +283,7 @@ def test_no_synthesis_block_holds_a_lone_probe(monkeypatch, coeffs_a):
     # which would run its product as a matrix-vector one
     probes = np.random.default_rng(11).uniform(-L / 2, L / 2, size=(200, 3))
     whole = synthesize_many(coeffs_a, probes, 0.9)
-    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 199 * 3 * N**2)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 199 * N**2)
     assert synthesize_many(coeffs_a, probes, 0.9).tobytes() == whole.tobytes()
 
 
