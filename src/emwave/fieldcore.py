@@ -15,7 +15,7 @@ measure (see :mod:`emwave.grids`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,11 +183,14 @@ class ConeAmplitude:
     ``values[i]`` is the complex coefficient of ``e+`` (positive sheet) or
     ``e-`` (negative sheet) at ``grid`` node ``i``; the reconstructed
     vector amplitude is ``f(p) = values * e_sheet(p_hat)``, which satisfies
-    the transversality and curl constraints identically.
+    the transversality and curl constraints identically.  The first
+    `amplitude_vectors` call stores that read-only (M, 3) array on it: the
+    values and the grid's arrays are read-only, so it never goes stale.
     """
 
     grid: QuadratureGrid
     values: np.ndarray
+    _vectors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.grid.kind != "cone":
@@ -233,10 +236,14 @@ def amplitude_from_scalar(grid: QuadratureGrid, fn) -> ConeAmplitude:
 
 
 def amplitude_vectors(amp: ConeAmplitude | _RawVectorField) -> np.ndarray:
-    """Vector amplitude f(p), shape (M, 3), reconstructed per node."""
+    """Vector amplitude f(p), shape (M, 3), reconstructed per node once per amplitude and read-only."""
     if isinstance(amp, _RawVectorField):
         return amp.fvecs
-    return amp.values[:, None] * _sheet_polarizations(amp.grid)
+    if amp._vectors is None:
+        vectors = amp.values[:, None] * _sheet_polarizations(amp.grid)
+        vectors.setflags(write=False)
+        object.__setattr__(amp, "_vectors", vectors)
+    return amp._vectors
 
 
 def amplitude_from_vectors(grid: QuadratureGrid, fvecs: np.ndarray) -> ConeAmplitude:

@@ -194,38 +194,46 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     ``p0 = +-omega`` carries ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH``,
     the sheets not gated off are summed, and `_pruned_ifftn` pushes them
     onto the grid in place, transforming only the lines that the shell's
-    index runs (found once, in the set-up) can reach.  Other
-    amplitudes are summed densely by `_evaluate_many`.  The blocks reuse
-    one buffer of at most `_BLOCK_ENTRIES` entries (or one slice): 21
-    slices at N = 16, 2 at N = 32.  So each block is overwritten once the
-    next is drawn; a caller passing the whole zeroed buffer ``out`` gets it
-    filled as the one block.
+    index runs (found once, in the set-up) can reach.  ``fill`` does that
+    for one block of at most `_BLOCK_ENTRIES` entries or one slice (21
+    slices at N = 16, 2 at N = 32, 1 at N = 64), and the slice pool runs it.
+    A caller passing the zeroed buffer ``out`` of the whole payload gets it
+    filled and yielded as the one block: ``min(workers, blocks, cpus)``
+    blocks at a time, each transformed with ``workers // threads`` workers.
+    Otherwise the blocks reuse two buffers, and block b + 1 is filled on a
+    pool thread while the caller reads block b, so a block is overwritten
+    once the next is drawn.  ``workers`` is the ``scipy.fft`` worker count,
+    and ``None`` reads it on the calling thread: `scipy.fft.set_workers` is
+    thread-local, so a pool thread would read 1.  One worker thread or one
+    block starts no thread.  Each 1-D transform is the same whatever the
+    blocking or the thread, so the bits are too.  Other amplitudes are
+    summed densely by `_evaluate_many` on the calling thread, in one pass
+    into ``out`` or block by block.
     """
     N = ygrid.meta["args"]["N"]
     L = ygrid.meta["args"]["L"]
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    step = len(s) if out is not None else max(1, _BLOCK_ENTRIES // (3 * N**3))
+    workers = scipy.fft.get_workers() if workers is None else workers
+    step = max(1, _BLOCK_ENTRIES // (3 * N**3))
     grid = amp.grid
-    lattice = grid.meta.get("builder") == "cartesian_cone" and grid.meta["args"]["spatial"] == ygrid.meta["args"]
-    if lattice:
-        Omega, PH = _lattice(ygrid)
-        flat = np.asarray(grid.meta["flat_indices"])
-        om, ph = Omega.ravel()[flat], PH.ravel()[flat]
-        f = amplitude_vectors(amp)
-        sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
-        _, iy, ix = np.unravel_index(flat, (N, N, N))
-        y_runs, x_runs = _index_runs(iy, N), _index_runs(ix, N)
-    buffer = np.zeros((min(step, len(s)), N, N, N, 3), dtype=complex) if out is None else out
-    for lo in range(0, len(s), step):
-        scales = s[lo : lo + step]
-        block = buffer[: len(scales)]
-        if lo:  # the buffer holds the previous block
-            block.fill(0.0)
-        slices = block.reshape(len(scales), N**3, 3)
-        if not lattice:
-            _evaluate_many(amp, ygrid.nodes, t, s=scales, out=slices)
+    if not (grid.meta.get("builder") == "cartesian_cone" and grid.meta["args"]["spatial"] == ygrid.meta["args"]):
+        buffer = np.zeros((min(step, len(s)), N, N, N, 3), dtype=complex) if out is None else out
+        for lo in range(0, len(s), len(buffer)):
+            block = buffer[: len(s) - lo]  # einsum overwrites every entry
+            _evaluate_many(amp, ygrid.nodes, t, s=s[lo : lo + len(block)], out=block.reshape(len(block), N**3, 3))
             yield block
-            continue
+        return
+    Omega, PH = _lattice(ygrid)
+    flat = np.asarray(grid.meta["flat_indices"])
+    om, ph = Omega.ravel()[flat], PH.ravel()[flat]
+    f = amplitude_vectors(amp)
+    sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
+    _, iy, ix = np.unravel_index(flat, (N, N, N))
+    y_runs, x_runs = _index_runs(iy, N), _index_runs(ix, N)
+
+    def fill(block, scales, fft_workers):
+        """Scatter the live sheets of ``scales`` into the zeroed ``block`` and transform it in place."""
+        slices = block.reshape(len(scales), N**3, 3)
         for i, si in enumerate(scales):
             live = [
                 ((gate * 0.5 / om / L**3) * np.exp(-sheet * om * (si + 1j * t)) * ph)[:, None] * values
@@ -234,7 +242,31 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
             ]
             if live:
                 slices[i, flat] = sum(live[1:], live[0])
-        yield _pruned_ifftn(block, y_runs, x_runs, workers)
+        return _pruned_ifftn(block, y_runs, x_runs, fft_workers)
+
+    blocks = [slice(lo, lo + step) for lo in range(0, len(s), step)]
+    if out is not None:
+        threads = min(workers, len(blocks), os.cpu_count() or 1)
+        with _slice_pool(threads) as pool:
+            run = pool.map if threads > 1 else map  # one thread: the calling one
+            list(run(lambda b: fill(out[b], s[b], workers // threads), blocks))
+        yield out
+        return
+    buffers = np.zeros((min(2, len(blocks)), min(step, len(s)), N, N, N, 3), dtype=complex)
+
+    def refill(b):
+        block = buffers[b % 2, : len(s[blocks[b]])]
+        if b > 1:  # the buffer holds block b - 2
+            block.fill(0.0)
+        return fill(block, s[blocks[b]], workers)
+
+    with _slice_pool(1) as pool:  # its thread starts at the first submit
+        block = refill(0)
+        for b in range(1, len(blocks)):
+            ahead = pool.submit(refill, b)
+            yield block
+            block = ahead.result()
+        yield block
 
 
 def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t, workers) -> tuple[float, dict]:
@@ -262,12 +294,15 @@ def analyze(
 ) -> EuclideanCoefficients:
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
-    `_field_on_grid` fills the whole payload as one block, in place: one
-    zeroed buffer, transformed by `_pruned_ifftn` with the bits of one
-    batched inverse FFT.  ``t`` must be a finite real number.  Linear in
-    ``amp``.  ``workers`` is the ``scipy.fft`` worker count, ``None``
-    (scipy's default, 1 unless set by ``scipy.fft.set_workers``) or an
-    integer >= 1; the result does not depend on it.
+    `_field_on_grid` fills one zeroed payload in place, block by block on
+    the slice pool: ``min(workers, blocks, os.cpu_count())`` blocks at a
+    time, each transformed by `_pruned_ifftn` with ``workers // threads``
+    ``scipy.fft`` workers, with the bits of one batched inverse FFT.  ``t``
+    must be a finite real number.  Linear in ``amp``.  ``workers`` is
+    ``None`` (scipy's default, 1 unless set by ``scipy.fft.set_workers``,
+    read on the calling thread) or an integer >= 1; it bounds the threads
+    the call runs on, and the result does not depend on it.  One worker
+    starts no thread.
     """
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
     N = ygrid.meta["args"]["N"]
@@ -277,9 +312,10 @@ def analyze(
 
 
 def _analysis_stream(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float) -> _CoefficientStream:
-    """The coefficients of `analyze` as a `_CoefficientStream`, computed in one reused `_field_on_grid` block."""
+    """The coefficients of `analyze` as a `_CoefficientStream` of `_field_on_grid` blocks, each filled one
+    block ahead on the slice pool with the ``scipy.fft`` worker count in effect here."""
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, None)
-    blocks = _field_on_grid(amp, ygrid, t, sgrid.nodes)
+    blocks = _field_on_grid(amp, ygrid, t, sgrid.nodes, scipy.fft.get_workers())
     return _CoefficientStream(ygrid, sgrid, (c for block in blocks for c in block), t, provenance)
 
 
@@ -466,9 +502,15 @@ _SLICE_THREADS = 2  # threads of the pool that hashes and sums scale slices
 
 
 @contextlib.contextmanager
-def _slice_pool():
-    """A pool of `_SLICE_THREADS` threads for one call; on exit its queued work is dropped and its threads joined."""
-    pool = ThreadPoolExecutor(max_workers=_SLICE_THREADS)
+def _slice_pool(threads: int | None = None):
+    """A pool of ``threads`` (else `_SLICE_THREADS`) threads for one call; on exit its queued work is dropped
+    and its threads joined.
+
+    It hashes and sums scale slices and fills `_field_on_grid`'s blocks.
+    A thread starts only when work is submitted and no started one is
+    idle, so a pool that is given no work starts none.
+    """
+    pool = ThreadPoolExecutor(max_workers=threads or _SLICE_THREADS)
     try:
         yield pool
     finally:
@@ -476,7 +518,8 @@ def _slice_pool():
 
 
 def _per_slice(fn, work_dtype, *coeffs) -> list:
-    """``fn(*slices, work)`` of each scale slice of the arguments, in scale order.
+    """``fn(*slices, work)`` of each scale slice of the arguments, in scale order, or ``fn(*slices)``
+    when ``work_dtype`` is None.
 
     ``work`` is a ``work_dtype`` buffer of one slice's shape for ``fn``'s
     temporary.  When every argument is a set, whose frozen values stay
@@ -487,17 +530,19 @@ def _per_slice(fn, work_dtype, *coeffs) -> list:
     bits either way.
     """
     frozen = all(isinstance(c, EuclideanCoefficients) for c in coeffs)
-    N = coeffs[0].ygrid.meta["args"]["N"]
-    spare = queue.SimpleQueue()
-    for _ in range(_SLICE_THREADS if frozen else 1):
-        spare.put(np.empty((N, N, N, 3), dtype=work_dtype))
+    run = fn
+    if work_dtype is not None:
+        N = coeffs[0].ygrid.meta["args"]["N"]
+        spare = queue.SimpleQueue()
+        for _ in range(_SLICE_THREADS if frozen else 1):
+            spare.put(np.empty((N, N, N, 3), dtype=work_dtype))
 
-    def run(*slices):
-        work = spare.get()
-        try:
-            return fn(*slices, work)
-        finally:
-            spare.put(work)
+        def run(*slices):
+            work = spare.get()
+            try:
+                return fn(*slices, work)
+            finally:
+                spare.put(work)
 
     if not frozen:
         return [run(*slices) for slices in zip(*(c.values for c in coeffs))]
@@ -505,10 +550,14 @@ def _per_slice(fn, work_dtype, *coeffs) -> list:
         return list(pool.map(run, *(c.values for c in coeffs)))
 
 
-def _power_sum(c, work) -> float:
-    """SUM |c|^2 over a slice, formed in ``work``: the bits of ``np.sum(np.abs(c) ** 2)``."""
-    np.abs(c, out=work)
-    return np.sum(np.square(work, out=work))
+def _power_sum(c) -> float:
+    """SUM |c|^2 over a slice: one dot of its float64 view with itself, summed in a fixed order.
+
+    ``np.einsum`` runs without BLAS and without a work buffer, so the bits
+    depend neither on the BLAS thread count nor on the thread that runs it.
+    """
+    x = c.reshape(-1).view(np.float64)
+    return np.einsum("i,i->", x, x)
 
 
 def _pair_sum(a, b, work) -> complex:
@@ -521,12 +570,14 @@ def _pair_sum(a, b, work) -> complex:
 def norm_euclidean(coeffs) -> float:
     """Squared scale-space norm INT d^3y ds |F(y, t - is)|^2 of a set or a stream.
 
-    Each slice's sum runs on the slice pool for a set and in turn for a
+    Each slice's sum of squares (`_power_sum`, one fixed-order dot of its
+    float64 view) runs on the slice pool for a set and in turn for a
     stream (`_per_slice`); the weighted sums are combined in scale order,
-    so the value has the same bits either way.
+    so the value has the same bits either way, at any pool size and BLAS
+    thread count.
     """
     dy3 = coeffs.ygrid.meta["spacing"] ** 3
-    per_slice = np.array(_per_slice(_power_sum, float, coeffs))
+    per_slice = np.array(_per_slice(_power_sum, None, coeffs))
     return float(np.sum(coeffs.sgrid.weights * per_slice) * dy3)
 
 

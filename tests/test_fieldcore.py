@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emwave import fieldcore, grids
+from emwave import fieldcore, grids, transform
 from emwave.errors import EmptyAmplitudeError, EmwaveError, InvalidDirectionError
 from emwave.fieldcore import (
     ConeAmplitude,
@@ -162,6 +162,21 @@ def test_vector_import_round_trips(cone_grid):
     amp = ConeAmplitude(cone_grid, values)
     again = amplitude_from_vectors(cone_grid, amplitude_vectors(amp))
     assert np.allclose(again.values, values, atol=1e-13)
+
+
+def test_vectors_are_built_once_per_amplitude(monkeypatch):
+    ygrid = grids.build_spatial_grid(8, 8.0)
+    amp = amplitude_from_scalar(grids.build_cartesian_cone_grid(ygrid, 0.9, 2.8), lambda om, nn, sh: om + 0j)
+    calls = []
+    real = fieldcore._sheet_polarizations
+    monkeypatch.setattr(fieldcore, "_sheet_polarizations", lambda grid: calls.append(grid) or real(grid))
+    first = amplitude_vectors(amp)
+    assert amplitude_vectors(amp) is first and not first.flags.writeable
+    transform.analyze(amp, ygrid, grids.build_scale_grid((0.9, 2.8), 6))
+    transform.norm_momentum(amp)
+    evaluate_field(amp, SpacetimePoint(np.zeros(3), 0.3))
+    assert len(calls) == 1
+    assert np.array_equal(first, amp.values[:, None] * real(amp.grid))
 
 
 def test_vector_import_rejects_constraint_violations(cone_grid):

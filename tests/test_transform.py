@@ -896,6 +896,148 @@ def test_pruned_transform_skips_the_lines_outside_the_shell(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# block fills on the slice pool
+# ---------------------------------------------------------------------------
+
+
+def _blocked_set(monkeypatch, sheets="both"):
+    """An N = 8 lattice amplitude and its 12-slice grids, analyzed in blocks of 5, 5 and 2 slices."""
+    n = 8
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 5 * 3 * n**3)
+    ygrid_n = grids.build_spatial_grid(n, 10.0)
+    top = 0.6 * np.pi * n / 10.0
+    amp = amplitude_from_scalar(grids.build_cartesian_cone_grid(ygrid_n, 0.4, top, sheets=sheets), _profile_a)
+    return amp, ygrid_n, grids.build_scale_grid((0.4, top), 6)
+
+
+def _recording_fills(monkeypatch, fail_at=None):
+    """Wrap `_pruned_ifftn`: record each fill's worker count and thread, and the live thread count during it."""
+    calls = []
+    real = transform._pruned_ifftn
+
+    def recording(block, y_runs, x_runs, workers):
+        calls.append((workers, threading.current_thread(), threading.active_count()))
+        if len(calls) - 1 == fail_at:
+            raise RuntimeError(f"fill of block {fail_at} failed")
+        return real(block, y_runs, x_runs, workers)
+
+    monkeypatch.setattr(transform, "_pruned_ifftn", recording)
+    return calls
+
+
+@pytest.mark.parametrize("sheets", ["both", "plus"])
+def test_block_fills_give_the_same_bytes_for_any_worker_count(monkeypatch, tmp_path, sheets):
+    # criterion 11: three blocks filled 1, 2 or 3 at a time, with 1 to 8 FFT
+    # workers each, and the stream's blocks filled one ahead
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch, sheets)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    sets = {w: analyze(amp, ygrid_n, sgrid_n, t=0.4, workers=w) for w in (1, 2, 3, 8)}
+    want = sets[1].values.tobytes()
+    assert all(c.values.tobytes() == want for c in sets.values())
+    streamed = b"".join(c.tobytes() for c in transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values)
+    assert streamed == want
+    saved = [save_coefficients(c, tmp_path / f"w{w}", name="c") for w, c in sets.items()]
+    saved.append(save_coefficients(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4), tmp_path / "s", name="c"))
+    for manifest in saved:
+        assert manifest.with_suffix(".bin").read_bytes() == want
+        assert manifest.read_bytes() == saved[0].read_bytes()
+    # twelve one-slice blocks on eight threads, switching every microsecond
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 3 * 8**3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert analyze(amp, ygrid_n, sgrid_n, t=0.4, workers=8).values.tobytes() == want
+        assert b"".join(c.tobytes() for c in transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_analyze_runs_at_most_one_fill_thread_per_cpu(monkeypatch):
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 3 * 8**3)  # 12 blocks of one slice
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    calls = _recording_fills(monkeypatch)
+    analyze(amp, ygrid_n, sgrid_n, workers=64)
+    assert len(calls) == 12
+    assert max(live for _, _, live in calls) <= before + 2
+    assert {workers for workers, _, _ in calls} == {32}
+    assert threading.active_count() == before
+
+
+def test_no_fill_thread_outlives_an_analysis(monkeypatch):
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+
+    def stream():
+        return transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values
+
+    analyze(amp, ygrid_n, sgrid_n, workers=2)
+    assert threading.active_count() == before
+    assert len(list(stream())) == 12
+    assert threading.active_count() == before
+    early = stream()
+    for _ in range(3):
+        next(early)
+    early.close()
+    assert threading.active_count() == before
+
+    def consumer(values):
+        for i, _ in enumerate(values):
+            if i == 6:  # the third block is being filled
+                raise ValueError("the consumer failed")
+
+    with pytest.raises(ValueError, match="the consumer failed"):
+        consumer(stream())
+    assert threading.active_count() == before
+    for k in range(3):
+        with monkeypatch.context() as m:
+            _recording_fills(m, fail_at=k)
+            with pytest.raises(RuntimeError, match=f"fill of block {k} failed"):
+                list(stream())
+            assert threading.active_count() == before
+            _recording_fills(m, fail_at=k)
+            with pytest.raises(RuntimeError, match=f"fill of block {k} failed"):
+                analyze(amp, ygrid_n, sgrid_n, workers=2)
+            assert threading.active_count() == before
+
+
+def test_one_block_and_one_worker_start_no_thread(monkeypatch):
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 12 * 3 * 8**3)  # the 12 slices in one block
+    before = threading.active_count()
+    calls = _recording_fills(monkeypatch)
+    assert len(list(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values)) == 12
+    norm_nonlocal_t0(amp, ygrid_n)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 3 * 8**3)
+    analyze(amp, ygrid_n, sgrid_n, workers=1)
+    assert len(calls) == 1 + 1 + 12
+    assert all(thread is threading.main_thread() and live == before for _, thread, live in calls)
+
+
+def test_fills_take_the_worker_count_of_the_calling_thread(monkeypatch):
+    # scipy.fft.set_workers is thread-local: a pool thread reads 1
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
+    calls = _recording_fills(monkeypatch)
+    with scipy.fft.set_workers(3):
+        stream = transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4)
+    list(stream.values)
+    assert [workers for workers, _, _ in calls] == [3, 3, 3]
+    assert {thread is threading.main_thread() for _, thread, _ in calls} == {True, False}
+    calls.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one fill thread: the calling one
+    with scipy.fft.set_workers(3):
+        analyze(amp, ygrid_n, sgrid_n)
+    assert [workers for workers, _, _ in calls] == [3, 3, 3]
+    calls.clear()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # three fill threads of 6 // 3 workers each
+    with scipy.fft.set_workers(6):
+        analyze(amp, ygrid_n, sgrid_n)
+    assert [workers for workers, _, _ in calls] == [2, 2, 2]
+
+
+# ---------------------------------------------------------------------------
 # nonlocal equal-time norm
 # ---------------------------------------------------------------------------
 
@@ -1238,7 +1380,8 @@ def test_slice_digests_hash_each_slice_whatever_the_pool_size(coeffs_a, ygrid, s
 def test_set_norms_on_the_pool_keep_the_bits_of_the_serial_sums(coeffs_a, coeffs_b, slice_threads):
     dy3 = coeffs_a.ygrid.meta["spacing"] ** 3
     w = coeffs_a.sgrid.weights
-    serial = np.array([np.sum(np.abs(c) ** 2) for c in coeffs_a.values])
+    # one fixed-order dot of each slice's float64 view with itself
+    serial = np.array([np.einsum("i,i->", x, x) for x in (c.reshape(-1).view(np.float64) for c in coeffs_a.values)])
     pair = np.array([np.sum(np.conj(a) * b) for a, b in zip(coeffs_a.values, coeffs_b.values)])
     for _ in range(3):
         assert norm_euclidean(coeffs_a) == float(np.sum(w * serial) * dy3)
