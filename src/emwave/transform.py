@@ -103,9 +103,10 @@ class EuclideanCoefficients:
 
     The container takes ownership of ``values``: it freezes the array it is
     given and does not copy it (only another dtype is converted first).  The
-    first synthesis stores on it its `_SynthesisTable` (2/Ns of the
-    payload).  ``provenance`` must be a dict whose ``cone_grid`` record, if
-    any, gives its band ends as finite numbers.
+    first synthesis stores on it its `_SynthesisTable` (at most 2/Ns of
+    the payload: synthesis reads only the scale band's box).
+    ``provenance`` must be a dict whose ``cone_grid`` record, if any, gives
+    its band ends as finite numbers.
     """
 
     ygrid: QuadratureGrid
@@ -160,6 +161,15 @@ def _index_runs(indices, N: int) -> list:
     return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
+def _box_runs(flat, N: int) -> list:
+    """The z, y and x index runs (`_index_runs`) of the lattice points with C-order flat indices ``flat``.
+
+    Together they span the smallest box of runs that holds the points, and
+    its lines are the only ones a pruned transform of them reaches.
+    """
+    return [_index_runs(i, N) for i in np.unravel_index(flat, (N, N, N))]
+
+
 def _pruned_ifftn(block, y_runs, x_runs, workers):
     """``scipy.fft.ifftn(block, axes=(1, 2, 3))`` in place, for a block whose (z, y, x) spectrum is zero
     wherever y is outside ``y_runs`` or x outside ``x_runs``; returns ``block``.
@@ -183,6 +193,29 @@ def _pruned_ifftn(block, y_runs, x_runs, workers):
         scipy.fft.ifft(block[:, :, :, x], axis=2, **kw)
     scipy.fft.ifft(block, axis=3, **kw)
     return block
+
+
+def _pruned_fftn(c, runs, work):
+    """The band box of one (N, N, N, 3) slice's spectrum: ``scipy.fft.fftn(np.moveaxis(c, -1, 0),
+    axes=(1, 2, 3))`` at the FFT-order indices ``runs`` on every axis, as a new (3, r, r, r) array.
+
+    `_pruned_ifftn` run backwards.  fftn transforms axis z, then y, then x,
+    each one line at a time.  The 1-D transforms here run in that order, in
+    place in ``work``, an (N, N, N, 3) buffer that takes a copy of ``c``, and
+    only on the lines whose outputs the box keeps: z on every line, y on the
+    lines at the z runs, x on the lines at the (z, y) runs.  Each line
+    transformed gets fftn's arithmetic, so every entry of the box has
+    fftn's bits.  At N = 64 and band [0.5, 4] (25 of 64 indices per axis)
+    that is 51 % of its lines, and the slice is not copied component-major.
+    """
+    np.copyto(work, c)
+    scipy.fft.fft(work, axis=0, overwrite_x=True)
+    for z in runs:
+        scipy.fft.fft(work[z], axis=1, overwrite_x=True)
+        for y in runs:
+            scipy.fft.fft(work[z, y], axis=2, overwrite_x=True)
+    keep = np.r_[tuple(runs)]
+    return np.moveaxis(work, -1, 0)[np.ix_(range(3), keep, keep, keep)]
 
 
 def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None = None, out=None):
@@ -228,8 +261,7 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     om, ph = Omega.ravel()[flat], PH.ravel()[flat]
     f = amplitude_vectors(amp)
     sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
-    _, iy, ix = np.unravel_index(flat, (N, N, N))
-    y_runs, x_runs = _index_runs(iy, N), _index_runs(ix, N)
+    _, y_runs, x_runs = _box_runs(flat, N)
 
     def fill(block, scales, fft_workers):
         """Scatter the live sheets of ``scales`` into the zeroed ``block`` and transform it in place."""
@@ -321,59 +353,93 @@ def _analysis_stream(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float
 
 @dataclass(frozen=True)
 class _SynthesisTable:
-    """What synthesis reads of a coefficient set: its spatial grid and time, |k| shells and per-sheet sums.
+    """What synthesis reads of a coefficient set: its spatial grid and time, and on the band box its |k|
+    shells and per-sheet sums.
 
-    The wavelet symbol depends on the momentum only through omega = |k|, so
-    it takes one value per shell of equal |k| (682 shells at N = 32 against
-    32768 lattice points): ``omega`` holds the distinct lattice momenta and
-    the (N, N, N) ``index`` gives Omega = omega[index].  The shells are the
-    exact floats of `_lattice`'s Omega, so a symbol gathered through
-    ``index`` has the bits of one evaluated at every lattice point.
-    ``sums`` maps each sheet to ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``,
-    the part of the symbol that depends on neither the probe points, ``t``
-    nor ``sigma``.  Each sum is component-major, shape (3, N, N, N) in
-    (component, kz, ky, kx) order, so a lattice factor multiplies it over
-    N^3 contiguous points per component.
+    The scale rule resolves unity only on its band ``omega_band``, so
+    synthesis reads only the band box: on each axis, the FFT-order indices
+    whose momentum has ``|p_axis| <= omega_band[1]``; ``momenta`` holds
+    those momenta, the same on every axis.  At L = 20 and band [0.5, 4]
+    that is 25 indices per axis at N = 32 and at N = 64.  The wavelet symbol
+    depends on the momentum only through omega = |k|, so it takes one value
+    per shell of equal |k| (370 shells on the box at N = 32 against 15625
+    of its points): ``omega`` holds the box's distinct momenta and the
+    (r, r, r) ``index`` gives Omega = omega[index] on the box.  The shells
+    are the exact floats of `_lattice`'s Omega, so a symbol gathered
+    through ``index`` has the bits of one evaluated at every point.
+    ``sums`` maps each sheet to ``H = SUM_s w_s e^{-+omega s} PH fftn(c_s)``
+    on the box, the part of the symbol that depends on neither the probe
+    points, ``t`` nor ``sigma``.  Each sum is component-major, shape
+    (3, r, r, r) in (component, kz, ky, kx) order, so a factor on the box
+    multiplies it over r^3 contiguous points per component.
     """
 
     ygrid: QuadratureGrid
     t: float
+    momenta: np.ndarray
     omega: np.ndarray
     index: np.ndarray
     sums: dict
 
 
+def _close(values) -> None:
+    """Close a stream's slices if they can be closed, so that its threads are joined and its file closed now,
+    not when the generator is collected; a set's values and a drawn stream are left as they are."""
+    close = getattr(values, "close", None)
+    if close is not None:
+        close()
+
+
 def _synthesis_table(coeffs) -> _SynthesisTable:
     """The `_SynthesisTable` of a set or a stream; a table is its own, and a set keeps the one it gets.
 
-    The slices are folded one at a time in fixed scale order, so the sums
-    have the same bits from memory, from a file or from an analysis
-    stream, with the ``scipy.fft`` worker count in effect.  A non-finite
-    slice would reach every probe through the sums; it is refused once the
-    slices have run to their end.
+    The band box is the run of indices (`_box_runs`) that the ball
+    ``|k| <= omega_band[1]`` of the scale grid reaches on each axis.  Each
+    slice's box is one `_pruned_fftn` into a reused slice buffer, and the
+    symbol products and sums are formed on the box alone.  The box keeps
+    fftn's bits for every entry it keeps; content outside it, which the
+    scale rule weights with an R(omega) that nothing bounds outside the
+    band, is dropped.  A band that reaches past the Nyquist frequency
+    gives the whole lattice.  The slices are folded one at a time in fixed
+    scale order, so the sums have the same bits from memory, from a file
+    or from an analysis stream, with the ``scipy.fft`` worker count in
+    effect.  A non-finite slice would reach every probe through the sums;
+    it is refused once the slices have run to their end.  A stream is
+    closed once the fold stops reading it, whether or not it ran to its
+    end.
     """
     if isinstance(coeffs, _SynthesisTable):
         return coeffs
     if getattr(coeffs, "_synthesis", None) is not None:
         return coeffs._synthesis
+    N = coeffs.ygrid.meta["args"]["N"]
     Omega, PH = _lattice(coeffs.ygrid)
-    omega, index = np.unique(Omega.ravel(), return_inverse=True)
-    index = index.reshape(Omega.shape)
+    # the ball reaches the same runs on every axis: the indices with |p_axis| <= omega_band[1]
+    runs = _box_runs(np.flatnonzero(Omega <= coeffs.sgrid.meta["args"]["omega_band"][1]), N)[0]
+    keep = np.r_[tuple(runs)]
+    box = np.ix_(keep, keep, keep)
+    omega, index = np.unique(Omega[box].ravel(), return_inverse=True)
+    index = index.reshape((len(keep),) * 3)
+    PH = PH[box]
+    work = np.empty((N, N, N, 3), dtype=complex)
     sums, bad = {}, 0
-    for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):  # a drawn stream is short
-        if not np.isfinite(c).all():
-            bad += 1
-            continue
-        sheet = 1 if s > 0 else -1
-        chat = scipy.fft.fftn(np.moveaxis(c, -1, 0), axes=(1, 2, 3))
-        chat *= (w * np.exp(-sheet * omega * s))[index] * PH
-        if sheet in sums:
-            sums[sheet] += chat
-        else:
-            sums[sheet] = chat
+    try:
+        for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):  # a drawn stream is short
+            chat = _pruned_fftn(c, runs, work)
+            if not np.isfinite(chat).all():  # a non-finite sample anywhere in c reaches every entry of its box
+                bad += 1
+                continue
+            sheet = 1 if s > 0 else -1
+            chat *= (w * np.exp(-sheet * omega * s))[index] * PH
+            if sheet in sums:
+                sums[sheet] += chat
+            else:
+                sums[sheet] = chat
+    finally:
+        _close(coeffs.values)
     if bad:
         raise EmwaveError(f"{bad} of {len(coeffs.sgrid)} coefficient slices hold a non-finite sample")
-    table = _SynthesisTable(coeffs.ygrid, coeffs.t, omega, index, sums)
+    table = _SynthesisTable(coeffs.ygrid, coeffs.t, _grids.momentum_axis(coeffs.ygrid)[keep], omega, index, sums)
     if isinstance(coeffs, EuclideanCoefficients):
         object.__setattr__(coeffs, "_synthesis", table)
     return table
@@ -388,53 +454,63 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     omega e^{-+omega((s+sigma) + i(t - t0))}`` splits into the per-sheet sums of
     the table times ``gate omega e^{-+omega(sigma + i(t - t0))}``;
     the gate is 1 for sigma = 0, else 2 on the sheet of sign sigma and 0 on
-    the other.  That factor is evaluated once per |k| shell of the same
-    table and gathered to the lattice, so a warm call runs no FFT and no
-    exponential over the N^3 points.  One pass over the lattice forms the
-    component-major array G = SUM_sheet factor H, and G is summed at the K
-    probe points with separable phases
-    ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}``, (ky, kx) first, one
-    block of at most ``_BLOCK_ENTRIES // N^2`` probes at a time: per
-    block, three (k, N) tables of 3 k N exponentials, their (k, N^2)
-    outer product over (ky, kx) in a reused block of at most
-    `_BLOCK_ENTRIES` entries, one (k, N^2) x (N^2, 3 N) product, then
-    per probe a (3, N) x (N,) product over kz.  Besides G and the (K, 3)
-    result the call holds one block, whatever K is.  The K probes are split
-    into nearly equal blocks, so for K >= 2 no block holds a lone probe
-    (from 3 probes per block on, which covers N <= 256), and blocks of two
-    or more probes give the same bits for any blocking.  A single probe
-    (K = 1, as in `synthesize`) runs the big product as a matrix-vector one
-    and may differ from the same probe in a block in the last bit.  The
-    first call on a coefficient set builds the table with the
-    ``scipy.fft`` worker count in effect; the result does not depend on it.
+    the other.  Synthesis reads only the table's band box, r indices per
+    axis.  The factor is evaluated once per |k| shell of the box and
+    gathered to it, so a warm call runs no FFT and no exponential over the
+    r^3 points.  One pass over the box forms the component-major array
+    G = SUM_sheet factor H, and G is summed at the K probe points with
+    separable phases ``e^{ip.x} = e^{ip_x x} e^{ip_y y} e^{ip_z z}`` over
+    the box's momenta, (ky, kx) first.  The (ky, kx) length r^2 of the
+    product is zero-padded to a multiple of 16, ``width``: OpenBLAS cuts a
+    reduction into blocks, and for a length such as 169 or 625 the cut
+    depends on its thread count, which moves the last bits (a whole
+    lattice of N >= 4 needs no padding).  The probes run one block of at
+    most ``_BLOCK_ENTRIES // width`` at a time: per block, three (k, r)
+    tables of 3 k r exponentials, their (k, r^2) outer product over
+    (ky, kx) in a reused block of at most `_BLOCK_ENTRIES` entries, one
+    (k, width) x (width, 3 r) product, then per probe a (3, r) x (r,)
+    product over kz.  Besides G and the (K, 3) result the call holds one block,
+    whatever K is.  The K probes are split into nearly equal blocks, so for
+    K >= 2 no block holds a lone probe (from 3 probes per block on, which
+    covers N <= 256), and blocks of two or more probes give the same bits
+    for any blocking.  A single probe (K = 1, as in `synthesize`) runs the
+    big product as a matrix-vector one and may differ from the same probe
+    in a block in the last bit.  The first call on a coefficient set builds
+    the table with the ``scipy.fft`` worker count in effect; the result
+    does not depend on it.
     """
     table = _synthesis_table(coeffs)
     N = table.ygrid.meta["args"]["N"]
     K = len(pts)
     dt = t - table.t
-    omega, index = table.omega, table.index
-    G = None
+    omega, index, pax = table.omega, table.index, table.momenta
+    r = len(pax)
+    width = -(-r * r // 16) * 16  # the (ky, kx) reduction, zero-padded to a multiple of 16
+    G = np.zeros((3 * r, width), dtype=complex)
+    box = G[:, : r * r].reshape(3, r, r, r)  # a view: the padding stays zero
+    live = 0
     for sheet, H in table.sums.items():
         gate = gate2(sigma * sheet)
         if gate != 0.0:
             f = (gate * omega * np.exp(-sheet * omega * (sigma + 1j * dt)))[index]
-            if G is None:
-                G = f * H
+            if live:
+                box += f * H
             else:
-                G += f * H
-    if G is None:  # every sheet gated off
+                np.multiply(f, H, out=box)
+            live += 1
+    if not live:  # every sheet gated off
         return np.zeros((K, 3), dtype=complex)
-    pax = _grids.momentum_axis(table.ygrid)
-    G = G.reshape(3 * N, N * N).T
-    step = max(1, _BLOCK_ENTRIES // (N * N))
-    block = np.empty((min(step, K), N, N), dtype=complex)
+    G = G.T
+    step = max(1, _BLOCK_ENTRIES // width)
+    block = np.zeros((min(step, K), width), dtype=complex)
     out = np.empty((K, 3), dtype=complex)
     lo = 0
     # nearly equal blocks: a lone probe would run the big product as a matrix-vector one
     for p in np.array_split(pts, max(1, -(-K // step))):
         ex, ey, ez = (np.exp(1j * np.outer(p[:, axis], pax)) for axis in range(3))
-        exy = np.multiply(ey[:, :, None], ex[:, None, :], out=block[: len(p)]).reshape(len(p), N * N)
-        A = (exy @ G).reshape(len(p), 3, N)
+        exy = block[: len(p)]
+        np.multiply(ey[:, :, None], ex[:, None, :], out=exy[:, : r * r].reshape(len(p), r, r))
+        A = (exy @ G).reshape(len(p), 3, r)
         out[lo : lo + len(p)] = (A @ ez[:, :, None])[..., 0] / N**3
         lo += len(p)
     return out
@@ -527,7 +603,8 @@ def _per_slice(fn, work_dtype, *coeffs) -> list:
     overwritten once the next is drawn, runs serially.  The calling thread
     allocates one buffer per thread that runs ``fn``, so no pool thread's
     heap keeps a slice once the call returns.  Each result has the same
-    bits either way.
+    bits either way.  The streams are closed once the loop stops reading
+    them, whether or not they ran to their end.
     """
     frozen = all(isinstance(c, EuclideanCoefficients) for c in coeffs)
     run = fn
@@ -545,7 +622,11 @@ def _per_slice(fn, work_dtype, *coeffs) -> list:
                 spare.put(work)
 
     if not frozen:
-        return [run(*slices) for slices in zip(*(c.values for c in coeffs))]
+        try:
+            return [run(*slices) for slices in zip(*(c.values for c in coeffs))]
+        finally:
+            for c in coeffs:
+                _close(c.values)
     with _slice_pool() as pool:
         return list(pool.map(run, *(c.values for c in coeffs)))
 
@@ -772,7 +853,8 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
     gives more or fewer bytes than the manifest's ``payload_bytes`` is
     refused before any file is moved.  Both files are written under
     temporary names and moved into place, the payload first; on any error
-    the temporary files are removed.
+    the temporary files are removed.  A stream is closed once the writer
+    stops reading it, whether or not it ran to its end.
     """
     directory, N = Path(directory), coeffs.ygrid.meta["args"]["N"]
     shape = [len(coeffs.sgrid), N, N, N, 3]
@@ -815,6 +897,8 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
         for temp in temps:
             temp.unlink(missing_ok=True)
         raise
+    finally:
+        _close(coeffs.values)
     return paths[1]
 
 

@@ -206,9 +206,9 @@ def test_synthesis_memory_stays_flat_in_the_probe_count(coeffs_a):
     peak_few, _ = _traced_peak(lambda: synthesize_many(coeffs_a, few, 0.4))
     peak_many, out = _traced_peak(lambda: synthesize_many(coeffs_a, many, 0.4))
     # ten times the probes add their (K, 3) result and nothing else: each
-    # block of probes holds one (k, N^2) table of e^{i(p_y y + p_x x)} and
-    # its (k, 3 N) product, while one (K, N^2) table for all 20000 probes
-    # would hold 78 MiB here
+    # block of probes holds one (k, r^2) table of e^{i(p_y y + p_x x)} on the
+    # band box and its (k, 3 r) product, while one (K, N^2) table for all
+    # 20000 probes would hold 78 MiB here
     assert peak_many - out.nbytes <= 1.1 * peak_few + 2**20
 
 
@@ -270,8 +270,10 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
     with monkeypatch.context() as m:
         m.setattr(fieldcore, "_BLOCK_ENTRIES", 200 * len(amp_a.grid))
         whole = sums()
-    # 64 probes per block: four blocks, the last one partial
-    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 64 * N**2)
+    # about 64 probes per block: four synthesis blocks of 50 on the (ky, kx)
+    # plane of the band box, and four dense blocks, the last one partial
+    r = len(transform._synthesis_table(coeffs_a).momenta)
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 64 * r**2)
     monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 64 * len(amp_a.grid))
     blocked = sums()
     for a, b in zip(whole, blocked):
@@ -279,29 +281,71 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
 
 
 def test_no_synthesis_block_holds_a_lone_probe(monkeypatch, coeffs_a):
-    # 200 probes at 199 per block: two blocks of 100, not 199 and a lone probe,
-    # which would run its product as a matrix-vector one
+    # 200 probes at about 199 per block (the rows of the (ky, kx) plane of the
+    # band box are padded from 169 to 176 entries, so 191 fit): two blocks of
+    # 100, not 199 and a lone probe, which would run its product as a
+    # matrix-vector one
     probes = np.random.default_rng(11).uniform(-L / 2, L / 2, size=(200, 3))
     whole = synthesize_many(coeffs_a, probes, 0.9)
-    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 199 * N**2)
+    r = len(transform._synthesis_table(coeffs_a).momenta)
+    assert r == 13
+    monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 199 * r**2)
+    sizes = []
+    real_split = np.array_split
+
+    def recording_split(a, parts):
+        sizes.extend(len(part) for part in real_split(a, parts))
+        return real_split(a, parts)
+
+    monkeypatch.setattr(np, "array_split", recording_split)
     assert synthesize_many(coeffs_a, probes, 0.9).tobytes() == whole.tobytes()
+    assert sizes == [100, 100]
+
+
+def _band_box(ygrid_n, top):
+    """The FFT-order indices whose momentum has |p_axis| <= top, and their (kz, ky, kx) box."""
+    keep = np.flatnonzero(np.abs(grids.momentum_axis(ygrid_n)) <= top)
+    return keep, np.ix_(keep, keep, keep)
 
 
 def test_sheet_sums_are_the_component_last_sums_moved(coeffs_a):
-    # each sum is stored component-major; moved back it has the bits of the
-    # per-slice transform over the leading three axes of a (N, N, N, 3) slice
+    # each sum is stored component-major on the band box (13 of 16 indices per
+    # axis); moved back it has the bits of the per-slice transform over the
+    # leading three axes of a (N, N, N, 3) slice, at the box's entries
     table = transform._synthesis_table(coeffs_a)
     Omega, PH = transform._lattice(coeffs_a.ygrid)
+    keep, box = _band_box(coeffs_a.ygrid, BAND[1])
+    assert len(keep) == 13 and np.array_equal(table.momenta, grids.momentum_axis(coeffs_a.ygrid)[keep])
     want = {}
     for c, s, w in zip(coeffs_a.values, coeffs_a.sgrid.nodes, coeffs_a.sgrid.weights):
         sheet = 1 if s > 0 else -1
-        chat = scipy.fft.fftn(c, axes=(0, 1, 2))
-        chat *= ((w * np.exp(-sheet * table.omega * s))[table.index] * PH)[..., None]
+        chat = scipy.fft.fftn(c, axes=(0, 1, 2))[box]
+        chat *= ((w * np.exp(-sheet * table.omega * s))[table.index] * PH[box])[..., None]
         want[sheet] = want[sheet] + chat if sheet in want else chat
     assert table.sums.keys() == want.keys()
     for sheet, H in table.sums.items():
-        assert H.shape == (3, N, N, N)
+        assert H.shape == (3, 13, 13, 13)
         assert np.moveaxis(H, 0, -1).tobytes() == want[sheet].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("reach", [0.3, 0.6, 1.0])
+def test_pruned_forward_transform_has_the_bits_of_fftn_on_the_box(n, reach):
+    # z on every line, y on the z runs, x on the (z, y) runs, at 1 and 2 workers
+    ygrid_n = grids.build_spatial_grid(n, 20.0)
+    keep, box = _band_box(ygrid_n, reach * ygrid_n.meta["nyquist"])
+    runs = transform._index_runs(keep, n)
+    assert len(runs) == (1 if reach == 1.0 else 2)
+    rng = np.random.default_rng(n)
+    c = rng.standard_normal((n, n, n, 3)) + 1j * rng.standard_normal((n, n, n, 3))
+    c.setflags(write=False)
+    want = scipy.fft.fftn(np.moveaxis(c, -1, 0), axes=(1, 2, 3))[(slice(None),) + box]
+    work = np.empty_like(c)
+    for workers in (1, 2):
+        with scipy.fft.set_workers(workers):
+            got = transform._pruned_fftn(c, runs, work)
+        assert got.shape == (3,) + (len(keep),) * 3 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 _THREADS_PROBE = """
@@ -327,9 +371,11 @@ print(digest.hexdigest())
 
 
 def test_synthesis_bits_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits the synthesis's (k, N^2) x (N^2, 3N) product over threads
-    # by output blocks, so each entry keeps its reduction order at 1 and 2
-    # threads; the dense sum runs no BLAS product at all
+    # OpenBLAS splits the synthesis's (k, r^2) x (r^2, 3r) product on the band
+    # box (r = 13) over threads by output blocks, and its reduction, padded
+    # from 169 to 176, is cut into the same blocks at 1 and 2 threads (169
+    # is not), so each entry keeps its reduction order; the dense sum runs no
+    # BLAS product at all
     src = str(Path(transform.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -641,14 +687,21 @@ def test_reproduce_complex_time_matches_continuation(amp_a, coeffs_a):
 
 
 def _dense_probe_sum(coeffs, pts, t, sigma):
-    """Reference synthesis: one phase e^{ip.x} per probe and lattice point,
-    taken from `grids.momentum_mesh`, against the gated per-sheet sums
-    (stored component-major, read here in (kz, ky, kx, component) order)."""
+    """Reference synthesis over the whole lattice, the table not used: each
+    slice's own full `scipy.fft.fftn`, weighted by the gated symbol at every
+    lattice point, and one phase e^{ip.x} per probe and lattice point, taken
+    from `grids.momentum_mesh`.  So it also holds the content that the band
+    box drops."""
     P, Omega = grids.momentum_mesh(coeffs.ygrid)
+    ph = (-1.0) ** np.arange(Omega.shape[0])  # the centered grid's phase
+    PH = ph[:, None, None] * ph[None, :, None] * ph[None, None, :]
     G = np.zeros(Omega.shape + (3,), dtype=complex)
-    for sheet, H in transform._synthesis_table(coeffs).sums.items():
+    for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights):
+        sheet = 1 if s > 0 else -1
         gate = 1.0 if sigma == 0.0 else (2.0 if sigma * sheet > 0.0 else 0.0)
-        G += (gate * Omega * np.exp(-sheet * Omega * (sigma + 1j * (t - coeffs.t))))[..., None] * np.moveaxis(H, 0, -1)
+        if gate != 0.0:
+            symbol = gate * w * Omega * np.exp(-sheet * Omega * (s + sigma + 1j * (t - coeffs.t))) * PH
+            G += symbol[..., None] * scipy.fft.fftn(c, axes=(0, 1, 2))
     phases = np.exp(1j * (pts @ P.reshape(-1, 3).T))
     return phases @ G.reshape(-1, 3) / Omega.size
 
@@ -686,15 +739,79 @@ def test_probe_sum_equals_dense_phase_sum_on_other_sets(other_coeffs, sigma):
     _assert_probe_sum_is_dense_phase_sum(other_coeffs, 7, sigma)
 
 
-@pytest.mark.parametrize("n", [8, 16, 32])
-def test_shell_table_reproduces_the_lattice_bit_for_bit(n, sgrid):
+@pytest.mark.parametrize(("n", "r"), [(8, 8), (16, 13), (32, 13)])
+def test_shell_table_reproduces_the_lattice_bit_for_bit(n, r, sgrid):
+    # the band box: |p_axis| <= 3.5 keeps r of n indices per axis (all of them
+    # at n = 8, whose Nyquist frequency 2.09 lies inside the band)
     ygrid = grids.build_spatial_grid(n, 12.0)
-    coeffs = EuclideanCoefficients(ygrid, sgrid, np.zeros((len(sgrid), n, n, n, 3), dtype=complex))
+    rng = np.random.default_rng(n)
+    shape = (len(sgrid), n, n, n, 3)
+    coeffs = EuclideanCoefficients(ygrid, sgrid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     table = transform._synthesis_table(coeffs)
     omega, index = table.omega, table.index
-    Omega, _ = transform._lattice(ygrid)
-    assert np.array_equal(omega[index].view(np.uint64), Omega.view(np.uint64))
-    assert np.all(np.diff(omega) > 0.0)  # one entry per distinct |k|
+    Omega, PH = transform._lattice(ygrid)
+    keep, box = _band_box(ygrid, BAND[1])
+    assert len(keep) == r and index.shape == (r, r, r)
+    assert np.array_equal(omega[index].view(np.uint64), Omega[box].view(np.uint64))
+    assert np.all(np.diff(omega) > 0.0)  # one entry per distinct |k| of the box
+    # every entry the box keeps has the bits of a full fftn of each slice
+    want = {}
+    for c, s, w in zip(coeffs.values, sgrid.nodes, sgrid.weights):
+        sheet = 1 if s > 0 else -1
+        chat = scipy.fft.fftn(np.moveaxis(c, -1, 0), axes=(1, 2, 3))[(slice(None),) + box]
+        chat *= (w * np.exp(-sheet * omega * s))[index] * PH[box]
+        want[sheet] = want[sheet] + chat if sheet in want else chat
+    assert all(table.sums[sheet].tobytes() == want[sheet].tobytes() for sheet in (1, -1))
+
+
+def _full_lattice_synthesis(coeffs, pts, t, sigma):
+    """Synthesis over the whole lattice, step for step as it ran before it read only the band box: full
+    fftn sums weighted on every |k| shell, then one (k, N^2) x (N^2, 3 N) product per block of probes."""
+    n = coeffs.ygrid.meta["args"]["N"]
+    Omega, PH = transform._lattice(coeffs.ygrid)
+    omega, index = np.unique(Omega.ravel(), return_inverse=True)
+    index = index.reshape(Omega.shape)
+    sums = {}
+    for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights):
+        sheet = 1 if s > 0 else -1
+        chat = scipy.fft.fftn(np.moveaxis(c, -1, 0), axes=(1, 2, 3))
+        chat *= (w * np.exp(-sheet * omega * s))[index] * PH
+        sums[sheet] = sums[sheet] + chat if sheet in sums else chat
+    G = None
+    for sheet, H in sums.items():
+        gate = fieldcore.gate2(sigma * sheet)
+        if gate != 0.0:
+            f = (gate * omega * np.exp(-sheet * omega * (sigma + 1j * (t - coeffs.t))))[index]
+            G = f * H if G is None else G + f * H
+    G = G.reshape(3 * n, n * n).T
+    pax = grids.momentum_axis(coeffs.ygrid)
+    step = max(1, transform._BLOCK_ENTRIES // (n * n))
+    out = []
+    for p in np.array_split(pts, max(1, -(-len(pts) // step))):
+        ex, ey, ez = (np.exp(1j * np.outer(p[:, axis], pax)) for axis in range(3))
+        exy = (ey[:, :, None] * ex[:, None, :]).reshape(len(p), n * n)
+        out.append(((exy @ G).reshape(len(p), 3, n) @ ez[:, :, None])[..., 0] / n**3)
+    return np.concatenate(out), sums
+
+
+def test_a_band_past_the_nyquist_frequency_synthesizes_the_whole_lattice_bit_for_bit(ygrid, cone):
+    # the scale band reaches 4.5, past the Nyquist frequency 4.19: the box is
+    # the whole lattice, and every output has the bits of the whole-lattice sum
+    wide = grids.build_scale_grid((BAND[0], 4.5), 20)
+    coeffs = analyze(amplitude_from_scalar(cone, _profile_a), ygrid, wide)
+    table = transform._synthesis_table(coeffs)
+    assert np.array_equal(table.momenta, grids.momentum_axis(ygrid))
+    pts = np.random.default_rng(14).uniform(-0.7 * L, 0.7 * L, size=(200, 3))
+    want, sums = _full_lattice_synthesis(coeffs, pts, 0.9, 0.0)
+    assert all(table.sums[sheet].tobytes() == sums[sheet].tobytes() for sheet in (1, -1))
+    assert synthesize_many(coeffs, pts, 0.9).tobytes() == want.tobytes()
+    few, _ = _full_lattice_synthesis(coeffs, pts[:7], 0.9, 0.0)
+    assert synthesize_many(coeffs, pts[:7], 0.9).tobytes() == few.tobytes()
+    one, _ = _full_lattice_synthesis(coeffs, pts[:1], 0.9, 0.0)
+    assert synthesize(coeffs, pts[0], 0.9).F.tobytes() == one[0].tobytes()
+    for sigma in (0.6, -0.6):
+        got = reproduce_complex_time(coeffs, pts[1], 0.9, sigma).F
+        assert got.tobytes() == _full_lattice_synthesis(coeffs, pts[1:2], 0.9, sigma)[0][0].tobytes()
 
 
 def test_zero_offset_reproduction_is_synthesis_bit_for_bit(coeffs_a):
@@ -737,7 +854,9 @@ def test_repeat_synthesis_runs_no_fft(call, amp_a, ygrid, sgrid, monkeypatch):
         monkeypatch.setattr(scipy.fft, name, _counting(name, getattr(scipy.fft, name), calls))
     x = np.array([0.4, -0.2, 0.7])
     first = call(coeffs, x)
-    assert calls == ["fftn"] * len(sgrid)  # one forward transform per scale slice
+    # one pruned forward transform per scale slice, of 1-D transforms only: z
+    # over every line, y per z run and x per (z, y) run, two runs per axis
+    assert calls == ["fft"] * (len(sgrid) * (1 + 2 + 2 * 2))
     calls.clear()
     second = call(coeffs, x)
     assert calls == []
@@ -824,8 +943,8 @@ def _batched_ifftn(block, y_runs, x_runs, workers):
 
 
 def _lattice_runs(cone, n):
-    _, ky, kx = np.unravel_index(cone.meta["flat_indices"], (n, n, n))
-    return transform._index_runs(ky, n), transform._index_runs(kx, n)
+    _, y_runs, x_runs = transform._box_runs(cone.meta["flat_indices"], n)
+    return y_runs, x_runs
 
 
 @pytest.mark.parametrize(
@@ -1001,6 +1120,45 @@ def test_no_fill_thread_outlives_an_analysis(monkeypatch):
             with pytest.raises(RuntimeError, match=f"fill of block {k} failed"):
                 analyze(amp, ygrid_n, sgrid_n, workers=2)
             assert threading.active_count() == before
+
+
+def _failing(monkeypatch, name, at):
+    """Make ``transform.<name>`` raise at its call number ``at`` (from 0)."""
+    real, calls = getattr(transform, name), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) - 1 == at:
+            raise RuntimeError("the consumer failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transform, name, failing)
+
+
+@pytest.mark.parametrize("case", ["analysis-stream-write", "file-stream-norm", "file-stream-table-fold"])
+def test_a_consumer_closes_the_stream_it_stops_reading(monkeypatch, tmp_path, coeffs_a, case):
+    # the caller holds the consumer's exception, whose traceback holds the
+    # stream: the analysis stream's fill thread, or the file stream's hash
+    # threads and open payload, must be gone all the same
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)  # three blocks: the fill thread runs from the first draw
+    manifest = save_coefficients(coeffs_a, tmp_path / "saved", name="c")
+    before = threading.active_count()
+    if case == "analysis-stream-write":
+        stream = transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4)
+        _failing(monkeypatch, "_sha256", 2)
+        consume = lambda: transform._write_coefficients(stream, tmp_path / "written", "c")
+    elif case == "file-stream-norm":
+        stream = transform._read_coefficients(manifest)
+        _failing(monkeypatch, "_power_sum", 2)
+        consume = lambda: norm_euclidean(stream)
+    else:
+        stream = transform._read_coefficients(manifest)
+        _failing(monkeypatch, "_pruned_fftn", 2)
+        consume = lambda: transform._synthesis_table(stream)
+    with pytest.raises(RuntimeError, match="the consumer failed") as held:  # held: its traceback keeps the stream referenced
+        consume()
+    assert threading.active_count() == before
+    assert stream.values.gi_frame is None  # closed: its pools are joined and its payload file is closed
 
 
 def test_one_block_and_one_worker_start_no_thread(monkeypatch):
@@ -1205,6 +1363,17 @@ def test_streamed_table_names_the_checksum_before_a_non_finite_sample(coeffs_a, 
     with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
         transform._synthesis_table(transform._read_coefficients(manifest))
     assert np.isnan(load_coefficients(manifest).values).sum() == 1  # a load keeps the bytes as they are
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0, 0, 0), (7, 15, 8, 2), (15, 7, 7, 1)])
+def test_a_non_finite_sample_anywhere_reaches_the_band_box(coeffs_a, bad, where):
+    # the table checks each slice's box (13 of 16 indices per axis), which a
+    # non-finite sample at any lattice point and component reaches
+    values = coeffs_a.values.copy()
+    values[(5,) + where] = bad
+    with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
+        transform._synthesis_table(EuclideanCoefficients(coeffs_a.ygrid, coeffs_a.sgrid, values))
 
 
 def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
