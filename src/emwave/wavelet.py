@@ -93,7 +93,8 @@ def eval_kernel(x, t, sigma: float, y, s: float):
         if x.ndim == 1:
             r = r[0]
         tau = (s + sigma) + 1j * t
-        with np.errstate(over="ignore", invalid="ignore"):  # where the cube overflows it is taken again below
+        # where the cube overflows it is taken again below; where it is 0 the singular check below refuses the point
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             tau_sq = tau * tau
             r_sq = r * r
             den = tau_sq + r_sq

@@ -100,6 +100,15 @@ def test_singular_set_raises_with_location():
         eval_kernel(np.array([2.0, 0, 0]), 2.0, -1.0, ORIGIN, 1.0)
 
 
+@pytest.mark.parametrize("x, t", [((0.0, 0.0, 1.0), 1.0), ((0.0, 0.0, 0.0), 0.0)])
+def test_a_zero_denominator_is_refused_without_a_warning(x, t):
+    # sigma = s = 0: the gate is 1, so the numerator is not 0 where tau^2 + r^2 is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularKernelError):
+            eval_kernel(np.array(x), t, 0.0, ORIGIN, 0.0)
+
+
 def test_zero_scale_rejected():
     with pytest.raises(InvalidScaleError):
         WaveletLabel(ORIGIN, 0.0)
