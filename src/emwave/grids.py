@@ -26,6 +26,7 @@ __all__ = [
     "QuadratureGrid",
     "build_cone_grid",
     "build_scale_grid",
+    "scale_grid_from_rule",
     "build_spatial_grid",
     "build_cartesian_cone_grid",
     "gauss_legendre_panels",
@@ -63,8 +64,11 @@ class QuadratureGrid:
         frequency sheet; ``None`` for non-cone grids.
     meta : dict
         Construction record.  ``meta["builder"]`` and ``meta["args"]``
-        fully determine the grid (see `rebuild`); other keys hold derived
-        conveniences (band edges, lattice indices, recovery bounds...).
+        fully determine a grid that a builder made, and `rebuild`
+        reproduces only such grids.  A scale grid is defined by its nodes
+        and weights (`scale_grid_from_rule`); its ``meta["args"]`` gives
+        at least its band and signs.  Other keys hold derived conveniences
+        (band edges, lattice indices, recovery bounds...).
     """
 
     kind: str
@@ -221,7 +225,7 @@ def build_scale_grid(
     The scale integrands decay like ``exp(-2 omega |s|)`` for frequencies
     in ``omega_band``, so nodes are laid out on ``|s| in (0, 8 / omega_min]``:
     one short head panel ``[0, 0.05 / omega_max]`` plus log-spaced
-    Gauss-Legendre panels.  All nodes are strictly nonzero.
+    Gauss-Legendre panels, handed to `scale_grid_from_rule`.
 
     Parameters
     ----------
@@ -232,50 +236,61 @@ def build_scale_grid(
     signs : {"both", "plus", "minus"}
         Which signs of s to populate.  ``"both"`` gives mirror-symmetric
         node sets.
-
-    Notes
-    -----
-    ``meta["recovery_bound"]`` is the rule's whole error on the band, tail
-    included: the worst `scale_recovery_error` over 4096 log-spaced
-    frequencies and the parabola vertex of each sampled peak.
     """
     omega_min, omega_max = _validate_band(*check_array(omega_band, "omega_band", (2,)))
     if check_count(nodes_per_sign, "nodes_per_sign") < 6:
         raise EmwaveError("scale grid needs at least 6 nodes per sign")
-
-    refusal = EmwaveError(
-        f"scale quadrature over the band [{omega_min}, {omega_max}] has a node or weight "
-        f"that is not a positive finite number (panels from 0.05 / omega_max to 8 / omega_min)"
-    )
     s_min, s_max = 0.05 / omega_max, 8.0 / omega_min
     # an extreme band underflows s_min or overflows the ratio that spaces the panel edges
     if not (s_min > 0.0 and s_max / s_min < math.inf):
-        raise refusal
-    layout = _scale_panel_layout(s_min, s_max, nodes_per_sign)
-    panels = [gauss_legendre_panels((a, b), n) for a, b, n in layout]
-    s_pos = np.concatenate([x for x, _ in panels])
-    w_pos = np.concatenate([w for _, w in panels])
-    if not all(np.all((v > 0) & (v < np.inf)) for v in (s_pos, w_pos)):
-        raise refusal
-    nodes, weights, labels = _per_sheet(s_pos, w_pos, signs)
-    half = QuadratureGrid("scale", s_pos, w_pos)  # the other sign mirrors its error
+        raise EmwaveError(f"scale panels over the band [{omega_min}, {omega_max}] have an edge (0.05 / omega_max "
+                          f"or 8 / omega_min) or a ratio of edges that is not a positive finite number")
+    panels = [gauss_legendre_panels((a, b), n) for a, b, n in _scale_panel_layout(s_min, s_max, nodes_per_sign)]
+    nodes, weights, labels = _per_sheet(np.concatenate([x for x, _ in panels]),
+                                        np.concatenate([w for _, w in panels]), signs)
+    grid = scale_grid_from_rule(nodes * labels, weights, (omega_min, omega_max), signs)
+    grid.meta.update(builder="scale", args={**grid.meta["args"], "nodes_per_sign": int(nodes_per_sign)})
+    return grid
 
+
+def scale_grid_from_rule(nodes, weights, omega_band: tuple[float, float], signs: str = "both") -> QuadratureGrid:
+    """The scale grid of a rule's signed nodes and weights, once they are checked, with its recovery bound.
+
+    ``nodes`` and ``weights`` are 1-D arrays of one nonzero length; each
+    node's magnitude and each weight must be a positive finite number.
+    ``signs`` gives their layout: all nodes positive (``"plus"``), all
+    negative (``"minus"``), or for ``"both"`` the positive nodes followed by
+    their mirror images with the same weights.  ``meta["args"]`` records
+    ``omega_band`` and ``signs``.  ``meta["recovery_bound"]`` is the rule's
+    whole error on the band, tail included: the worst `scale_recovery_error`
+    over 4096 log-spaced frequencies and the parabola vertex of each
+    sampled peak.  Like every grid, it freezes float arrays it is given
+    rather than copy them.
+    """
+    omega_min, omega_max = _validate_band(*check_array(omega_band, "omega_band", (2,)))
+    nodes, weights = check_array(nodes, "nodes"), check_array(weights, "weights")
+    if nodes.ndim != 1 or nodes.shape != weights.shape or not nodes.size:
+        raise EmwaveError(f"a scale rule needs 1-D nodes and weights of one nonzero length, "
+                          f"got shapes {nodes.shape} and {weights.shape}")
+    if not (np.all(nodes != 0.0) and np.all(weights > 0.0)):
+        raise EmwaveError(f"the scale rule over the band [{omega_min}, {omega_max}] has a node magnitude or a "
+                          f"weight that is not a positive finite number")
+    n = len(nodes) // 2 if signs == "both" else len(nodes)  # "both" mirrors the first n nodes and their error
+    half = QuadratureGrid("scale", nodes[:n], weights[:n])
+    want, want_weights, labels = _per_sheet(np.abs(half.nodes), half.weights, signs)
+    if not (np.array_equal(nodes, want * labels) and np.array_equal(weights, want_weights)):
+        raise EmwaveError(f"the scale rule's nodes are not laid out for signs {signs!r}: all positive, all negative, "
+                          f"or for 'both' the positive nodes, then their mirror images with the same weights")
     omega = np.geomspace(omega_min, omega_max, 4096)
     err = scale_recovery_error(half, omega)
     lo, mid, hi = err[:-2], err[1:-1], err[2:]
     peak = (mid >= np.maximum(lo, hi)) & (lo + hi < 2.0 * mid)
     vertex = omega[1:-1][peak] * (omega[1] / omega[0]) ** (0.5 * (lo - hi)[peak] / (lo - 2.0 * mid + hi)[peak])
-
     meta = {
-        "builder": "scale",
-        "args": {
-            "omega_band": (float(omega_min), float(omega_max)),
-            "nodes_per_sign": int(nodes_per_sign),
-            "signs": signs,
-        },
+        "args": {"omega_band": (omega_min, omega_max), "signs": signs},
         "recovery_bound": float(max(err.max(), scale_recovery_error(half, vertex).max(initial=0.0))),
     }
-    return QuadratureGrid("scale", nodes * labels, weights, None, meta)
+    return QuadratureGrid("scale", nodes, weights, None, meta)
 
 
 def scale_recovery_error(grid: QuadratureGrid, omega):
@@ -442,11 +457,6 @@ def build_from_record(builder: str, args: dict) -> QuadratureGrid:
     """Reconstruct a grid from a (builder name, arguments) record."""
     if builder not in _BUILDERS:
         raise EmwaveError(f"cannot rebuild grid with builder record {builder!r}")
-    if builder == "scale":  # older records carry the fixed extents; no other value can be rebuilt
-        args = dict(args)
-        for key, fixed in (("s_min_factor", 0.05), ("s_max_factor", 8.0)):
-            if (given := args.pop(key, fixed)) != fixed:
-                raise EmwaveError(f"scale grid record has {key} = {given!r}; only {fixed} can be rebuilt")
     return _BUILDERS[builder](**args)
 
 

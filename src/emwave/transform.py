@@ -87,7 +87,8 @@ def _check_set(ygrid: QuadratureGrid, sgrid: QuadratureGrid, shape, provenance) 
     N = ygrid.meta["args"]["N"]
     want = (len(sgrid), N, N, N, 3)
     if tuple(shape) != want:
-        raise GridMismatchError(f"values shape {tuple(shape)} does not match grids {want}")
+        raise GridMismatchError(f"values shape {tuple(shape)} does not match {want}: len(sgrid) scale nodes, "
+                                f"then the N^3 points of ygrid and 3 components")
     if not _provenance_is_readable(provenance):
         raise EmwaveError(f"provenance {provenance!r} is not an object with a finite numeric cone band")
 
@@ -834,7 +835,7 @@ def norm_report(amp, coeffs, nonlocal_grid: QuadratureGrid | None = None) -> Nor
 # ---------------------------------------------------------------------------
 
 _MANIFEST_FORMAT = "emwave-coefficients"
-_MANIFEST_VERSION = 2  # the version written; version 1, one digest of the whole payload, is still read
+_MANIFEST_VERSION = 3  # the only version written and read
 _IO_CHUNK = 8 << 20  # most bytes per read call of a payload load
 
 
@@ -866,7 +867,8 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
         "shape": shape,
         "t": coeffs.t,
         "ygrid": {"builder": coeffs.ygrid.meta["builder"], "args": coeffs.ygrid.meta["args"]},
-        "sgrid": {"builder": coeffs.sgrid.meta["builder"], "args": coeffs.sgrid.meta["args"]},
+        "sgrid": {"omega_band": coeffs.sgrid.meta["args"]["omega_band"], "signs": coeffs.sgrid.meta["args"]["signs"],
+                  "nodes": coeffs.sgrid.nodes.tolist(), "weights": coeffs.sgrid.weights.tolist()},
         "provenance": coeffs.provenance,
         "payload": f"{name}.bin",
         "payload_bytes": 16 * math.prod(shape),
@@ -907,21 +909,18 @@ def save_coefficients(coeffs, directory, name: str = "coefficients") -> Path:
 
     The payload is the values in axis order (s, y_z, y_y, y_x, vector
     component), C-order, as little-endian (re, im) float64 pairs, written
-    one scale slice at a time.  The manifest (version 2) records the grid
-    records, the time, the provenance and ``slice_sha256``, the SHA-256 of
-    each scale slice in scale order, computed on the slice pool while the
-    payload is written; so a reload is byte-exact and self-validating.  A
-    failed save leaves no partial set.  Returns the manifest path.
+    one scale slice at a time.  The manifest (version 3) records the
+    spatial grid's builder record, the scale rule (its band, signs, nodes
+    and weights as JSON floats, which round-trip exactly), the time, the
+    provenance and ``slice_sha256``, the SHA-256 of each scale slice in
+    scale order, computed on the slice pool while the payload is written;
+    so a reload is byte-exact and self-validating.  A failed save leaves no
+    partial set.  Returns the manifest path.
     """
     return _write_coefficients(coeffs, directory, name)
 
 
-# the keys a manifest must hold, per version read: version 2 gives one digest
-# per scale slice, version 1 one digest of the whole payload
-_MANIFEST_KEYS = {
-    1: ("payload", "payload_bytes", "payload_sha256", "shape", "t", "ygrid", "sgrid"),
-    2: ("payload", "payload_bytes", "slice_sha256", "shape", "t", "ygrid", "sgrid"),
-}
+_MANIFEST_KEYS = ("payload", "payload_bytes", "slice_sha256", "shape", "t", "ygrid", "sgrid")
 _SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
@@ -929,11 +928,13 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
     """A saved set's manifest, payload path and grids, once every check that reads no payload byte holds.
 
     Each defect raises `EmwaveError`.  An unreadable manifest, a version
-    other than 1 or 2, a missing key of its version or a payload outside
-    the manifest's directory is refused first; then, in this order, the
-    payload file's size against ``payload_bytes`` and ``shape``, a version-2
-    ``slice_sha256`` (``shape[0]`` lowercase hex SHA-256 digests), the time
-    (a finite number), the grids, the shape and the provenance.
+    other than 3, a missing key or a payload outside the manifest's
+    directory is refused first; then, in this order, the payload file's
+    size against ``payload_bytes`` and ``shape``, ``slice_sha256``
+    (``shape[0]`` lowercase hex SHA-256 digests), the time (a finite
+    number), the spatial grid's builder record, the scale rule (checked by
+    `grids.scale_grid_from_rule`; no scale builder runs) and its node count
+    with the shape, and the provenance.
     """
     path = Path(manifest_path)
     try:
@@ -943,9 +944,10 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
     if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
         raise EmwaveError(f"{path} is not a coefficients manifest")
     version = manifest.get("version")
-    if type(version) is not int or version not in _MANIFEST_KEYS:
-        raise EmwaveError(f"unsupported manifest version {version!r}")
-    missing = [key for key in _MANIFEST_KEYS[version] if key not in manifest]
+    if type(version) is not int or version != _MANIFEST_VERSION:
+        raise EmwaveError(f"unsupported manifest version {version!r}: only version {_MANIFEST_VERSION} is read; "
+                          f"rerun analyze to write the set again")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
     if missing:
         raise EmwaveError(f"manifest {path} lacks keys {missing}")
     directory = path.parent.resolve()
@@ -961,21 +963,22 @@ def _checked_manifest(manifest_path) -> tuple[dict, Path, QuadratureGrid, Quadra
     if size != manifest["payload_bytes"]:
         raise EmwaveError(f"payload length {size} does not match manifest payload_bytes "
                           f"{manifest['payload_bytes']!r}")
-    if not (isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
+    if not (isinstance(shape, list) and len(shape) == 5 and all(isinstance(n, int) and n >= 0 for n in shape)
             and 16 * math.prod(shape) == size):
         raise EmwaveError(f"manifest shape {shape!r} does not match {size} payload bytes")
     digests = manifest.get("slice_sha256")
-    if version == 2 and not (isinstance(digests, list) and len(digests) == shape[0]
-                             and all(isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests)):
+    if not (isinstance(digests, list) and len(digests) == shape[0]
+            and all(isinstance(d, str) and _SHA256_HEX.fullmatch(d) for d in digests)):
         raise EmwaveError(f"manifest slice_sha256 is not a list of {shape[0]} lowercase hex SHA-256 digests")
     check_real(t, "manifest time t")
-    try:
-        ygrid = _grids.build_from_record(manifest["ygrid"]["builder"], manifest["ygrid"]["args"])
-        sgrid = _grids.build_from_record(manifest["sgrid"]["builder"], manifest["sgrid"]["args"])
-    except (KeyError, TypeError, ValueError, EmwaveError) as exc:
-        raise EmwaveError(f"manifest {path} has a malformed grid record: {exc!r}") from None
-    _check_set(ygrid, sgrid, shape, manifest.setdefault("provenance", {}))
-    return manifest, payload_path, ygrid, sgrid
+    built = []
+    for key, build in (("ygrid", _grids.build_from_record), ("sgrid", _grids.scale_grid_from_rule)):
+        try:
+            built.append(build(**manifest[key]))
+        except (TypeError, ValueError, EmwaveError) as exc:
+            raise EmwaveError(f"manifest {path} has a malformed {key} record: {exc!r}") from None
+    _check_set(*built, shape, manifest.setdefault("provenance", {}))
+    return manifest, payload_path, *built
 
 
 def _payload_slices(manifest: dict, payload_path: Path, out=None):
@@ -987,18 +990,13 @@ def _payload_slices(manifest: dict, payload_path: Path, out=None):
     while the slice pool hashes the earlier ones.  A slice whose SHA-256
     differs from its ``slice_sha256`` entry raises `EmwaveError` naming it,
     before it is yielded, so the slices before it are all that is yielded.
-    A version-1 manifest holds one digest of the whole payload instead: the
-    main thread updates it slice by slice and compares it once the last
-    slice is read, before that slice is yielded.
     """
-    shape = manifest["shape"]
+    shape, digests = manifest["shape"], manifest["slice_sha256"]
     out = np.empty([min(2, shape[0])] + shape[1:], dtype="<c16") if out is None else out
-    digests = manifest["slice_sha256"] if manifest["version"] == 2 else None
-    whole = hashlib.sha256()  # read by version 1 only
-    pending = deque()  # (slice, its digest's future or None) of the slices read and not yet yielded
+    pending = deque()  # (slice, its digest's future) of the slices read and not yet yielded
 
     def checked(i, hashed):
-        if hashed is not None and hashed.result() != digests[i]:
+        if hashed.result() != digests[i]:
             raise EmwaveError(f"payload checksum mismatch in slice {i} of {manifest['payload']}: "
                               f"{hashed.result()} != {digests[i]}")
         return out[i % len(out)]
@@ -1015,15 +1013,8 @@ def _payload_slices(manifest: dict, payload_path: Path, out=None):
                     if not n:
                         raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
                     done += n
-                if digests is not None:
-                    pending.append((i, pool.submit(_sha256, view)))
-                else:
-                    whole.update(view)
-                    if i == shape[0] - 1 and whole.hexdigest() != manifest["payload_sha256"]:
-                        raise EmwaveError(f"payload checksum mismatch for {manifest['payload']}: "
-                                          f"{whole.hexdigest()} != {manifest['payload_sha256']}")
-                    pending.append((i, None))
-                while pending and (pending[0][1] is None or pending[0][1].done()):
+                pending.append((i, pool.submit(_sha256, view)))
+                while pending and pending[0][1].done():
                     yield checked(*pending.popleft())
             while pending:
                 yield checked(*pending.popleft())
@@ -1043,8 +1034,7 @@ def load_coefficients(manifest_path) -> EuclideanCoefficients:
     The main thread reads the payload slice by slice into the buffer that
     becomes the read-only values, while the slice pool checks each
     slice's digest; a mismatch raises `EmwaveError` naming the first bad
-    slice.  Version-1 manifests are checked against their whole-payload
-    digest once the last slice is read.
+    slice.  Only version-3 manifests are read.
     """
     manifest, payload_path, ygrid, sgrid = _checked_manifest(manifest_path)
     values = np.empty(manifest["shape"], dtype="<c16")

@@ -144,6 +144,36 @@ def test_scale_grid_single_sign():
     assert np.all(grid.nodes > 0)
 
 
+@pytest.mark.parametrize("signs", ["both", "plus", "minus"])
+def test_scale_builder_grid_is_its_own_rule(signs):
+    # the builder lays out panels and hands them to the one constructor a coefficient file also uses
+    grid = grids.build_scale_grid((0.5, 4.0), 20, signs)
+    rule = grids.scale_grid_from_rule(grid.nodes, grid.weights, (0.5, 4.0), signs)
+    assert grids.grids_equal(rule, grid)
+    assert rule.meta == {"args": {"omega_band": (0.5, 4.0), "signs": signs},
+                         "recovery_bound": grid.meta["recovery_bound"]}
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, signs, needle",
+    [
+        ([0.5, 1.0], [0.1, 0.2, 0.3], "plus", "1-D nodes and weights of one nonzero length"),
+        ([], [], "plus", "nonzero length"),
+        ([0.5, 0.0], [0.1, 0.2], "plus", "not a positive finite number"),
+        ([0.5, 1.0], [0.1, -0.2], "plus", "not a positive finite number"),
+        ([0.5, -1.0], [0.1, 0.2], "plus", "not laid out for signs 'plus'"),
+        ([-0.5, 1.0], [0.1, 0.2], "minus", "not laid out for signs 'minus'"),
+        ([0.5, 1.0, -0.5, -1.0], [0.1, 0.2, 0.1, 0.3], "both", "not laid out for signs 'both'"),
+        ([0.5, 1.0, -1.0, -0.5], [0.1, 0.2, 0.2, 0.1], "both", "not laid out for signs 'both'"),
+        ([0.5, 1.0, -0.5], [0.1, 0.2, 0.1], "both", "not laid out for signs 'both'"),
+        ([0.5, 1.0], [0.1, 0.2], "up", "unknown sheet selection 'up'"),
+    ],
+)
+def test_scale_rule_is_refused_by_what_is_wrong(nodes, weights, signs, needle):
+    with pytest.raises(EmwaveError, match=needle):
+        grids.scale_grid_from_rule(nodes, weights, (0.5, 4.0), signs)
+
+
 # ---------------------------------------------------------------------------
 # spatial grids
 # ---------------------------------------------------------------------------

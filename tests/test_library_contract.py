@@ -113,6 +113,19 @@ EDGES = _kinds(
     ),
 )
 
+# a rule's nodes or weights for signs "plus": three positive numbers, or three with one bad or nonpositive
+# entry, or no 1-D array of numbers
+_POSITIVE = st.lists(st.floats(1e-2, 5.0), min_size=3, max_size=3)
+RULE = _kinds(
+    st.one_of(_POSITIVE, _POSITIVE.map(np.array)),
+    st.one_of(
+        st.tuples(_POSITIVE, st.integers(0, 2), st.one_of(_BAD_ENTRY, st.sampled_from([0.0, -0.5]))).map(
+            lambda g: g[0][: g[1]] + [g[2]] + g[0][g[1] + 1 :]
+        ),
+        st.sampled_from([[[0.5] * 3], [True] * 3, "abc", None, 0.5]),
+    ),
+)
+
 
 def _optional(kind):
     """``None``, or a draw of ``kind`` other than ``None``."""
@@ -125,6 +138,7 @@ CALLS = {
     "grids.build_spatial_grid": lambda a: grids.build_spatial_grid(a(_counts(0, 8)), a(REAL)),
     "grids.build_cartesian_cone_grid": lambda a: grids.build_cartesian_cone_grid(YGRID, a(REAL), a(REAL)),
     "grids.gauss_legendre_panels": lambda a: grids.gauss_legendre_panels(a(EDGES), a(_counts(-1, 12))),
+    "grids.scale_grid_from_rule": lambda a: grids.scale_grid_from_rule(a(RULE), a(RULE), (0.8, 2.0), "plus"),
     "grids.scale_recovery_error": lambda a: grids.scale_recovery_error(SGRID, a(ARRAY)),
     "fieldcore.SpacetimePoint": lambda a: fieldcore.SpacetimePoint(a(VEC3), a(REAL)),
     "fieldcore.ConePoint": lambda a: fieldcore.ConePoint(a(VEC3), a(_counts(-1, 1))),

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.special import roots_laguerre
 
 from emwave import cli, fieldcore, grids, transform
 from emwave.errors import (
@@ -1379,11 +1380,13 @@ def test_a_non_finite_sample_anywhere_reaches_the_band_box(coeffs_a, bad, where)
 def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     meta = json.loads(manifest.read_text())
-    meta["version"] = 99
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(meta))
-    with pytest.raises(EmwaveError, match="version"):
-        load_coefficients(bad)
+    # versions 1 and 2 named the scale grid by its builder; they are refused, not read
+    for version in (1, 2, 99):
+        meta["version"] = version
+        bad.write_text(json.dumps(meta))
+        with pytest.raises(EmwaveError, match=f"manifest version {version}: .*rerun analyze"):
+            load_coefficients(bad)
     meta["format"] = "something-else"
     bad.write_text(json.dumps(meta))
     with pytest.raises(EmwaveError):
@@ -1397,6 +1400,7 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
         ("slice-digest-count", "slice_sha256"),
         ("slice-digest-text", "slice_sha256"),
         ("shape", "shape"),
+        ("shape-empty", "shape"),
         ("outside-payload", "outside"),
         ("t-text", "time"),
         ("t-null", "time"),
@@ -1405,6 +1409,14 @@ def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
         ("provenance-band-text", "provenance"),
         ("band-triple", "grid record"),
         ("extra-grid-arg", "grid record"),
+        ("zero-node", "sgrid record: .*not a positive finite number"),
+        ("negative-weight", "sgrid record: .*not a positive finite number"),
+        ("nan-node", "sgrid record: .*nodes="),
+        ("string-node", "sgrid record: .*nodes="),
+        ("unmirrored-pair", "sgrid record: .*not laid out for signs 'both'"),
+        ("node-count", "len\\(sgrid\\)"),
+        ("unknown-signs", "sgrid record: .*unknown sheet selection 'all'"),
+        ("extra-sgrid-key", "sgrid record"),
     ],
 )
 def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, needle):
@@ -1418,6 +1430,10 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
         meta["slice_sha256"][3] = meta["slice_sha256"][3].upper()
     elif defect == "shape":
         meta["shape"][0] += 1
+    elif defect == "shape-empty":
+        # a 16-byte payload matches the empty product; shape[0] used to raise IndexError
+        (tmp_path / "m" / "c.bin").write_bytes(bytes(16))
+        meta["shape"], meta["payload_bytes"] = [], 16
     elif defect == "t-text":
         meta["t"] = "abc"
     elif defect == "t-null":
@@ -1430,9 +1446,27 @@ def test_malformed_manifests_raise_emwave_error(coeffs_a, tmp_path, defect, need
         meta["provenance"] = {"cone_grid": {"args": {"omega_min": "a"}}}
     elif defect == "band-triple":
         # the grid records are not covered by the payload checksum
-        meta["sgrid"]["args"]["omega_band"] = [0.5, 4.0, 9.0]
+        meta["sgrid"]["omega_band"] = [0.5, 4.0, 9.0]
     elif defect == "extra-grid-arg":
         meta["ygrid"]["args"]["M"] = 8
+    elif defect == "zero-node":
+        meta["sgrid"]["nodes"][3] = 0.0
+    elif defect == "negative-weight":
+        meta["sgrid"]["weights"][5] *= -1.0
+    elif defect == "nan-node":
+        meta["sgrid"]["nodes"][2] = float("nan")  # written as NaN, which json.loads accepts
+    elif defect == "string-node":
+        meta["sgrid"]["nodes"][2] = str(meta["sgrid"]["nodes"][2])
+    elif defect == "unmirrored-pair":
+        meta["sgrid"]["nodes"][-1] *= 1.5
+    elif defect == "node-count":
+        # one mirrored pair fewer: a well-formed rule of 38 nodes for 40 slices
+        for key in ("nodes", "weights"):
+            del meta["sgrid"][key][20], meta["sgrid"][key][0]
+    elif defect == "unknown-signs":
+        meta["sgrid"]["signs"] = "all"
+    elif defect == "extra-sgrid-key":
+        meta["sgrid"]["builder"] = "scale"
     else:
         # a byte-exact copy with a matching checksum is still refused
         (tmp_path / "outside.bin").write_bytes((tmp_path / "m" / "c.bin").read_bytes())
@@ -1536,7 +1570,7 @@ def slice_threads(request, monkeypatch):
 
 def test_slice_digests_hash_each_slice_whatever_the_pool_size(coeffs_a, ygrid, sgrid, tmp_path, slice_threads):
     manifest = save_coefficients(coeffs_a, tmp_path / "set", name="c")
-    assert json.loads(manifest.read_text())["version"] == 2
+    assert json.loads(manifest.read_text())["version"] == 3
     digests = json.loads(manifest.read_text())["slice_sha256"]
     assert digests == [hashlib.sha256(c.astype("<c16").tobytes()).hexdigest() for c in coeffs_a.values]
     # a stream is hashed one slice at a time and gives the same manifest
@@ -1559,51 +1593,29 @@ def test_set_norms_on_the_pool_keep_the_bits_of_the_serial_sums(coeffs_a, coeffs
     assert norm_euclidean(stream) == norm_euclidean(coeffs_a)
 
 
-def _forge_version_1(manifest):
-    """Rewrite a saved manifest as version 1: one SHA-256 of the whole payload, no slice digests."""
-    meta = json.loads(manifest.read_text())
-    meta["version"] = 1
-    del meta["slice_sha256"]
-    meta["payload_sha256"] = hashlib.sha256((manifest.parent / meta["payload"]).read_bytes()).hexdigest()
-    manifest.write_text(json.dumps(meta))
-
-
-def test_a_version_1_manifest_loads_and_is_checked_after_its_last_slice(coeffs_a, tmp_path):
+def test_a_load_runs_no_scale_builder(coeffs_a, tmp_path, monkeypatch):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
-    _forge_version_1(manifest)
-    assert load_coefficients(manifest).values.tobytes() == coeffs_a.values.tobytes()
-    streamed = transform._synthesis_table(transform._read_coefficients(manifest))
-    assert streamed.sums[1].tobytes() == transform._synthesis_table(coeffs_a).sums[1].tobytes()
-    _flip_in_slice(tmp_path / "c.bin", 17)
-    with pytest.raises(EmwaveError, match="checksum"):
-        load_coefficients(manifest)
-    yielded = []
-    with pytest.raises(EmwaveError, match="checksum"):
-        yielded.extend(c.copy() for c in transform._read_coefficients(manifest).values)
-    assert len(yielded) == 39  # the whole digest is compared before the last slice is yielded
+    calls = []
+    for name in ("build_scale_grid", "_scale_panel_layout"):
+        monkeypatch.setattr(grids, name, lambda *args, name=name, **kwargs: calls.append(name))
+    loaded = load_coefficients(manifest)
+    list(transform._read_coefficients(manifest).values)
+    assert calls == []
+    assert grids.grids_equal(loaded.sgrid, coeffs_a.sgrid)
+    assert loaded.sgrid.meta["recovery_bound"] == coeffs_a.sgrid.meta["recovery_bound"]
+    assert loaded.values.tobytes() == coeffs_a.values.tobytes()
 
 
-LEGACY = Path(__file__).resolve().parent / "data" / "legacy_scale_record" / "coefficients.json"
-
-
-def test_legacy_scale_record_loads_bit_exactly():
-    # written before the scale grid lost its extent keywords; its record
-    # still carries them at the only values this version builds
-    record = json.loads(LEGACY.read_text())["sgrid"]["args"]
-    assert (record["s_min_factor"], record["s_max_factor"]) == (0.05, 8.0)
-    coeffs = load_coefficients(LEGACY)  # verifies the whole-payload checksum of version 1
-    assert json.loads(LEGACY.read_text())["version"] == 1
-    assert coeffs.values.tobytes() == LEGACY.with_suffix(".bin").read_bytes()
-    assert grids.grids_equal(coeffs.ygrid, grids.build_spatial_grid(2, 3.0))
-    assert grids.grids_equal(coeffs.sgrid, grids.build_scale_grid((0.9, 2.8), 6))
-    assert "s_max_factor" not in coeffs.sgrid.meta["args"]
-
-
-@pytest.mark.parametrize("key, value", [("s_max_factor", 16), ("s_min_factor", 0.1)])
-def test_legacy_scale_record_with_another_extent_is_rejected(tmp_path, key, value):
-    meta = json.loads(LEGACY.read_text())
-    meta["sgrid"]["args"][key] = value
-    (tmp_path / "coefficients.json").write_text(json.dumps(meta))
-    (tmp_path / "coefficients.bin").write_bytes(LEGACY.with_suffix(".bin").read_bytes())
-    with pytest.raises(EmwaveError, match=key):
-        load_coefficients(tmp_path / "coefficients.json")
+def test_a_set_on_another_scale_rule_reloads_with_its_rule(amp_a, ygrid, tmp_path):
+    # scaled Gauss-Laguerre, exact at the band's geometric mean: no builder makes it
+    x, w = roots_laguerre(8)
+    a = 2.0 * np.sqrt(BAND[0] * BAND[1])
+    s, ws = x / a, w * np.exp(x) / a
+    sgrid = grids.scale_grid_from_rule(np.concatenate([s, -s]), np.concatenate([ws, ws]), BAND)
+    assert sgrid.meta["recovery_bound"] < 1e-3
+    coeffs = analyze(amp_a, ygrid, sgrid)
+    loaded = load_coefficients(save_coefficients(coeffs, tmp_path, name="c"))
+    assert grids.grids_equal(loaded.sgrid, sgrid) and loaded.sgrid.meta == sgrid.meta
+    assert loaded.values.tobytes() == coeffs.values.tobytes()
+    with pytest.raises(EmwaveError, match="cannot rebuild"):
+        grids.rebuild(loaded.sgrid)
