@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import EmwaveError, check_array, check_count, check_real
 
@@ -97,6 +96,36 @@ def _validate_band(omega_min: float, omega_max: float) -> tuple[float, float]:
     return omega_min, omega_max
 
 
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence of P_n, from the usual
+    cosine guesses, for the (n + 1) // 2 nonnegative roots; the rest are
+    their mirror images.  The weight of root x is 2 / ((1 - x^2) P_n'(x)^2).
+    Every step is elementwise, so the bits depend on no BLAS or LAPACK
+    thread count.
+    """
+
+    def legendre(x):  # P_n(x) and P_n'(x)
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(1, (n + 1) // 2 + 1) - 0.25) / (n + 0.5))  # descending
+    for _ in range(100):
+        p, dp = legendre(x)
+        dx = p / dp
+        x = x - dx
+        if np.abs(dx).max() <= 4.0 * np.finfo(float).eps:
+            break
+    if n % 2:
+        x[-1] = 0.0  # the middle root of an odd rule
+    w = 2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)
+    half = n // 2
+    return np.concatenate([-x[:half], x[::-1]]), np.concatenate([w[:half], w[::-1]])
+
+
 def gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with ``n`` nodes on each panel between consecutive ``edges``.
 
@@ -110,7 +139,7 @@ def gauss_legendre_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
     edges = check_array(edges, "edges")
     if edges.ndim != 1:
         raise EmwaveError(f"panel edges must be a 1-D array, got shape {edges.shape}")
-    x, w = roots_legendre(n)
+    x, w = _legendre_rule(n)
     a = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - a)
     return (a + half * (x + 1.0)).ravel(), (half * w).ravel()
@@ -158,7 +187,7 @@ def build_cone_grid(
         raise EmwaveError("cone grid needs at least 2 radial and 2 angular nodes")
 
     omega, w_omega = gauss_legendre_panels((omega_min, omega_max), radial_nodes)
-    mu, w_mu = roots_legendre(angular_order)
+    mu, w_mu = _legendre_rule(angular_order)
     n_phi = 2 * angular_order
     phi = TWO_PI * (np.arange(n_phi) + 0.5) / n_phi
     w_phi = TWO_PI / n_phi
@@ -264,8 +293,8 @@ def scale_grid_from_rule(nodes, weights, omega_band: tuple[float, float], signs:
     ``omega_band`` and ``signs``.  ``meta["recovery_bound"]`` is the rule's
     whole error on the band, tail included: the worst `scale_recovery_error`
     over 4096 log-spaced frequencies and the parabola vertex of each
-    sampled peak.  Like every grid, it freezes float arrays it is given
-    rather than copy them.
+    sampled peak; a rule whose bound is not finite is refused.  Like every
+    grid, it freezes float arrays it is given rather than copy them.
     """
     omega_min, omega_max = _validate_band(*check_array(omega_band, "omega_band", (2,)))
     nodes, weights = check_array(nodes, "nodes"), check_array(weights, "weights")
@@ -282,14 +311,16 @@ def scale_grid_from_rule(nodes, weights, omega_band: tuple[float, float], signs:
         raise EmwaveError(f"the scale rule's nodes are not laid out for signs {signs!r}: all positive, all negative, "
                           f"or for 'both' the positive nodes, then their mirror images with the same weights")
     omega = np.geomspace(omega_min, omega_max, 4096)
-    err = scale_recovery_error(half, omega)
-    lo, mid, hi = err[:-2], err[1:-1], err[2:]
-    peak = (mid >= np.maximum(lo, hi)) & (lo + hi < 2.0 * mid)
-    vertex = omega[1:-1][peak] * (omega[1] / omega[0]) ** (0.5 * (lo - hi)[peak] / (lo - 2.0 * mid + hi)[peak])
-    meta = {
-        "args": {"omega_band": (omega_min, omega_max), "signs": signs},
-        "recovery_bound": float(max(err.max(), scale_recovery_error(half, vertex).max(initial=0.0))),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # weights near the float range overflow; refused below
+        err = scale_recovery_error(half, omega)
+        lo, mid, hi = err[:-2], err[1:-1], err[2:]
+        peak = (mid >= np.maximum(lo, hi)) & (lo + hi < 2.0 * mid)
+        vertex = omega[1:-1][peak] * (omega[1] / omega[0]) ** (0.5 * (lo - hi)[peak] / (lo - 2.0 * mid + hi)[peak])
+        bound = float(np.max([err.max(), scale_recovery_error(half, vertex).max(initial=0.0)]))
+    if not math.isfinite(bound):
+        raise EmwaveError(f"the scale rule's recovery error over the band [{omega_min}, {omega_max}] is not a finite "
+                          f"number: its weights are too large")
+    meta = {"args": {"omega_band": (omega_min, omega_max), "signs": signs}, "recovery_bound": bound}
     return QuadratureGrid("scale", nodes, weights, None, meta)
 
 

@@ -29,13 +29,11 @@ import queue
 import re
 import warnings
 from collections import deque, namedtuple
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-from scipy.special import erfc
 
 from . import grids as _grids
 from .errors import (
@@ -171,55 +169,67 @@ def _box_runs(flat, N: int) -> list:
     return [_index_runs(i, N) for i in np.unravel_index(flat, (N, N, N))]
 
 
-def _pruned_ifftn(block, y_runs, x_runs, workers):
-    """``scipy.fft.ifftn(block, axes=(1, 2, 3))`` in place, for a block whose (z, y, x) spectrum is zero
-    wherever y is outside ``y_runs`` or x outside ``x_runs``; returns ``block``.
+def _pruned_ifftn(block, y_runs, x_runs):
+    """The unscaled inverse DFT of ``block`` over axes 1, 2 and 3, in place, for a block whose (z, y, x)
+    spectrum is zero wherever y is outside ``y_runs`` or x outside ``x_runs``; returns ``block``.
 
-    ifftn transforms axis 1, then 2, then 3, each one line at a time.  The
-    1-D transforms here run in that order on basic-slice views, and only
-    on the lines that can be nonzero: axis 1 on the (y-run x x-run)
-    columns, axis 2 on the x-run planes (axis 1 has filled every z), axis 3
-    on the whole block.  A skipped line is all zeros and stays so, and each
-    transformed line gets ifftn's arithmetic, so every bit is ifftn's.  At
-    N = 64 and band [0.5, 4] (25 of 64 indices per axis) that is 51 % of
-    its lines.  norm="forward" leaves the inverse unscaled (the N^3 / L^3
-    volume factor is folded into the sheet factor); overwrite_x makes each
-    transform write into its view.
+    A batched ifftn (``scipy.fft.ifftn``'s order; ``np.fft.ifftn`` runs the
+    axes backwards) transforms axis 1, then 2, then 3, each one line at a
+    time.  The 1-D transforms here run in that order on basic-slice views,
+    each writing into its view (``out=``), and only on the lines that can
+    be nonzero: axis 1 on the (y-run x x-run) columns, axis 2 on the x-run
+    planes (axis 1 has filled every z), axis 3 on the whole block, one
+    vector component at a time (numpy runs the x pass of an N = 64 slice so
+    in 4.0 ms, against 6.3 ms over the interleaved components).  A skipped
+    line is all zeros and stays so, and each transformed line gets ifftn's
+    arithmetic, so every bit is ifftn's.  At N = 64 and band [0.5, 4] (25 of
+    64 indices per axis) that is 51 % of its lines.  norm="forward" leaves
+    the inverse unscaled (the N^3 / L^3 volume factor is folded into the
+    sheet factor).
     """
-    kw = {"norm": "forward", "workers": workers, "overwrite_x": True}
     for y in y_runs:
         for x in x_runs:
-            scipy.fft.ifft(block[:, :, y, x], axis=1, **kw)
+            view = block[:, :, y, x]
+            np.fft.ifft(view, axis=1, norm="forward", out=view)
     for x in x_runs:
-        scipy.fft.ifft(block[:, :, :, x], axis=2, **kw)
-    scipy.fft.ifft(block, axis=3, **kw)
+        view = block[:, :, :, x]
+        np.fft.ifft(view, axis=2, norm="forward", out=view)
+    for c in range(3):
+        view = block[..., c]
+        np.fft.ifft(view, axis=3, norm="forward", out=view)
     return block
 
 
 def _pruned_fftn(c, runs, work):
-    """The band box of one (N, N, N, 3) slice's spectrum: ``scipy.fft.fftn(np.moveaxis(c, -1, 0),
-    axes=(1, 2, 3))`` at the FFT-order indices ``runs`` on every axis, as a new (3, r, r, r) array.
+    """The band box of one (N, N, N, 3) slice's spectrum, its DFT over axes z, y and x (in the order of
+    ``scipy.fft.fftn``), at the FFT-order indices ``runs`` on every axis, as a new component-major
+    (3, r, r, r) array.
 
     `_pruned_ifftn` run backwards.  fftn transforms axis z, then y, then x,
     each one line at a time.  The 1-D transforms here run in that order, in
-    place in ``work``, an (N, N, N, 3) buffer that takes a copy of ``c``, and
-    only on the lines whose outputs the box keeps: z on every line, y on the
-    lines at the z runs, x on the lines at the (z, y) runs.  Each line
+    place in ``work``, an (N, N, N, 3) buffer that takes a copy of ``c``
+    (``c`` may be ``work`` itself), and only on the lines whose outputs the
+    box keeps: z on every line, y on the lines at the z runs, x on the
+    lines at the (z, y) runs, one component at a time.  Each line
     transformed gets fftn's arithmetic, so every entry of the box has
     fftn's bits.  At N = 64 and band [0.5, 4] (25 of 64 indices per axis)
     that is 51 % of its lines, and the slice is not copied component-major.
     """
-    np.copyto(work, c)
-    scipy.fft.fft(work, axis=0, overwrite_x=True)
+    if c is not work:
+        np.copyto(work, c)
+    np.fft.fft(work, axis=0, out=work)
     for z in runs:
-        scipy.fft.fft(work[z], axis=1, overwrite_x=True)
+        view = work[z]
+        np.fft.fft(view, axis=1, out=view)
         for y in runs:
-            scipy.fft.fft(work[z, y], axis=2, overwrite_x=True)
+            for k in range(3):
+                view = work[z, y, :, k]
+                np.fft.fft(view, axis=2, out=view)
     keep = np.r_[tuple(runs)]
     return np.moveaxis(work, -1, 0)[np.ix_(range(3), keep, keep, keep)]
 
 
-def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None = None, out=None):
+def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, out=None):
     """Yield F(y, t - is) at the nodes of ``ygrid`` for the scales ``s``, in blocks of shape (k, N, N, N, 3).
 
     The per-amplitude set-up runs once, before the first block.  An
@@ -230,15 +240,14 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     onto the grid in place, transforming only the lines that the shell's
     index runs (found once, in the set-up) can reach.  ``fill`` does that
     for one block of at most `_BLOCK_ENTRIES` entries or one slice (21
-    slices at N = 16, 2 at N = 32, 1 at N = 64), and the slice pool runs it.
-    A caller passing the zeroed buffer ``out`` of the whole payload gets it
-    filled and yielded as the one block: ``min(workers, blocks, cpus)``
-    blocks at a time, each transformed with ``workers // threads`` workers.
-    Otherwise the blocks reuse two buffers, and block b + 1 is filled on a
-    pool thread while the caller reads block b, so a block is overwritten
-    once the next is drawn.  ``workers`` is the ``scipy.fft`` worker count,
-    and ``None`` reads it on the calling thread: `scipy.fft.set_workers` is
-    thread-local, so a pool thread would read 1.  One worker thread or one
+    slices at N = 16, 2 at N = 32, 1 at N = 64), and the slice pool runs it
+    on ``threads = min(workers, blocks, cpus)`` threads.  A caller passing
+    the zeroed buffer ``out`` of the whole payload gets it filled and
+    yielded as the one block, ``threads`` blocks at a time.  Otherwise the
+    calling thread fills the first block, and the pool fills up to
+    ``threads`` blocks ahead of the one the caller reads, each in its own
+    of ``threads + 1`` reused buffers, so a block is overwritten once a
+    later one is drawn.  One thread (``workers`` 1 with ``out``) or one
     block starts no thread.  Each 1-D transform is the same whatever the
     blocking or the thread, so the bits are too.  Other amplitudes are
     summed densely by `_evaluate_many` on the calling thread, in one pass
@@ -247,7 +256,6 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     N = ygrid.meta["args"]["N"]
     L = ygrid.meta["args"]["L"]
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    workers = scipy.fft.get_workers() if workers is None else workers
     step = max(1, _BLOCK_ENTRIES // (3 * N**3))
     grid = amp.grid
     if not (grid.meta.get("builder") == "cartesian_cone" and grid.meta["args"]["spatial"] == ygrid.meta["args"]):
@@ -264,7 +272,7 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
     sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
     _, y_runs, x_runs = _box_runs(flat, N)
 
-    def fill(block, scales, fft_workers):
+    def fill(block, scales):
         """Scatter the live sheets of ``scales`` into the zeroed ``block`` and transform it in place."""
         slices = block.reshape(len(scales), N**3, 3)
         for i, si in enumerate(scales):
@@ -275,30 +283,33 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int | None 
             ]
             if live:
                 slices[i, flat] = sum(live[1:], live[0])
-        return _pruned_ifftn(block, y_runs, x_runs, fft_workers)
+        return _pruned_ifftn(block, y_runs, x_runs)
 
     blocks = [slice(lo, lo + step) for lo in range(0, len(s), step)]
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
     if out is not None:
-        threads = min(workers, len(blocks), os.cpu_count() or 1)
         with _slice_pool(threads) as pool:
             run = pool.map if threads > 1 else map  # one thread: the calling one
-            list(run(lambda b: fill(out[b], s[b], workers // threads), blocks))
+            list(run(lambda b: fill(out[b], s[b]), blocks))
         yield out
         return
-    buffers = np.zeros((min(2, len(blocks)), min(step, len(s)), N, N, N, 3), dtype=complex)
+    ahead = min(threads, len(blocks) - 1)  # blocks in flight on the pool beside the one the caller reads
+    buffers = np.zeros((ahead + 1, min(step, len(s)), N, N, N, 3), dtype=complex)
 
     def refill(b):
-        block = buffers[b % 2, : len(s[blocks[b]])]
-        if b > 1:  # the buffer holds block b - 2
+        block = buffers[b % len(buffers), : len(s[blocks[b]])]
+        if b >= len(buffers):  # the buffer holds block b - len(buffers)
             block.fill(0.0)
-        return fill(block, s[blocks[b]], workers)
+        return fill(block, s[blocks[b]])
 
-    with _slice_pool(1) as pool:  # its thread starts at the first submit
+    with _slice_pool(max(1, ahead)) as pool:  # its threads start at the first submits
+        filling = deque(pool.submit(refill, b) for b in range(1, ahead + 1))
         block = refill(0)
         for b in range(1, len(blocks)):
-            ahead = pool.submit(refill, b)
             yield block
-            block = ahead.result()
+            if b + ahead < len(blocks):  # the caller has drawn past block b - 1, whose buffer this one takes
+                filling.append(pool.submit(refill, b + ahead))
+            block = filling.popleft().result()
         yield block
 
 
@@ -329,26 +340,25 @@ def analyze(
 
     `_field_on_grid` fills one zeroed payload in place, block by block on
     the slice pool: ``min(workers, blocks, os.cpu_count())`` blocks at a
-    time, each transformed by `_pruned_ifftn` with ``workers // threads``
-    ``scipy.fft`` workers, with the bits of one batched inverse FFT.  ``t``
-    must be a finite real number.  Linear in ``amp``.  ``workers`` is
-    ``None`` (scipy's default, 1 unless set by ``scipy.fft.set_workers``,
-    read on the calling thread) or an integer >= 1; it bounds the threads
-    the call runs on, and the result does not depend on it.  One worker
-    starts no thread.
+    time, each transformed by `_pruned_ifftn`, with the bits of one batched
+    inverse FFT.  ``t`` must be a finite real number.  Linear in ``amp``.
+    ``workers`` is ``None`` (1) or an integer >= 1, the number of threads
+    the call runs on; the result does not depend on it.  One worker starts
+    no thread.
     """
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
     N = ygrid.meta["args"]["N"]
     out = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
-    (values,) = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers, out=out)
+    (values,) = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers or 1, out=out)
     return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)
 
 
-def _analysis_stream(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float) -> _CoefficientStream:
-    """The coefficients of `analyze` as a `_CoefficientStream` of `_field_on_grid` blocks, each filled one
-    block ahead on the slice pool with the ``scipy.fft`` worker count in effect here."""
-    t, provenance = _analysis_record(amp, ygrid, sgrid, t, None)
-    blocks = _field_on_grid(amp, ygrid, t, sgrid.nodes, scipy.fft.get_workers())
+def _analysis_stream(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float,
+                     workers: int = 1) -> _CoefficientStream:
+    """The coefficients of `analyze` as a `_CoefficientStream` of `_field_on_grid` blocks, filled up to
+    ``workers`` blocks ahead on the slice pool."""
+    t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
+    blocks = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers)
     return _CoefficientStream(ygrid, sgrid, (c for block in blocks for c in block), t, provenance)
 
 
@@ -391,21 +401,32 @@ def _close(values) -> None:
         close()
 
 
-def _synthesis_table(coeffs) -> _SynthesisTable:
+def _run_now(fn, *args) -> Future:
+    """``fn(*args)`` run on the calling thread, as a done future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
+def _synthesis_table(coeffs, workers: int = 1) -> _SynthesisTable:
     """The `_SynthesisTable` of a set or a stream; a table is its own, and a set keeps the one it gets.
 
     The band box is the run of indices (`_box_runs`) that the ball
     ``|k| <= omega_band[1]`` of the scale grid reaches on each axis.  Each
-    slice's box is one `_pruned_fftn` into a reused slice buffer, and the
+    slice's box is one `_pruned_fftn` in a reused slice buffer, and the
     symbol products and sums are formed on the box alone.  The box keeps
     fftn's bits for every entry it keeps; content outside it, which the
     scale rule weights with an R(omega) that nothing bounds outside the
     band, is dropped.  A band that reaches past the Nyquist frequency
-    gives the whole lattice.  The slices are folded one at a time in fixed
-    scale order, so the sums have the same bits from memory, from a file
-    or from an analysis stream, with the ``scipy.fft`` worker count in
-    effect.  A non-finite slice would reach every probe through the sums;
-    it is refused once the slices have run to their end.  A stream is
+    gives the whole lattice.  ``threads = min(workers, slices, cpus)``
+    slices are transformed and weighted at a time on the slice pool, each
+    copied into its own buffer before the next is drawn; one thread starts
+    none and transforms each slice on the calling thread.  The weighted
+    boxes are folded one at a time in fixed scale order on the calling
+    thread, so the sums have the same bits from memory, from a file or from
+    an analysis stream, at any ``workers``.  A non-finite box would reach every probe through the
+    sums, so a slice whose box is not finite is refused once the slices
+    have run to their end, and so are sums that overflow.  A stream is
     closed once the fold stops reading it, whether or not it ran to its
     end.
     """
@@ -422,24 +443,57 @@ def _synthesis_table(coeffs) -> _SynthesisTable:
     omega, index = np.unique(Omega[box].ravel(), return_inverse=True)
     index = index.reshape((len(keep),) * 3)
     PH = PH[box]
-    work = np.empty((N, N, N, 3), dtype=complex)
-    sums, bad = {}, 0
-    try:
-        for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):  # a drawn stream is short
+    threads = min(workers, len(coeffs.sgrid), os.cpu_count() or 1)
+    spare = [np.empty((N, N, N, 3), dtype=complex) for _ in range(threads)]
+
+    def weighted(c, sheet, s, w, work):
+        """The weighted box of slice ``c`` (which may be ``work``), or None when it is not finite."""
+        with np.errstate(invalid="ignore", over="ignore"):  # numpy's FFT warns on a non-finite sample
             chat = _pruned_fftn(c, runs, work)
             if not np.isfinite(chat).all():  # a non-finite sample anywhere in c reaches every entry of its box
-                bad += 1
-                continue
-            sheet = 1 if s > 0 else -1
+                return None
             chat *= (w * np.exp(-sheet * omega * s))[index] * PH
-            if sheet in sums:
+        return chat
+
+    sums, bad = {}, 0
+    pending = deque()  # (future, its buffer, its sheet) of the slices submitted and not yet folded, in scale order
+
+    def fold():
+        nonlocal bad
+        done, work, sheet = pending.popleft()
+        chat = done.result()
+        spare.append(work)
+        if chat is None:
+            bad += 1
+        elif sheet in sums:
+            with np.errstate(invalid="ignore", over="ignore"):  # refused below
                 sums[sheet] += chat
-            else:
-                sums[sheet] = chat
+        else:
+            sums[sheet] = chat
+
+    try:
+        with _slice_pool(threads) as pool:
+            submit = pool.submit if threads > 1 else _run_now
+            # a drawn stream is short
+            for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):
+                if len(pending) == threads:
+                    fold()
+                work = spare.pop()
+                if threads > 1:  # a stream's slice is overwritten once the next is drawn
+                    np.copyto(work, c)
+                    c = work
+                sheet = 1 if s > 0 else -1
+                pending.append((submit(weighted, c, sheet, s, w, work), work, sheet))
+            while pending:
+                fold()
     finally:
         _close(coeffs.values)
     if bad:
-        raise EmwaveError(f"{bad} of {len(coeffs.sgrid)} coefficient slices hold a non-finite sample")
+        raise EmwaveError(f"{bad} of {len(coeffs.sgrid)} coefficient slices hold a non-finite sample "
+                          f"or transform to one")
+    if not all(np.isfinite(H).all() for H in sums.values()):
+        raise EmwaveError("the weighted sums of the coefficient slices overflow: their values or scale weights "
+                          "are too large")
     table = _SynthesisTable(coeffs.ygrid, coeffs.t, _grids.momentum_axis(coeffs.ygrid)[keep], omega, index, sums)
     if isinstance(coeffs, EuclideanCoefficients):
         object.__setattr__(coeffs, "_synthesis", table)
@@ -477,8 +531,7 @@ def _synthesize_engine(coeffs, pts: np.ndarray, t: float, sigma: float) -> np.nd
     for any blocking.  A single probe (K = 1, as in `synthesize`) runs the
     big product as a matrix-vector one and may differ from the same probe
     in a block in the last bit.  The first call on a coefficient set builds
-    the table with the ``scipy.fft`` worker count in effect; the result
-    does not depend on it.
+    its table on the calling thread.
     """
     table = _synthesis_table(coeffs)
     N = table.ygrid.meta["args"]["N"]
@@ -726,9 +779,15 @@ def _cell_kernel_factors(d) -> tuple[np.ndarray, np.ndarray]:
     rt = np.sqrt(t)
     c = (np.abs(d - 1.0), np.abs(d), np.abs(d + 1.0))
     g = (c[0] - 2.0 * c[1] + c[2]) * (0.5 * np.sqrt(np.pi)) / rt
-    for k, ck in zip((1.0, -2.0, 1.0), c):
-        g = g + k * (np.expm1(-t * ck**2) / (2.0 * t) - (0.5 * np.sqrt(np.pi)) * ck * erfc(rt * ck) / rt)
+    for k, ck, erfc in zip((1.0, -2.0, 1.0), c, _erfc(np.stack([rt * ck for ck in c]))):
+        g = g + k * (np.expm1(-t * ck**2) / (2.0 * t) - (0.5 * np.sqrt(np.pi)) * ck * erfc / rt)
     return w, g
+
+
+def _erfc(x) -> np.ndarray:
+    """``math.erfc`` of each entry of the float array ``x``, evaluated once per distinct value."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return np.array([math.erfc(v) for v in values.tolist()])[inverse].reshape(x.shape)
 
 
 def _cell_kernel(d) -> float:
@@ -780,8 +839,8 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     P = 2 * N
     power = np.zeros((P, P, P))
     for c in range(3):  # s= zero-pads each component to P^3
-        power += np.abs(scipy.fft.fftn(F[..., c], s=(P, P, P))) ** 2
-    corr = scipy.fft.ifftn(power)
+        power += np.abs(np.fft.fftn(F[..., c], s=(P, P, P), axes=(0, 1, 2))) ** 2
+    corr = np.fft.ifftn(power)
 
     idx = np.arange(P)
     w, g = _cell_kernel_factors(np.where(idx < N, idx, idx - P))

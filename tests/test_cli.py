@@ -246,6 +246,7 @@ def test_norms_pipeline_passes_and_writes_manifest(tmp_path):
     assert manifest["conventions"] == CONVENTIONS
     assert manifest["package_version"] == __version__
     assert manifest["workers"] == 2  # from the scenario key
+    assert manifest["fft_backend"] == "numpy.fft" and "scipy_version" not in manifest
     import hashlib
 
     assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
@@ -375,6 +376,44 @@ def test_reconstruct_refuses_a_flipped_payload_byte_before_any_output(tmp_path, 
     err = capsys.readouterr().err
     assert "config error at coefficients: " in err and "checksum mismatch in slice 13 of c.bin" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "recon").exists()
+
+
+def _scale_payload(directory, factor):
+    """Multiply a saved set's values by ``factor`` and rewrite its slice digests to match."""
+    manifest = json.loads((directory / "c.json").read_text())
+    values = np.fromfile(directory / "c.bin", dtype="<c16") * factor
+    values.tofile(directory / "c.bin")
+    slices = values.reshape(manifest["shape"][0], -1)
+    manifest["slice_sha256"] = [hashlib.sha256(c.tobytes()).hexdigest() for c in slices]
+    (directory / "c.json").write_text(json.dumps(manifest))
+
+
+def _mirrored_weights(directory, value):
+    """Set the weight of the sixth positive scale node and of its mirror image to ``value``."""
+    manifest = json.loads((directory / "c.json").read_text())
+    weights = manifest["sgrid"]["weights"]
+    weights[5] = weights[len(weights) // 2 + 5] = value
+    (directory / "c.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "corrupt, needle",
+    [(lambda d: _scale_payload(d, 1e306), "the round-trip error at t=0 is inf"),
+     (lambda d: _mirrored_weights(d, 1e308), "recovery error over the band [0.8, 3.5] is not a finite number")],
+    ids=["payload-1e306", "weights-1e308"],
+)
+def test_reconstruct_refuses_finite_but_huge_coefficients(tmp_path, capsys, corrupt, needle):
+    # finite values or weights whose sums overflow used to end in a ValueError from the report writer
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, _analyze_cfg("coeff"), "a.json"))]) == 0
+    corrupt(tmp_path / "coeff")
+    rcfg = _analyze_cfg("recon")
+    rcfg["pipeline"] = "reconstruct"
+    rcfg["coefficients"] = "coeff/c.json"
+    capsys.readouterr()
+    assert main(["reconstruct", "--scenario", str(_write_cfg(tmp_path, rcfg, "r.json"))]) == 2
+    err = capsys.readouterr().err
+    assert "config error at coefficients: " in err and needle in err and "Traceback" not in err
     assert not (tmp_path / "recon").exists()
 
 
@@ -527,7 +566,7 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         pytest.param(lambda c: _put(c, "workers", 10**6), "workers", id="workers-1e6"),
         pytest.param(lambda c: (_put(c, "grids.spatial.N", 32), _put(c, "norms.nonlocal", True)), "norms.nonlocal",
                      id="nonlocal-N32"),
-        # scipy.fft rejects these; the table rejects them first
+        # a pool needs a thread; the table rejects these first
         pytest.param(lambda c: _put(c, "workers", 0), "workers", id="workers-0"),
         pytest.param(lambda c: _put(c, "workers", -1), "workers", id="workers-minus-1"),
     ],
@@ -804,6 +843,16 @@ def test_cli_import_leaves_out_the_oracle_quadrature():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_package_and_cli_import_no_scipy():
+    # the fast paths run on numpy alone; scipy is the oracle's, loaded for verify only
+    src = str(Path(emwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, emwave, emwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_console_script_reports_version():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -332,7 +333,7 @@ def test_sheet_sums_are_the_component_last_sums_moved(coeffs_a):
 @pytest.mark.parametrize("n", [8, 16, 32, 64])
 @pytest.mark.parametrize("reach", [0.3, 0.6, 1.0])
 def test_pruned_forward_transform_has_the_bits_of_fftn_on_the_box(n, reach):
-    # z on every line, y on the z runs, x on the (z, y) runs, at 1 and 2 workers
+    # z on every line, y on the z runs, x on the (z, y) runs, twice through one work buffer
     ygrid_n = grids.build_spatial_grid(n, 20.0)
     keep, box = _band_box(ygrid_n, reach * ygrid_n.meta["nyquist"])
     runs = transform._index_runs(keep, n)
@@ -342,11 +343,29 @@ def test_pruned_forward_transform_has_the_bits_of_fftn_on_the_box(n, reach):
     c.setflags(write=False)
     want = scipy.fft.fftn(np.moveaxis(c, -1, 0), axes=(1, 2, 3))[(slice(None),) + box]
     work = np.empty_like(c)
-    for workers in (1, 2):
-        with scipy.fft.set_workers(workers):
-            got = transform._pruned_fftn(c, runs, work)
+    for _ in range(2):
+        got = transform._pruned_fftn(c, runs, work)
         assert got.shape == (3,) + (len(keep),) * 3 and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+    np.copyto(work, c)  # a slice already in the work buffer
+    assert transform._pruned_fftn(work, runs, work).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("reach", [0.3, 0.6, 1.0])
+def test_pruned_inverse_transform_has_the_bits_of_scipy_ifftn(n, reach):
+    # numpy.fft line by line against scipy's batched ifftn, axis 1 first, on a
+    # spectrum that is zero outside the (y, x) runs
+    ygrid_n = grids.build_spatial_grid(n, 20.0)
+    keep, _ = _band_box(ygrid_n, reach * ygrid_n.meta["nyquist"])
+    runs = transform._index_runs(keep, n)
+    rng = np.random.default_rng(n)
+    block = np.zeros((2 if n < 64 else 1, n, n, n, 3), dtype=complex)
+    inside = np.ix_(range(len(block)), range(n), keep, keep, range(3))
+    block[inside] = rng.standard_normal(block[inside].shape) + 1j * rng.standard_normal(block[inside].shape)
+    want = scipy.fft.ifftn(block, axes=(1, 2, 3), norm="forward")
+    got = transform._pruned_ifftn(block, runs, runs)
+    assert got is block and got.tobytes() == want.tobytes()
 
 
 _THREADS_PROBE = """
@@ -852,12 +871,12 @@ def test_repeat_synthesis_runs_no_fft(call, amp_a, ygrid, sgrid, monkeypatch):
     coeffs = analyze(amp_a, ygrid, sgrid)
     calls = []
     for name in ("fftn", "ifftn", "fft", "ifft", "rfftn", "irfftn"):
-        monkeypatch.setattr(scipy.fft, name, _counting(name, getattr(scipy.fft, name), calls))
+        monkeypatch.setattr(np.fft, name, _counting(name, getattr(np.fft, name), calls))
     x = np.array([0.4, -0.2, 0.7])
     first = call(coeffs, x)
     # one pruned forward transform per scale slice, of 1-D transforms only: z
-    # over every line, y per z run and x per (z, y) run, two runs per axis
-    assert calls == ["fft"] * (len(sgrid) * (1 + 2 + 2 * 2))
+    # over every line, y per z run and x per (z, y) run and component, two runs per axis
+    assert calls == ["fft"] * (len(sgrid) * (1 + 2 + 2 * 2 * 3))
     calls.clear()
     second = call(coeffs, x)
     assert calls == []
@@ -906,14 +925,15 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     assert np.array_equal(c1.values, c8.values)
     probes = np.array([[0.3, -0.8, 0.5], [1.2, 0.4, -0.9]])
     s1 = synthesize_many(c1, probes, 0.7)
-    with scipy.fft.set_workers(8):
-        s8 = synthesize_many(c8, probes, 0.7)
+    transform._synthesis_table(c8, 8)  # the set keeps the table built on 8 threads
+    s8 = synthesize_many(c8, probes, 0.7)
     assert np.array_equal(s1, s8)
-    # kernel reproduction takes scipy's worker count, 1 unless set around it
+    # kernel reproduction from a table built on 1 and on 8 threads
     for sigma in (0.6, -0.4):
         r1 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
-        with scipy.fft.set_workers(8):
-            r8 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
+        c8 = analyze(amp_a, ygrid, sgrid)
+        transform._synthesis_table(c8, 8)
+        r8 = reproduce_complex_time(c8, probes[0], 0.2, sigma)
         assert np.array_equal(r1.F, r8.F)
     # single-sheet amplitude: the negative-scale slices are gated off
     plus = grids.build_cartesian_cone_grid(ygrid, *BAND, sheets="plus")
@@ -922,16 +942,20 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     p8 = analyze(single, ygrid, sgrid, workers=8)
     assert np.array_equal(p1.values, p8.values)
     q1 = synthesize_many(p1, probes, 0.7)
-    with scipy.fft.set_workers(8):
-        q8 = synthesize_many(p8, probes, 0.7)
+    transform._synthesis_table(p8, 8)
+    q8 = synthesize_many(p8, probes, 0.7)
     assert np.array_equal(q1, q8)
 
 
-def test_worker_default_comes_from_scipy_set_workers(amp_a, ygrid, sgrid):
+def test_worker_default_is_one_thread(monkeypatch):
+    # workers=None runs every fill on the calling thread, whatever a scipy.fft context says
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    calls = _recording_fills(monkeypatch)
     with scipy.fft.set_workers(4):
-        from_context = analyze(amp_a, ygrid, sgrid)
-    explicit = analyze(amp_a, ygrid, sgrid, workers=1)
-    assert np.array_equal(from_context.values, explicit.values)
+        default = analyze(amp, ygrid_n, sgrid_n)
+    assert len(calls) == 3 and all(thread is threading.main_thread() for thread, _ in calls)
+    assert default.values.tobytes() == analyze(amp, ygrid_n, sgrid_n, workers=1).values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -939,8 +963,9 @@ def test_worker_default_comes_from_scipy_set_workers(amp_a, ygrid, sgrid):
 # ---------------------------------------------------------------------------
 
 
-def _batched_ifftn(block, y_runs, x_runs, workers):
-    return scipy.fft.ifftn(block, axes=(1, 2, 3), norm="forward", workers=workers, overwrite_x=True)
+def _batched_ifftn(block, y_runs, x_runs):
+    block[...] = scipy.fft.ifftn(block, axes=(1, 2, 3), norm="forward")  # axis 1 first, as the pruned transform
+    return block
 
 
 def _lattice_runs(cone, n):
@@ -1002,13 +1027,13 @@ def test_pruned_transform_skips_the_lines_outside_the_shell(monkeypatch):
     ny, nx = (sum(r.stop - r.start for r in runs) for runs in (y_runs, x_runs))
     assert ny == nx == 13  # |p| <= 2 reaches index 6 of 32 either way
     lines = []
-    real = scipy.fft.ifft
+    real = np.fft.ifft
 
     def counting(x, *args, axis=-1, **kwargs):
         lines.append(x.size // x.shape[axis])
         return real(x, *args, axis=axis, **kwargs)
 
-    monkeypatch.setattr(transform.scipy.fft, "ifft", counting)
+    monkeypatch.setattr(np.fft, "ifft", counting)
     analyze(amp, ygrid_n, sgrid_n)
     per_slice = ny * nx + n * nx + n * n  # z-lines on the (y-run x x-run) columns, y-lines on the x-run planes, all x-lines
     assert sum(lines) == len(sgrid_n) * 3 * per_slice
@@ -1031,15 +1056,15 @@ def _blocked_set(monkeypatch, sheets="both"):
 
 
 def _recording_fills(monkeypatch, fail_at=None):
-    """Wrap `_pruned_ifftn`: record each fill's worker count and thread, and the live thread count during it."""
+    """Wrap `_pruned_ifftn`: record each fill's thread and the live thread count during it."""
     calls = []
     real = transform._pruned_ifftn
 
-    def recording(block, y_runs, x_runs, workers):
-        calls.append((workers, threading.current_thread(), threading.active_count()))
+    def recording(block, y_runs, x_runs):
+        calls.append((threading.current_thread(), threading.active_count()))
         if len(calls) - 1 == fail_at:
             raise RuntimeError(f"fill of block {fail_at} failed")
-        return real(block, y_runs, x_runs, workers)
+        return real(block, y_runs, x_runs)
 
     monkeypatch.setattr(transform, "_pruned_ifftn", recording)
     return calls
@@ -1080,8 +1105,7 @@ def test_analyze_runs_at_most_one_fill_thread_per_cpu(monkeypatch):
     calls = _recording_fills(monkeypatch)
     analyze(amp, ygrid_n, sgrid_n, workers=64)
     assert len(calls) == 12
-    assert max(live for _, _, live in calls) <= before + 2
-    assert {workers for workers, _, _ in calls} == {32}
+    assert max(live for _, live in calls) <= before + 2
     assert threading.active_count() == before
 
 
@@ -1172,33 +1196,49 @@ def test_one_block_and_one_worker_start_no_thread(monkeypatch):
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 3 * 8**3)
     analyze(amp, ygrid_n, sgrid_n, workers=1)
     assert len(calls) == 1 + 1 + 12
-    assert all(thread is threading.main_thread() and live == before for _, thread, live in calls)
+    assert all(thread is threading.main_thread() and live == before for thread, live in calls)
 
 
-def test_fills_take_the_worker_count_of_the_calling_thread(monkeypatch):
-    # scipy.fft.set_workers is thread-local: a pool thread reads 1
-    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
+def test_fills_run_on_the_explicit_worker_count(monkeypatch):
+    # workers is passed down, not read from a thread-local context: the stream's
+    # caller fills the first block and a pool of min(workers, blocks - 1) threads
+    # fills ahead; analyze fills on a pool of min(workers, blocks, cpus) threads
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)  # three blocks
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    sizes, real_pool = [], transform._slice_pool
+
+    def recording_pool(threads=None):
+        sizes.append(threads)
+        return real_pool(threads)
+
+    monkeypatch.setattr(transform, "_slice_pool", recording_pool)
+    before = threading.active_count()
     calls = _recording_fills(monkeypatch)
     with scipy.fft.set_workers(3):
-        stream = transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4)
-    list(stream.values)
-    assert [workers for workers, _, _ in calls] == [3, 3, 3]
-    assert {thread is threading.main_thread() for _, thread, _ in calls} == {True, False}
-    calls.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)  # one fill thread: the calling one
-    with scipy.fft.set_workers(3):
-        analyze(amp, ygrid_n, sgrid_n)
-    assert [workers for workers, _, _ in calls] == [3, 3, 3]
-    calls.clear()
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # three fill threads of 6 // 3 workers each
-    with scipy.fft.set_workers(6):
-        analyze(amp, ygrid_n, sgrid_n)
-    assert [workers for workers, _, _ in calls] == [2, 2, 2]
+        list(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values)
+    assert sizes == [1] and sorted(thread is threading.main_thread() for thread, _ in calls) == [False, False, True]
+    list(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4, 3).values)
+    analyze(amp, ygrid_n, sgrid_n, workers=3)
+    assert sizes == [1, 2, 3] and len(calls) == 9
+    assert threading.main_thread() not in {thread for thread, _ in calls[6:]}
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
 # nonlocal equal-time norm
 # ---------------------------------------------------------------------------
+
+
+def test_erfc_matches_scipy():
+    from scipy.special import erfc
+
+    x = np.concatenate([np.linspace(0.0, 26.0, 5201), np.geomspace(1e-12, 26.0, 999)]).reshape(40, -1)  # normal values
+    got, want = transform._erfc(x), erfc(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    # repeated arguments keep their places
+    x = np.array([[2.0, 0.5, 3.0], [0.5, 2.0, 2.0]])
+    assert transform._erfc(x).tolist() == [[math.erfc(v) for v in row] for row in x.tolist()]
 
 
 def test_cell_kernel_frozen_anchors():
@@ -1375,6 +1415,43 @@ def test_a_non_finite_sample_anywhere_reaches_the_band_box(coeffs_a, bad, where)
     values[(5,) + where] = bad
     with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
         transform._synthesis_table(EuclideanCoefficients(coeffs_a.ygrid, coeffs_a.sgrid, values))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_table_sums_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, amp_a, ygrid, sgrid, coeffs_a, workers):
+    # slices transformed workers at a time on the slice pool, from a set, a file
+    # stream and an analysis stream, fold into the bytes of the one-thread table
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    want = transform._synthesis_table(analyze(amp_a, ygrid, sgrid)).sums
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more threads than cores, switching every microsecond
+    try:
+        tables = [
+            transform._synthesis_table(analyze(amp_a, ygrid, sgrid), workers),
+            transform._synthesis_table(transform._read_coefficients(manifest), workers),
+            transform._synthesis_table(transform._analysis_stream(amp_a, ygrid, sgrid, 0.0, workers), workers),
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    for table in tables:
+        assert table.sums.keys() == want.keys()
+        assert all(table.sums[sheet].tobytes() == H.tobytes() for sheet, H in want.items())
+    values = coeffs_a.values.copy()
+    values[5, 7, 15, 8, 2] = np.nan
+    with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
+        transform._synthesis_table(EuclideanCoefficients(ygrid, sgrid, values), workers)
+    assert threading.active_count() == before
+
+
+def test_the_table_refuses_weighted_sums_that_overflow(coeffs_a):
+    # every sample and weight is finite, but the weighted boxes leave the float range
+    big = grids.scale_grid_from_rule(coeffs_a.sgrid.nodes, coeffs_a.sgrid.weights * 1e300, BAND)
+    coeffs = EuclideanCoefficients(coeffs_a.ygrid, big, coeffs_a.values * 1e10, provenance=coeffs_a.provenance)
+    with pytest.raises(EmwaveError, match="the weighted sums of the coefficient slices overflow"):
+        synthesize_many(coeffs, np.zeros((2, 3)), 0.0)
 
 
 def test_foreign_manifests_are_rejected(coeffs_a, tmp_path):
@@ -1619,3 +1696,4 @@ def test_a_set_on_another_scale_rule_reloads_with_its_rule(amp_a, ygrid, tmp_pat
     assert loaded.values.tobytes() == coeffs.values.tobytes()
     with pytest.raises(EmwaveError, match="cannot rebuild"):
         grids.rebuild(loaded.sgrid)
+
