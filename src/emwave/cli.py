@@ -288,8 +288,7 @@ SCENARIO_KEYS = {
     "grids.spatial.N": (int, _FIELD, _at_most(256)),  # N = 256 takes 0.8 GB per scale slice
     "grids.spatial.L": (float, _FIELD, None),
     "grids.scale.omega_band": (list, _FIELD, _PAIR),
-    # worst recovery error on [0.5, 4]: 4.7e-4 at 24 nodes, 5.5e-7 at 48, 1.3e-7 at 64, and past ~100
-    # nodes the truncation floor of the fixed extent 8 / omega_min, ~1.1e-7 (meta["recovery_bound"])
+    # meta["recovery_bound"] on [0.5, 4]: 2.4e-4 at 8 nodes, 3.4e-6 at 12, 3.0e-8 at 16, 5.1e-12 at 24
     "grids.scale.nodes_per_sign": (int, 24, _at_most(1024)),
     "grids.scale.signs": (str, "both", None),
     "grids.cone.omega_min": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[0], None),
@@ -407,6 +406,9 @@ def _build_grids(cfg: dict):
     try:
         cone = grids.build_cartesian_cone_grid(
             ygrid, cfg["grids.cone.omega_min"], cfg["grids.cone.omega_max"], sheets=cfg["grids.cone.sheets"])
+        (lo, hi), band = (cfg["grids.cone.omega_min"], cfg["grids.cone.omega_max"]), cfg["grids.scale.omega_band"]
+        if lo < band[0] or hi > band[1]:  # the scale rule and its recovery bound hold only on their band
+            raise EmwaveError(f"the cone band [{lo}, {hi}] reaches outside the scale band {band}")
     except EmwaveError as exc:
         _fail("grids.cone", str(exc))
     return ygrid, sgrid, cone

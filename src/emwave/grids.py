@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -223,45 +222,40 @@ def build_cone_grid(
     return QuadratureGrid("cone", nodes, weights, sheet_arr, meta)
 
 
-def _scale_panel_layout(
-    s_min: float, s_max: float, nodes_per_sign: int
-) -> list[tuple[float, float, int]]:
-    """Panel decomposition for the half-line scale integral.
+def _double_exponential_rules(omega_min: float, omega_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node double-exponential scale rule, one row per tolerance eps = 1e-1 ... 1e-16.
 
-    A head panel covers ``[0, s_min]`` (the integrand is O(1) there and the
-    interval is short), followed by geometrically growing panels out to
-    ``s_max``.  Roughly five Gauss-Legendre nodes per geometric panel keeps
-    each panel's e-folding count small for every frequency in the band.
+    The trapezoid rule in x on [a, b] for ``s = C exp(x - e^-x)``, ``C = 1 / sqrt(omega_min omega_max)``
+    (Takahasi and Mori, Publ. RIMS 9, 1974): nodes ``s(x_k)``, weights ``h s(x_k) (1 + e^-x_k)``.  At the ends
+    each truncation's relative error on the band is eps: ``2 omega_max s(a) = eps = exp(-2 omega_min s(b))``.
+    Newton's method solves ``x - e^-x = ln(s / C)`` for them from starts left of the root, without overshoot.
     """
-    n_head = max(2, nodes_per_sign // 8)
-    remaining = nodes_per_sign - n_head
-    n_panels = max(2, remaining // 5)
-    base, extra = divmod(remaining, n_panels)
-    counts = [base + 1] * extra + [base] * (n_panels - extra)
-    edges = s_min * (s_max / s_min) ** (np.arange(n_panels + 1) / n_panels)
-    layout = [(0.0, s_min, n_head)]
-    layout += [(edges[i], edges[i + 1], counts[i]) for i in range(n_panels)]
-    return layout
+    eps, half_log_ratio = 10.0 ** -np.arange(1.0, 17.0), 0.5 * (math.log(omega_max) - math.log(omega_min))
+    c = np.log([eps / 2.0, -np.log(eps) / 2.0]) + [[-half_log_ratio], [half_log_ratio]]
+    x = np.where(c >= -1.0, c, -np.log(np.maximum(-c, 1.0)))
+    for _ in range(8):  # 6 steps reach the root to roundoff for every |c| <= 800, which every float band meets
+        x = x - (x - np.exp(-x) - c) / (1.0 + np.exp(-x))
+    a, b = x[:, :, None]
+    x = a + (b - a) / (n - 1) * np.arange(n)
+    with np.errstate(over="ignore"):  # C or a node of an extreme band overflows; the caller refuses it
+        nodes = 1.0 / (math.sqrt(omega_min) * math.sqrt(omega_max)) * np.exp(x - np.exp(-x))
+        return nodes, (b - a) / (n - 1) * nodes * (1.0 + np.exp(-x))
 
 
-def build_scale_grid(
-    omega_band: tuple[float, float],
-    nodes_per_sign: int,
-    signs: str = "both",
-) -> QuadratureGrid:
+def build_scale_grid(omega_band: tuple[float, float], nodes_per_sign: int, signs: str = "both") -> QuadratureGrid:
     """Quadrature grid for the scale-parameter integral.
 
-    The scale integrands decay like ``exp(-2 omega |s|)`` for frequencies
-    in ``omega_band``, so nodes are laid out on ``|s| in (0, 8 / omega_min]``:
-    one short head panel ``[0, 0.05 / omega_max]`` plus log-spaced
-    Gauss-Legendre panels, handed to `scale_grid_from_rule`.
+    The scale integrands decay like ``exp(-2 omega |s|)`` for frequencies in ``omega_band``.  Of the
+    `_double_exponential_rules`, the one with the smallest `scale_recovery_error` on 64 log-spaced frequencies
+    of the band goes to `scale_grid_from_rule`; no BLAS or worker thread count moves a bit.  A band where any
+    of their nodes or weights leaves the normal float range is refused.
 
     Parameters
     ----------
     omega_band : (float, float)
         Frequency band the grid must serve.
     nodes_per_sign : int
-        Node budget for each requested sign (minimum 6).
+        Node count for each requested sign (minimum 6).
     signs : {"both", "plus", "minus"}
         Which signs of s to populate.  ``"both"`` gives mirror-symmetric
         node sets.
@@ -269,14 +263,14 @@ def build_scale_grid(
     omega_min, omega_max = _validate_band(*check_array(omega_band, "omega_band", (2,)))
     if check_count(nodes_per_sign, "nodes_per_sign") < 6:
         raise EmwaveError("scale grid needs at least 6 nodes per sign")
-    s_min, s_max = 0.05 / omega_max, 8.0 / omega_min
-    # an extreme band underflows s_min or overflows the ratio that spaces the panel edges
-    if not (s_min > 0.0 and s_max / s_min < math.inf):
-        raise EmwaveError(f"scale panels over the band [{omega_min}, {omega_max}] have an edge (0.05 / omega_max "
-                          f"or 8 / omega_min) or a ratio of edges that is not a positive finite number")
-    panels = [gauss_legendre_panels((a, b), n) for a, b, n in _scale_panel_layout(s_min, s_max, nodes_per_sign)]
-    nodes, weights, labels = _per_sheet(np.concatenate([x for x, _ in panels]),
-                                        np.concatenate([w for _, w in panels]), signs)
+    rules = _double_exponential_rules(omega_min, omega_max, nodes_per_sign)
+    if not np.all((np.finfo(float).tiny <= rules) & (rules <= np.finfo(float).max)):
+        raise EmwaveError(f"the scale rule over the band [{omega_min}, {omega_max}] has a node or weight that "
+                          f"is not a positive finite number in the normal float range")
+    sample = np.geomspace(omega_min, omega_max, 64)
+    with np.errstate(over="ignore"):  # a poor rule's sum may overflow; it is not chosen
+        errors = [scale_recovery_error(QuadratureGrid("scale", s, w), sample).max() for s, w in zip(*rules)]
+    nodes, weights, labels = _per_sheet(*(r[int(np.argmin(errors))] for r in rules), signs)
     grid = scale_grid_from_rule(nodes * labels, weights, (omega_min, omega_max), signs)
     grid.meta.update(builder="scale", args={**grid.meta["args"], "nodes_per_sign": int(nodes_per_sign)})
     return grid
@@ -293,7 +287,8 @@ def scale_grid_from_rule(nodes, weights, omega_band: tuple[float, float], signs:
     ``omega_band`` and ``signs``.  ``meta["recovery_bound"]`` is the rule's
     whole error on the band, tail included: the worst `scale_recovery_error`
     over 4096 log-spaced frequencies and the parabola vertex of each
-    sampled peak; a rule whose bound is not finite is refused.  Like every
+    sampled peak, plus ``(n + 3) eps`` for the rounding of an n-node sum;
+    a rule whose bound is not finite is refused.  Like every
     grid, it freezes float arrays it is given rather than copy them.
     """
     omega_min, omega_max = _validate_band(*check_array(omega_band, "omega_band", (2,)))
@@ -316,7 +311,8 @@ def scale_grid_from_rule(nodes, weights, omega_band: tuple[float, float], signs:
         lo, mid, hi = err[:-2], err[1:-1], err[2:]
         peak = (mid >= np.maximum(lo, hi)) & (lo + hi < 2.0 * mid)
         vertex = omega[1:-1][peak] * (omega[1] / omega[0]) ** (0.5 * (lo - hi)[peak] / (lo - 2.0 * mid + hi)[peak])
-        bound = float(np.max([err.max(), scale_recovery_error(half, vertex).max(initial=0.0)]))
+        bound = float(np.max([err.max(), scale_recovery_error(half, vertex).max(initial=0.0)])
+                      + (n + 3) * np.finfo(float).eps)
     if not math.isfinite(bound):
         raise EmwaveError(f"the scale rule's recovery error over the band [{omega_min}, {omega_max}] is not a finite "
                           f"number: its weights are too large")
@@ -335,11 +331,11 @@ def scale_recovery_error(grid: QuadratureGrid, omega):
     if grid.kind != "scale":
         raise EmwaveError("scale_recovery_error needs a scale grid")
     omega = check_array(omega, "omega")
-    worst = 0.0
+    scaled, worst = -2.0 * omega, 0.0
     for sign in (1, -1):
         mask = np.sign(grid.nodes) == sign
         if mask.any():  # summed node by node, so no (omega x node) matrix is held
-            approx = sum(w * np.exp(-2.0 * omega * abs(s)) for s, w in zip(grid.nodes[mask], grid.weights[mask]))
+            approx = sum(w * np.exp(scaled * abs(s)) for s, w in zip(grid.nodes[mask], grid.weights[mask]))
             worst = np.maximum(worst, np.abs(2.0 * omega * approx - 1.0))
     return worst
 

@@ -304,6 +304,27 @@ def test_criterion_08_reconstruction_and_inner_product(reference):
     )
 
 
+def test_scale_rule_keeps_the_chain_at_roundoff():
+    # the default tolerances (1e-2) would pass a 10^6-fold regression of the scale rule; this bound would not.
+    # L = 10 keeps the band below the Nyquist frequency 5.03 at N = 16, so nothing else adds an error
+    L = 10.0
+    ygrid = grids.build_spatial_grid(16, L)
+    sgrid = grids.build_scale_grid(REF_BAND, REF_SNODES)
+    amp = amplitude_from_scalar(grids.build_cartesian_cone_grid(ygrid, *REF_BAND), _ref_profile_a)
+    coeffs = transform.analyze(amp, ygrid, sgrid)
+    nm = transform.norm_momentum(amp)
+    gap = abs(transform.norm_euclidean(coeffs) - nm) / nm
+    probes = np.random.default_rng(88).uniform(-0.3 * L / 2, 0.3 * L / 2, (50, 3))
+    round_trip = 0.0
+    for t in (0.0, 1.0):
+        rec = transform.synthesize_many(coeffs, probes, t)
+        ref = np.stack([evaluate_field(amp, SpacetimePoint(x, t)).F for x in probes])
+        round_trip = max(round_trip, float(np.linalg.norm(rec - ref) / np.linalg.norm(ref)))
+    bound = sgrid.meta["recovery_bound"]
+    print(f"gap {gap:.3e}, round trip {round_trip:.3e}, recovery bound {bound:.3e}")
+    assert max(gap, round_trip, bound) <= 1e-10, (gap, round_trip, bound)
+
+
 def test_criterion_09_nonlocal_equal_time_norm():
     ygrid = grids.build_spatial_grid(16, 10.0)
     cone = grids.build_cartesian_cone_grid(ygrid, 0.3, 2.5, sheets="plus")

@@ -264,7 +264,8 @@ def test_manifest_total_ignores_a_stepping_wall_clock(monkeypatch, tmp_path):
 
 
 def test_norms_pipeline_fails_tight_tolerance(tmp_path):
-    path = _write_cfg(tmp_path, _norms_cfg("out", tol=1e-9))
+    # the Parseval gap of this scenario is about 3.4e-12 (20 nodes per sign on [0.8, 3.5])
+    path = _write_cfg(tmp_path, _norms_cfg("out", tol=1e-13))
     assert main(["norms", "--scenario", str(path)]) == 1
     manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
     assert manifest["exit_status"] == 1
@@ -556,8 +557,11 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         pytest.param(lambda c: _put(c, "outputs.directory", "o\0ut"), "outputs.directory", id="directory-nul"),
         # a finite amplitude whose norm overflows
         pytest.param(lambda c: _put(c, "amplitude.angular.const", 1e300), "amplitude: ", id="const-1e300"),
-        # a band whose scale quadrature overflows (s_min subnormal)
+        # a band whose scale quadrature leaves the float range (its smallest nodes underflow)
         pytest.param(lambda c: _put(c, "grids.scale.omega_band", [0.9, 1e307]), "grids.scale: ", id="band-1e307"),
+        # a cone band the scale rule does not cover
+        pytest.param(lambda c: _put(c, "grids.cone.omega_max", 4.0), "grids.cone: the cone band [0.8, 4.0] reaches "
+                     "outside the scale band [0.8, 3.5]", id="cone-outside-scale-band"),
         # sizes beyond any run are rejected before anything is allocated
         pytest.param(lambda c: _put(c, "probes.count", 10**12, "reconstruct"), "probes.count", id="count-1e12"),
         pytest.param(lambda c: _put(c, "grids.spatial.N", 512), "grids.spatial.N", id="N-512"),

@@ -1673,7 +1673,7 @@ def test_set_norms_on_the_pool_keep_the_bits_of_the_serial_sums(coeffs_a, coeffs
 def test_a_load_runs_no_scale_builder(coeffs_a, tmp_path, monkeypatch):
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     calls = []
-    for name in ("build_scale_grid", "_scale_panel_layout"):
+    for name in ("build_scale_grid", "_double_exponential_rules"):
         monkeypatch.setattr(grids, name, lambda *args, name=name, **kwargs: calls.append(name))
     loaded = load_coefficients(manifest)
     list(transform._read_coefficients(manifest).values)
