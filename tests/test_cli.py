@@ -839,24 +839,40 @@ def test_load_scenario_round_trips_valid_config(tmp_path):
     assert cfg["pipeline"] == "norms"
 
 
-def test_cli_import_leaves_out_the_oracle_quadrature():
-    # only the verify suites need the oracle, and with it scipy.integrate
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(emwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, emwave.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_out_the_oracle_quadrature():
+    # only the verify suites need the oracle
+    out = _run_python("import sys, emwave.cli; print('emwave.oracle' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
 
 def test_package_and_cli_import_no_scipy():
-    # the fast paths run on numpy alone; scipy is the oracle's, loaded for verify only
-    src = str(Path(emwave.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, emwave, emwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    # the package runs on numpy alone, the oracle included
+    out = _run_python(
+        "import sys, emwave, emwave.cli, emwave.oracle; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_verify_runs_with_scipy_blocked(tmp_path):
+    # every oracle suite, in a process where importing scipy fails
+    out_path = tmp_path / "verify.json"
+    out = _run_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from emwave import cli\n"
+        f"sys.exit(cli.main(['verify', '--suite', 'all', '--seed', '7', '--out', {str(out_path)!r}]))"
+    )
+    assert out.returncode == 0, out.stderr
+    records = json.loads(out_path.read_text())["records"]
+    assert records and all(r["pass"] and r["converged"] for r in records)
 
 
 def test_console_script_reports_version():

@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import roots_laguerre, wofz
+from scipy import integrate
+from scipy.special import roots_laguerre, roots_legendre, wofz
 
 from emwave import oracle
 from emwave.oracle import (
@@ -14,6 +15,7 @@ from emwave.oracle import (
     kernel_by_quadrature,
     wavelet_by_quadrature,
 )
+from emwave.grids import _legendre_rule
 from emwave.wavelet import WaveletLabel, eval_wavelet
 
 PI = np.pi
@@ -88,7 +90,7 @@ def test_inner_product_sums_the_product_rule_in_radial_chunks():
     finally:
         tracemalloc.stop()
     # the whole refined product rule at once, as one sum per sheet
-    x, wx = roots_laguerre(2 * oracle._RADIAL_NODES)
+    x, wx = oracle._laguerre(2 * oracle._RADIAL_NODES)
     omega = x / oracle._RADIAL_RATE
     nhat, w_ang = oracle._sphere_rule(2 * oracle._ANGULAR_ORDER)
     om, nn = np.repeat(omega, len(nhat)), np.tile(nhat, (len(omega), 1))
@@ -97,6 +99,36 @@ def test_inner_product_sums_the_product_rule_in_radial_chunks():
     assert len(om) * 16 > 2**21  # one complex value per node of the whole rule would not fit
     assert abs(complex(res) - whole) <= 1e-15 * abs(whole)
     assert peak < 2**21
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 96])
+@pytest.mark.parametrize("rule,reference", [(oracle._legendre, roots_legendre), (oracle._laguerre, roots_laguerre)])
+def test_gauss_rules_match_scipy(rule, reference, n):
+    x, w = rule(n)
+    x_ref, w_ref = reference(n)
+    assert np.all(np.abs(x - x_ref) <= 1e-13 * np.maximum(np.abs(x_ref), 1.0))
+    assert np.all(np.abs(w - w_ref) <= 1e-11 * w_ref)
+
+
+def test_legendre_rule_agrees_with_the_grid_rule():
+    # Newton's method from two independent starts: Jacobi eigenvalues here, cosine guesses in `grids`;
+    # near x = +-1 a node's last bit moves its weight by about 1e-13
+    for n in (16, 32, 48, 96):
+        x, w = oracle._legendre(n)
+        x_ref, w_ref = _legendre_rule(n)
+        assert np.max(np.abs(x - x_ref)) <= 2.0 * np.finfo(float).eps
+        assert np.max(np.abs(w - w_ref) / w_ref) <= 5e-13
+
+
+def test_gauss_rules_integrate_polynomials_exactly():
+    # n nodes integrate degree 2n - 1: INT_-1^1 x^(2j) dx = 2 / (2j + 1), INT_0^inf x^j e^-x dx = j!;
+    # an odd n puts the middle Legendre node at 0
+    x, w = oracle._legendre(9)
+    for j in range(9):
+        assert np.sum(w * x ** (2 * j)) == pytest.approx(2.0 / (2 * j + 1), rel=1e-14)
+    x, w = oracle._laguerre(9)
+    for j in range(18):
+        assert np.sum(w * x**j) == pytest.approx(float(np.prod(np.arange(1, j + 1))), rel=1e-12)
 
 
 def test_oracle_flags_unconverged_results():
@@ -176,6 +208,52 @@ def test_ast_quadrature_gaussian_matches_faddeeva():
         assert res.converged
         want = wofz((x0 + 1j * y0) / np.sqrt(2.0))
         assert abs(complex(res) - want) / abs(want) < 1e-9
+
+
+def _verify_ast_draws(seed: int):
+    # the x, y draws of `emwave verify`'s ast suite
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        x = rng.uniform(-1.0, 1.0, 3)
+        y = rng.uniform(-0.8, 0.8, 3)
+        yield x, (y + 0.5 if np.linalg.norm(y) < 0.3 else y)
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_ast_quadrature_matches_quadpack_on_the_verify_draws(seed):
+    gauss = lambda pt: np.exp(-0.5 * float(np.sum(np.asarray(pt) ** 2)))
+    for x, y in _verify_ast_draws(seed):
+        res = ast_by_quadrature(gauss, x, y, kind="decaying")
+        assert res.converged
+
+        def part(u, which):
+            fp, fm = gauss(x + u * y), gauss(x - u * y)
+            return which((u * (fp - fm) + 1j * (fp + fm)) / (u * u + 1.0) / (PI * 1j))
+
+        re, _ = integrate.quad(part, 0.0, np.inf, args=(np.real,), epsabs=1e-12, epsrel=1e-12, limit=300)
+        im, _ = integrate.quad(part, 0.0, np.inf, args=(np.imag,), epsabs=1e-12, epsrel=1e-12, limit=300)
+        assert abs(complex(res) - complex(re, im)) <= 1e-13 * abs(complex(re, im))
+
+
+@pytest.mark.parametrize("kappa", [1e-9, 0.3, 1.0, 2.7])
+def test_fourier_half_line_integrals_match_their_closed_form(kappa):
+    # INT_0^inf cos(kappa u) / (u^2 + 1) du = INT_0^inf u sin(kappa u) / (u^2 + 1) du = (pi / 2) e^-kappa;
+    # the sine one converges only conditionally, so it needs the epsilon-algorithm
+    want = 0.5 * PI * np.exp(-kappa)
+    for h in (lambda u, ph: np.cos(ph) / (u * u + 1.0), lambda u, ph: u * np.sin(ph) / (u * u + 1.0)):
+        value, err = oracle._fourier(h, kappa, 1e-11)
+        assert abs(value - want) <= min(err, 1e-11 * want)
+
+
+@pytest.mark.parametrize("kappa", [1e-9, -0.3])
+def test_ast_quadrature_plane_wave_along_the_line(kappa):
+    # f(z) = e^{i k z} on the line: the signal is 2 f(x) e^-kappa for kappa = k y > 0 and 0 below,
+    # where the relative estimate means nothing; at kappa = 1e-9 QUADPACK's QAWF returned f(x)
+    f = lambda z: complex(np.exp(1j * kappa * float(np.asarray(z)[0])))
+    res = ast_by_quadrature(f, np.array([0.4]), np.array([1.0]), kind="plane", k=np.array([kappa]))
+    assert res.converged or kappa < 0
+    want = 2.0 * f(np.array([0.4])) * np.exp(-kappa) if kappa > 0 else 0.0
+    assert abs(complex(res) - want) <= 1e-11
 
 
 def test_ast_quadrature_plane_wave():

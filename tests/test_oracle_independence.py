@@ -24,7 +24,7 @@ def test_oracle_imports_nothing_from_the_package():
 def test_oracle_uses_only_generic_numerics():
     source = pathlib.Path(emwave.oracle.__file__).read_text()
     tree = python_ast.parse(source)
-    allowed = {"numpy", "scipy", "dataclasses", "__future__"}
+    allowed = {"numpy", "dataclasses", "__future__"}
     roots = set()
     for node in python_ast.walk(tree):
         if isinstance(node, python_ast.ImportFrom):
