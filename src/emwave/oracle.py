@@ -106,6 +106,21 @@ def _newton(x: np.ndarray, poly) -> tuple[np.ndarray, np.ndarray]:
     return x, poly(x)[1]
 
 
+def _built_once(rule):
+    """``rule(n)`` built at its first call for each ``n`` and kept, its arrays made read-only."""
+    built = {}
+
+    def kept(n: int) -> tuple[np.ndarray, np.ndarray]:
+        if n not in built:
+            built[n] = rule(n)
+            for array in built[n]:
+                array.setflags(write=False)
+        return built[n]
+
+    return kept
+
+
+@_built_once
 def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
@@ -126,6 +141,7 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, 2.0 / ((1.0 - x * x) * dp**2)
 
 
+@_built_once
 def _laguerre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Laguerre nodes (ascending) and weights for the weight e^-x on [0, inf).
 
@@ -442,7 +458,9 @@ def ast_by_quadrature(
     integral is ``f(x) (2 / pi) INT_0^inf [cos(kappa tau) + tau
     sin(kappa tau)] / (tau^2 + 1) dtau``, summed over half-periods
     ``pi / |kappa|`` with Wynn's epsilon-algorithm, at tolerances 1e-9
-    and 1e-11.
+    and 1e-11.  The estimate is relative to ``|value|``, for a plane wave
+    to ``max(|value|, |f(x)|)``, the integral's natural size, so that the
+    correct zero at ``kappa < 0`` counts as converged.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -476,5 +494,7 @@ def ast_by_quadrature(
     else:
         raise ValueError(f"unknown oracle kind {kind!r}")
 
-    est = _relative_gap(coarse, fine) + abserr / max(abs(fine), 1e-300)
+    # a plane wave's signal has the natural size |f(x)|, also where it is 0 (kappa < 0)
+    size = max(abs(fine), abs(amp) if kind == "plane" else 0.0, 1e-300)
+    est = abs(fine - coarse) / size + abserr / size
     return OracleResult(fine, est, est <= tol)

@@ -19,17 +19,15 @@ Conventions used throughout (fixed once here):
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import numbers
 import os
-import queue
 import re
 import warnings
-from collections import deque, namedtuple
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -229,6 +227,44 @@ def _pruned_fftn(c, runs, work):
     return np.moveaxis(work, -1, 0)[np.ix_(range(3), keep, keep, keep)]
 
 
+_SLICE_THREADS = 2  # threads that hash, write, read and sum scale slices
+
+
+def _in_order(fn, items, depth: int, buffers=None):
+    """Yield ``fn(item, buffer)`` for each of ``items`` in order, with up to ``depth`` calls running at once.
+
+    The calls run on a pool of ``depth`` threads that the generator owns.
+    Item k is handed ``buffers[k % len(buffers)]``, and is drawn and
+    submitted only when the consumer, done with the result of item
+    k - len(buffers), asks for the next one: so a buffer goes to new work
+    only after the result that used it has been yielded and the next one
+    drawn.  Without ``buffers`` (each call is handed None) every item is
+    submitted at the first draw, so no thread idles while an earlier call
+    runs.  When nothing can run ahead of the consumer, at depth one without
+    a ring of two or more buffers, each call runs on the calling thread as
+    its result is drawn, and no thread starts.  On close or on an error in
+    ``fn`` or in ``items``, queued calls are cancelled and the threads
+    joined; a consumer that fails closes it.
+    """
+    ring = [None] if buffers is None else buffers
+    if depth < 2 and len(ring) < 2:
+        for k, item in enumerate(items):
+            yield fn(item, ring[k % len(ring)])
+        return
+    ahead = math.inf if buffers is None else len(buffers)  # most calls submitted and not yet yielded
+    pool = ThreadPoolExecutor(max_workers=depth)  # a thread starts only when work is submitted and none is idle
+    running = []  # the calls submitted and not yet yielded, in order
+    try:
+        for k, item in enumerate(items):
+            running.append(pool.submit(fn, item, ring[k % len(ring)]))
+            if len(running) == ahead:
+                yield running.pop(0).result()
+        while running:
+            yield running.pop(0).result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, out=None):
     """Yield F(y, t - is) at the nodes of ``ygrid`` for the scales ``s``, in blocks of shape (k, N, N, N, 3).
 
@@ -240,15 +276,11 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, ou
     onto the grid in place, transforming only the lines that the shell's
     index runs (found once, in the set-up) can reach.  ``fill`` does that
     for one block of at most `_BLOCK_ENTRIES` entries or one slice (21
-    slices at N = 16, 2 at N = 32, 1 at N = 64), and the slice pool runs it
-    on ``threads = min(workers, blocks, cpus)`` threads.  A caller passing
-    the zeroed buffer ``out`` of the whole payload gets it filled and
-    yielded as the one block, ``threads`` blocks at a time.  Otherwise the
-    calling thread fills the first block, and the pool fills up to
-    ``threads`` blocks ahead of the one the caller reads, each in its own
-    of ``threads + 1`` reused buffers, so a block is overwritten once a
-    later one is drawn.  One thread (``workers`` 1 with ``out``) or one
-    block starts no thread.  Each 1-D transform is the same whatever the
+    slices at N = 16, 2 at N = 32, 1 at N = 64) through `_in_order`, on
+    ``threads = min(workers, blocks, cpus)`` threads: in place in the
+    zeroed payload ``out`` of a caller that passes one, or else in
+    ``threads + 1`` reused buffers (fewer for fewer blocks), so that
+    ``threads`` blocks fill while the caller reads one.  Each 1-D transform is the same whatever the
     blocking or the thread, so the bits are too.  Other amplitudes are
     summed densely by `_evaluate_many` on the calling thread, in one pass
     into ``out`` or block by block.
@@ -271,9 +303,18 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, ou
     f = amplitude_vectors(amp)
     sheets = {int(sheet): f[grid.sheets == sheet] for sheet in np.unique(grid.sheets)}
     _, y_runs, x_runs = _box_runs(flat, N)
+    blocks = [slice(lo, lo + step) for lo in range(0, len(s), step)]
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    ahead = min(threads, len(blocks) - 1)  # blocks a stream fills beside the one its consumer reads
+    buffers = None if out is not None else np.zeros((ahead + 1, min(step, len(s)), N, N, N, 3), dtype=complex)
 
-    def fill(block, scales):
-        """Scatter the live sheets of ``scales`` into the zeroed ``block`` and transform it in place."""
+    def fill(b, buffer):
+        """Scatter the live sheets of block ``b`` into ``buffer`` (zeroed if reused), or into its part of ``out``,
+        and transform it in place."""
+        scales = s[blocks[b]]
+        block = out[blocks[b]] if buffer is None else buffer[: len(scales)]
+        if buffer is not None and b >= len(buffers):
+            block.fill(0.0)
         slices = block.reshape(len(scales), N**3, 3)
         for i, si in enumerate(scales):
             live = [
@@ -285,32 +326,7 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, ou
                 slices[i, flat] = sum(live[1:], live[0])
         return _pruned_ifftn(block, y_runs, x_runs)
 
-    blocks = [slice(lo, lo + step) for lo in range(0, len(s), step)]
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    if out is not None:
-        with _slice_pool(threads) as pool:
-            run = pool.map if threads > 1 else map  # one thread: the calling one
-            list(run(lambda b: fill(out[b], s[b]), blocks))
-        yield out
-        return
-    ahead = min(threads, len(blocks) - 1)  # blocks in flight on the pool beside the one the caller reads
-    buffers = np.zeros((ahead + 1, min(step, len(s)), N, N, N, 3), dtype=complex)
-
-    def refill(b):
-        block = buffers[b % len(buffers), : len(s[blocks[b]])]
-        if b >= len(buffers):  # the buffer holds block b - len(buffers)
-            block.fill(0.0)
-        return fill(block, s[blocks[b]])
-
-    with _slice_pool(max(1, ahead)) as pool:  # its threads start at the first submits
-        filling = deque(pool.submit(refill, b) for b in range(1, ahead + 1))
-        block = refill(0)
-        for b in range(1, len(blocks)):
-            yield block
-            if b + ahead < len(blocks):  # the caller has drawn past block b - 1, whose buffer this one takes
-                filling.append(pool.submit(refill, b + ahead))
-            block = filling.popleft().result()
-        yield block
+    yield from _in_order(fill, range(len(blocks)), threads if out is not None else max(ahead, 1), buffers)
 
 
 def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t, workers) -> tuple[float, dict]:
@@ -338,8 +354,8 @@ def analyze(
 ) -> EuclideanCoefficients:
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
-    `_field_on_grid` fills one zeroed payload in place, block by block on
-    the slice pool: ``min(workers, blocks, os.cpu_count())`` blocks at a
+    `_field_on_grid` fills one zeroed payload in place, block by block
+    through `_in_order`: ``min(workers, blocks, os.cpu_count())`` blocks at a
     time, each transformed by `_pruned_ifftn`, with the bits of one batched
     inverse FFT.  ``t`` must be a finite real number.  Linear in ``amp``.
     ``workers`` is ``None`` (1) or an integer >= 1, the number of threads
@@ -349,14 +365,15 @@ def analyze(
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
     N = ygrid.meta["args"]["N"]
     out = np.zeros((len(sgrid), N, N, N, 3), dtype=complex)
-    (values,) = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers or 1, out=out)
-    return EuclideanCoefficients(ygrid, sgrid, values, t=t, provenance=provenance)
+    for _ in _field_on_grid(amp, ygrid, t, sgrid.nodes, workers or 1, out=out):
+        pass
+    return EuclideanCoefficients(ygrid, sgrid, out, t=t, provenance=provenance)
 
 
 def _analysis_stream(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t: float,
                      workers: int = 1) -> _CoefficientStream:
     """The coefficients of `analyze` as a `_CoefficientStream` of `_field_on_grid` blocks, filled up to
-    ``workers`` blocks ahead on the slice pool."""
+    ``workers`` blocks ahead of the one the consumer reads."""
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
     blocks = _field_on_grid(amp, ygrid, t, sgrid.nodes, workers)
     return _CoefficientStream(ygrid, sgrid, (c for block in blocks for c in block), t, provenance)
@@ -401,13 +418,6 @@ def _close(values) -> None:
         close()
 
 
-def _run_now(fn, *args) -> Future:
-    """``fn(*args)`` run on the calling thread, as a done future."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
-
-
 def _synthesis_table(coeffs, workers: int = 1) -> _SynthesisTable:
     """The `_SynthesisTable` of a set or a stream; a table is its own, and a set keeps the one it gets.
 
@@ -418,13 +428,12 @@ def _synthesis_table(coeffs, workers: int = 1) -> _SynthesisTable:
     fftn's bits for every entry it keeps; content outside it, which the
     scale rule weights with an R(omega) that nothing bounds outside the
     band, is dropped.  A band that reaches past the Nyquist frequency
-    gives the whole lattice.  ``threads = min(workers, slices, cpus)``
-    slices are transformed and weighted at a time on the slice pool, each
-    copied into its own buffer before the next is drawn; one thread starts
-    none and transforms each slice on the calling thread.  The weighted
-    boxes are folded one at a time in fixed scale order on the calling
-    thread, so the sums have the same bits from memory, from a file or from
-    an analysis stream, at any ``workers``.  A non-finite box would reach every probe through the
+    gives the whole lattice.  `_in_order` transforms and weights
+    ``threads = min(workers, slices, cpus)`` slices at a time, each in its
+    own of ``threads`` buffers, and the boxes are folded as they are
+    yielded, in fixed scale order on the calling thread, so the sums have
+    the same bits from memory, from a file or from an analysis stream, at
+    any ``workers``.  A non-finite box would reach every probe through the
     sums, so a slice whose box is not finite is refused once the slices
     have run to their end, and so are sums that overflow.  A stream is
     closed once the fold stops reading it, whether or not it ran to its
@@ -446,47 +455,39 @@ def _synthesis_table(coeffs, workers: int = 1) -> _SynthesisTable:
     threads = min(workers, len(coeffs.sgrid), os.cpu_count() or 1)
     spare = [np.empty((N, N, N, 3), dtype=complex) for _ in range(threads)]
 
-    def weighted(c, sheet, s, w, work):
-        """The weighted box of slice ``c`` (which may be ``work``), or None when it is not finite."""
+    def staged():
+        """The slices, nodes and weights; on the pool each slice is copied into its item's buffer first."""
+        # a drawn stream is short
+        for k, (c, s, w) in enumerate(zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True)):
+            if threads > 1:  # a stream's slice is overwritten once the next is drawn
+                np.copyto(spare[k % threads], c)
+                c = spare[k % threads]
+            yield c, s, w
+
+    def weighted(item, work):
+        """The sheet and the weighted box of a slice (which may be ``work``), the box None when it is not finite."""
+        c, s, w = item
+        sheet = 1 if s > 0 else -1
         with np.errstate(invalid="ignore", over="ignore"):  # numpy's FFT warns on a non-finite sample
             chat = _pruned_fftn(c, runs, work)
             if not np.isfinite(chat).all():  # a non-finite sample anywhere in c reaches every entry of its box
-                return None
+                return sheet, None
             chat *= (w * np.exp(-sheet * omega * s))[index] * PH
-        return chat
+        return sheet, chat
 
     sums, bad = {}, 0
-    pending = deque()  # (future, its buffer, its sheet) of the slices submitted and not yet folded, in scale order
-
-    def fold():
-        nonlocal bad
-        done, work, sheet = pending.popleft()
-        chat = done.result()
-        spare.append(work)
-        if chat is None:
-            bad += 1
-        elif sheet in sums:
-            with np.errstate(invalid="ignore", over="ignore"):  # refused below
-                sums[sheet] += chat
-        else:
-            sums[sheet] = chat
-
+    boxes = _in_order(weighted, staged(), threads, spare)
     try:
-        with _slice_pool(threads) as pool:
-            submit = pool.submit if threads > 1 else _run_now
-            # a drawn stream is short
-            for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):
-                if len(pending) == threads:
-                    fold()
-                work = spare.pop()
-                if threads > 1:  # a stream's slice is overwritten once the next is drawn
-                    np.copyto(work, c)
-                    c = work
-                sheet = 1 if s > 0 else -1
-                pending.append((submit(weighted, c, sheet, s, w, work), work, sheet))
-            while pending:
-                fold()
+        for sheet, chat in boxes:
+            if chat is None:
+                bad += 1
+            elif sheet in sums:
+                with np.errstate(invalid="ignore", over="ignore"):  # refused below
+                    sums[sheet] += chat
+            else:
+                sums[sheet] = chat
     finally:
+        boxes.close()
         _close(coeffs.values)
     if bad:
         raise EmwaveError(f"{bad} of {len(coeffs.sgrid)} coefficient slices hold a non-finite sample "
@@ -628,61 +629,25 @@ def norm_momentum(amp) -> float:
     return float(np.sum(amp.grid.weights * f2 / omega**2))
 
 
-_SLICE_THREADS = 2  # threads of the pool that hashes and sums scale slices
-
-
-@contextlib.contextmanager
-def _slice_pool(threads: int | None = None):
-    """A pool of ``threads`` (else `_SLICE_THREADS`) threads for one call; on exit its queued work is dropped
-    and its threads joined.
-
-    It hashes and sums scale slices and fills `_field_on_grid`'s blocks.
-    A thread starts only when work is submitted and no started one is
-    idle, so a pool that is given no work starts none.
-    """
-    pool = ThreadPoolExecutor(max_workers=threads or _SLICE_THREADS)
-    try:
-        yield pool
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def _per_slice(fn, work_dtype, *coeffs) -> list:
-    """``fn(*slices, work)`` of each scale slice of the arguments, in scale order, or ``fn(*slices)``
-    when ``work_dtype`` is None.
+    """``fn(*slices, work)`` of each scale slice of the arguments, in scale order.
 
     ``work`` is a ``work_dtype`` buffer of one slice's shape for ``fn``'s
-    temporary.  When every argument is a set, whose frozen values stay
-    valid, the slices run on the slice pool; a stream, whose slice is
-    overwritten once the next is drawn, runs serially.  The calling thread
-    allocates one buffer per thread that runs ``fn``, so no pool thread's
-    heap keeps a slice once the call returns.  Each result has the same
-    bits either way.  The streams are closed once the loop stops reading
-    them, whether or not they ran to their end.
+    temporary, or None when ``work_dtype`` is None.  `_in_order` runs
+    `_SLICE_THREADS` slices at a time when every argument is a set, whose
+    frozen values stay valid, and a stream's slices one at a time.  Each
+    result has the same bits either way.  The streams are closed once the
+    loop stops reading them, whether or not they ran to their end.
     """
-    frozen = all(isinstance(c, EuclideanCoefficients) for c in coeffs)
-    run = fn
-    if work_dtype is not None:
-        N = coeffs[0].ygrid.meta["args"]["N"]
-        spare = queue.SimpleQueue()
-        for _ in range(_SLICE_THREADS if frozen else 1):
-            spare.put(np.empty((N, N, N, 3), dtype=work_dtype))
-
-        def run(*slices):
-            work = spare.get()
-            try:
-                return fn(*slices, work)
-            finally:
-                spare.put(work)
-
-    if not frozen:
-        try:
-            return [run(*slices) for slices in zip(*(c.values for c in coeffs))]
-        finally:
-            for c in coeffs:
-                _close(c.values)
-    with _slice_pool() as pool:
-        return list(pool.map(run, *(c.values for c in coeffs)))
+    depth = _SLICE_THREADS if all(isinstance(c, EuclideanCoefficients) for c in coeffs) else 1
+    N = coeffs[0].ygrid.meta["args"]["N"]
+    work = None if work_dtype is None else [np.empty((N, N, N, 3), dtype=work_dtype) for _ in range(depth)]
+    try:
+        return list(_in_order(lambda slices, buffer: fn(*slices, buffer), zip(*(c.values for c in coeffs)), depth,
+                              work))
+    finally:
+        for c in coeffs:
+            _close(c.values)
 
 
 def _power_sum(c) -> float:
@@ -706,13 +671,13 @@ def norm_euclidean(coeffs) -> float:
     """Squared scale-space norm INT d^3y ds |F(y, t - is)|^2 of a set or a stream.
 
     Each slice's sum of squares (`_power_sum`, one fixed-order dot of its
-    float64 view) runs on the slice pool for a set and in turn for a
-    stream (`_per_slice`); the weighted sums are combined in scale order,
-    so the value has the same bits either way, at any pool size and BLAS
-    thread count.
+    float64 view) runs `_SLICE_THREADS` slices at a time for a set and in
+    turn for a stream (`_per_slice`); the weighted sums are combined in
+    scale order, so the value has the same bits either way, at any thread
+    count and BLAS thread count.
     """
     dy3 = coeffs.ygrid.meta["spacing"] ** 3
-    per_slice = np.array(_per_slice(_power_sum, None, coeffs))
+    per_slice = np.array(_per_slice(lambda c, _: _power_sum(c), None, coeffs))
     return float(np.sum(coeffs.sgrid.weights * per_slice) * dy3)
 
 
@@ -723,8 +688,8 @@ def inner_product(
 
     Conjugate-linear in the first slot; ``inner_product(c, c)`` equals
     `norm_euclidean`.  Both coefficient sets must share grids and
-    generation time.  The per-slice sums run on the slice pool and are
-    combined in scale order, as in `norm_euclidean`.
+    generation time.  The per-slice sums run `_SLICE_THREADS` at a time and
+    are combined in scale order, as in `norm_euclidean`.
     """
     if not grids_equal(coeffs_a.ygrid, coeffs_b.ygrid) or not grids_equal(
         coeffs_a.sgrid, coeffs_b.sgrid
@@ -906,14 +871,14 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
     """Write a set or a stream slice by slice, in scale order, and return the manifest path.
 
     The manifest but its digests is serialized before any file is touched,
-    so a value JSON cannot hold (a NaN) fails first.  The slice pool
-    computes each slice's SHA-256 while the main thread writes: a set's
-    slices are hashed two at a time, as views of its frozen values, and a
-    stream's slice is hashed before the next one is drawn.  A stream that
-    gives more or fewer bytes than the manifest's ``payload_bytes`` is
-    refused before any file is moved.  Both files are written under
-    temporary names and moved into place, the payload first; on any error
-    the temporary files are removed.  A stream is closed once the writer
+    so a value JSON cannot hold (a NaN) fails first.  `_in_order` hashes
+    the slices on `_SLICE_THREADS` threads while the calling thread writes
+    them: a set's, views of its frozen values, all ahead of the writes, and
+    a stream's each beside its write, both done before the next slice is
+    drawn, which may overwrite it.  A stream that gives more or fewer bytes
+    than the manifest's ``payload_bytes`` is refused before any file is
+    moved.  Both files are written under temporary names and moved into
+    place, the payload first; on any error the temporary files are removed.  A stream is closed once the writer
     stops reading it, whether or not it ran to its end.
     """
     directory, N = Path(directory), coeffs.ygrid.meta["args"]["N"]
@@ -936,17 +901,24 @@ def _write_coefficients(coeffs, directory, name: str) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     paths = [directory / manifest["payload"], directory / f"{name}.json"]
     temps = [directory / f".{p.name}.tmp" for p in paths]
-    frozen = isinstance(coeffs, EuclideanCoefficients)
-    hashed, written = [], 0
+
+    def hashed(stream):
+        """Each slice, for `_in_order` to hash, written on the calling thread while it is hashed, then a pause."""
+        for c in coeffs.values:
+            data = np.ascontiguousarray(c, dtype="<c16").reshape(-1).view(np.uint8)
+            yield data
+            stream.write(data)
+            yield None
+
+    # a set's slices stay valid, so all are drawn at once and the hashes run ahead of the writes; a stream's
+    # slice may be overwritten once the next is drawn, so two calls are drawn ahead: the next slice is drawn
+    # after the pause, once the consumer has the slice's digest
+    ahead = None if isinstance(coeffs, EuclideanCoefficients) else [None] * 2
     try:
-        with open(temps[0], "wb") as stream, _slice_pool() as pool:
-            for c in coeffs.values:
-                data = np.ascontiguousarray(c, dtype="<c16").reshape(-1).view(np.uint8)
-                hashed.append(pool.submit(_sha256, data))
-                written += stream.write(data)
-                if not frozen:  # a stream may overwrite this slice once the next is drawn
-                    hashed[-1].result()
-            digests = [h.result() for h in hashed]
+        with open(temps[0], "wb") as stream:
+            digests = list(_in_order(lambda data, _: data if data is None else _sha256(data), hashed(stream),
+                                     _SLICE_THREADS, ahead))[::2]
+            written = stream.tell()
         if written != manifest["payload_bytes"]:
             raise EmwaveError(f"the coefficient slices hold {written} bytes, not the "
                               f"{manifest['payload_bytes']} of shape {shape}")
@@ -972,7 +944,7 @@ def save_coefficients(coeffs, directory, name: str = "coefficients") -> Path:
     spatial grid's builder record, the scale rule (its band, signs, nodes
     and weights as JSON floats, which round-trip exactly), the time, the
     provenance and ``slice_sha256``, the SHA-256 of each scale slice in
-    scale order, computed on the slice pool while the payload is written;
+    scale order, each computed beside the write of its slice;
     so a reload is byte-exact and self-validating.  A failed save leaves no
     partial set.  Returns the manifest path.
     """
@@ -1045,38 +1017,35 @@ def _payload_slices(manifest: dict, payload_path: Path, out=None):
 
     Slice i is read into ``out[i % len(out)]``: ``out`` is the whole
     payload's buffer, or else two slice buffers, so a yielded slice stays
-    valid until the next one is drawn.  The main thread reads slice i + 1
-    while the slice pool hashes the earlier ones.  A slice whose SHA-256
-    differs from its ``slice_sha256`` entry raises `EmwaveError` naming it,
-    before it is yielded, so the slices before it are all that is yielded.
+    valid until the next one is drawn.  `_in_order` reads (``os.preadv``,
+    which moves no shared file offset) and hashes `_SLICE_THREADS` slices
+    at a time, so slice i + 1 is read while the consumer works on slice i.
+    A slice whose SHA-256 differs from its ``slice_sha256`` entry raises
+    `EmwaveError` naming it, before it is yielded, so the slices before it
+    are all that is yielded.
     """
     shape, digests = manifest["shape"], manifest["slice_sha256"]
     out = np.empty([min(2, shape[0])] + shape[1:], dtype="<c16") if out is None else out
-    pending = deque()  # (slice, its digest's future) of the slices read and not yet yielded
 
-    def checked(i, hashed):
-        if hashed.result() != digests[i]:
+    def checked(i, buffer):
+        """Slice ``i``, read into ``buffer``, once its digest holds."""
+        view = memoryview(buffer.reshape(-1).view(np.uint8))
+        done = 0
+        while done < len(view):
+            n = os.preadv(fd, [view[done : done + _IO_CHUNK]], i * len(view) + done)
+            if not n:
+                raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
+            done += n
+        digest = _sha256(view)
+        if digest != digests[i]:
             raise EmwaveError(f"payload checksum mismatch in slice {i} of {manifest['payload']}: "
-                              f"{hashed.result()} != {digests[i]}")
-        return out[i % len(out)]
+                              f"{digest} != {digests[i]}")
+        return buffer
 
     try:
-        with open(payload_path, "rb", buffering=0) as stream, _slice_pool() as pool:
-            for i in range(shape[0]):
-                if len(pending) == len(out):  # every buffer holds a slice not yet yielded
-                    yield checked(*pending.popleft())
-                view = memoryview(out[i % len(out)].reshape(-1).view(np.uint8))
-                done = 0
-                while done < len(view):
-                    n = stream.readinto(view[done : done + _IO_CHUNK])
-                    if not n:
-                        raise EmwaveError(f"payload ended after {done} bytes of slice {i}")
-                    done += n
-                pending.append((i, pool.submit(_sha256, view)))
-                while pending and pending[0][1].done():
-                    yield checked(*pending.popleft())
-            while pending:
-                yield checked(*pending.popleft())
+        with open(payload_path, "rb", buffering=0) as stream:
+            fd = stream.fileno()
+            yield from _in_order(checked, range(shape[0]), _SLICE_THREADS, out)
     except OSError as exc:
         raise EmwaveError(f"cannot read payload {payload_path}: {exc}") from None
 
@@ -1090,10 +1059,10 @@ def _read_coefficients(manifest_path) -> _CoefficientStream:
 def load_coefficients(manifest_path) -> EuclideanCoefficients:
     """Rebuild coefficients from a manifest written by `save_coefficients`, read into one buffer.
 
-    The main thread reads the payload slice by slice into the buffer that
-    becomes the read-only values, while the slice pool checks each
-    slice's digest; a mismatch raises `EmwaveError` naming the first bad
-    slice.  Only version-3 manifests are read.
+    `_payload_slices` reads the payload, `_SLICE_THREADS` slices at a time,
+    into the buffer that becomes the read-only values, and checks each
+    slice's digest as it is read; a mismatch raises `EmwaveError` naming
+    the first bad slice.  Only version-3 manifests are read.
     """
     manifest, payload_path, ygrid, sgrid = _checked_manifest(manifest_path)
     values = np.empty(manifest["shape"], dtype="<c16")

@@ -247,13 +247,37 @@ def test_fourier_half_line_integrals_match_their_closed_form(kappa):
 
 @pytest.mark.parametrize("kappa", [1e-9, -0.3])
 def test_ast_quadrature_plane_wave_along_the_line(kappa):
-    # f(z) = e^{i k z} on the line: the signal is 2 f(x) e^-kappa for kappa = k y > 0 and 0 below,
-    # where the relative estimate means nothing; at kappa = 1e-9 QUADPACK's QAWF returned f(x)
+    # f(z) = e^{i k z} on the line: the signal is 2 f(x) e^-kappa for kappa = k y > 0 and 0 below;
+    # at kappa = 1e-9 QUADPACK's QAWF returned f(x)
     f = lambda z: complex(np.exp(1j * kappa * float(np.asarray(z)[0])))
     res = ast_by_quadrature(f, np.array([0.4]), np.array([1.0]), kind="plane", k=np.array([kappa]))
-    assert res.converged or kappa < 0
+    assert res.converged
     want = 2.0 * f(np.array([0.4])) * np.exp(-kappa) if kappa > 0 else 0.0
     assert abs(complex(res) - want) <= 1e-11
+
+
+@pytest.mark.parametrize("kappa", [-0.3, -2.5, 0.7])
+def test_a_plane_wave_zero_counts_as_converged(kappa):
+    # below kappa = 0 the signal is 0 and the value is rounding; its estimate is
+    # relative to |f(x)|, the integral's natural size, not to that rounding
+    x, y = np.array([0.4, -0.2]), np.array([1.0, 0.5])
+    k = np.array([kappa, 0.0])
+    f = lambda z: 1.5j * complex(np.exp(1j * float(k @ np.asarray(z))))
+    res = ast_by_quadrature(f, x, y, kind="plane", k=k)
+    assert res.converged and res.estimate <= 1e-9
+    if kappa < 0:
+        assert abs(complex(res)) <= 1e-12 * abs(f(x))
+    else:  # the value is the fine Fourier rule's, bit for bit
+        parts = [oracle._fourier(h, kappa, 1e-11)[0] for h in (lambda u, ph: np.cos(ph) / (u * u + 1.0),
+                                                                lambda u, ph: u * np.sin(ph) / (u * u + 1.0))]
+        assert complex(res) == f(x) * (2.0 / PI) * (parts[0] + parts[1])
+
+
+def test_oracle_rules_are_built_once_and_read_only():
+    for rule, n in ((oracle._legendre, 16), (oracle._laguerre, 48)):
+        x, w = rule(n)
+        assert rule(n)[0] is x and rule(n)[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
 
 
 def test_ast_quadrature_plane_wave():

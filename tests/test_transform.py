@@ -1160,14 +1160,18 @@ def _failing(monkeypatch, name, at):
     monkeypatch.setattr(transform, name, failing)
 
 
-@pytest.mark.parametrize("case", ["analysis-stream-write", "file-stream-norm", "file-stream-table-fold"])
+@pytest.mark.parametrize("case", ["analysis-stream-write", "file-stream-norm", "file-stream-table-fold",
+                                  "file-stream-checksum", "file-stream-truncated"])
 def test_a_consumer_closes_the_stream_it_stops_reading(monkeypatch, tmp_path, coeffs_a, case):
     # the caller holds the consumer's exception, whose traceback holds the
-    # stream: the analysis stream's fill thread, or the file stream's hash
-    # threads and open payload, must be gone all the same
-    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)  # three blocks: the fill thread runs from the first draw
+    # stream: the analysis stream's fill threads, or the file stream's read
+    # threads and open payload, must be gone all the same, also when the file
+    # stream itself fails with the read of a later slice in flight
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)  # three blocks: the fill threads run from the first draw
     manifest = save_coefficients(coeffs_a, tmp_path / "saved", name="c")
+    payload = tmp_path / "saved" / "c.bin"
     before = threading.active_count()
+    error, match = RuntimeError, "the consumer failed"
     if case == "analysis-stream-write":
         stream = transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4)
         _failing(monkeypatch, "_sha256", 2)
@@ -1176,14 +1180,24 @@ def test_a_consumer_closes_the_stream_it_stops_reading(monkeypatch, tmp_path, co
         stream = transform._read_coefficients(manifest)
         _failing(monkeypatch, "_power_sum", 2)
         consume = lambda: norm_euclidean(stream)
-    else:
+    elif case == "file-stream-table-fold":
         stream = transform._read_coefficients(manifest)
         _failing(monkeypatch, "_pruned_fftn", 2)
         consume = lambda: transform._synthesis_table(stream)
-    with pytest.raises(RuntimeError, match="the consumer failed") as held:  # held: its traceback keeps the stream referenced
+    elif case == "file-stream-checksum":
+        _flip_in_slice(payload, 2)
+        stream = transform._read_coefficients(manifest)
+        consume = lambda: transform._synthesis_table(stream, 2)
+        error, match = EmwaveError, "checksum mismatch in slice 2 of c.bin"
+    else:
+        stream = transform._read_coefficients(manifest)  # checked at the full length
+        os.truncate(payload, payload.stat().st_size * 7 // 80)  # cut in the middle of slice 3 of 40
+        consume = lambda: norm_euclidean(stream)
+        error, match = EmwaveError, "payload ended after \\d+ bytes of slice 3"
+    with pytest.raises(error, match=match) as held:  # held: its traceback keeps the stream referenced
         consume()
     assert threading.active_count() == before
-    assert stream.values.gi_frame is None  # closed: its pools are joined and its payload file is closed
+    assert stream.values.gi_frame is None  # closed: its threads are joined and its payload file is closed
 
 
 def test_one_block_and_one_worker_start_no_thread(monkeypatch):
@@ -1200,27 +1214,161 @@ def test_one_block_and_one_worker_start_no_thread(monkeypatch):
 
 
 def test_fills_run_on_the_explicit_worker_count(monkeypatch):
-    # workers is passed down, not read from a thread-local context: the stream's
-    # caller fills the first block and a pool of min(workers, blocks - 1) threads
-    # fills ahead; analyze fills on a pool of min(workers, blocks, cpus) threads
+    # workers is passed down, not read from a context: the stream fills through
+    # `_in_order` on min(workers, blocks - 1) threads, ahead of the block its
+    # caller reads, and analyze on min(workers, blocks, cpus) threads
     amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)  # three blocks
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    sizes, real_pool = [], transform._slice_pool
+    depths, real = [], transform._in_order
 
-    def recording_pool(threads=None):
-        sizes.append(threads)
-        return real_pool(threads)
+    def recording(fn, items, depth, buffers=None):
+        depths.append(depth)
+        return real(fn, items, depth, buffers)
 
-    monkeypatch.setattr(transform, "_slice_pool", recording_pool)
+    monkeypatch.setattr(transform, "_in_order", recording)
     before = threading.active_count()
     calls = _recording_fills(monkeypatch)
-    with scipy.fft.set_workers(3):
-        list(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values)
-    assert sizes == [1] and sorted(thread is threading.main_thread() for thread, _ in calls) == [False, False, True]
+    list(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4).values)
+    assert depths == [1] and len(calls) == 3 and max(live for _, live in calls) <= before + 1
     list(transform._analysis_stream(amp, ygrid_n, sgrid_n, 0.4, 3).values)
     analyze(amp, ygrid_n, sgrid_n, workers=3)
-    assert sizes == [1, 2, 3] and len(calls) == 9
-    assert threading.main_thread() not in {thread for thread, _ in calls[6:]}
+    assert depths == [1, 2, 3] and len(calls) == 9 and max(live for _, live in calls) <= before + 3
+    assert threading.main_thread() not in {thread for thread, _ in calls}
+    assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# the ordered-prefetch helper
+# ---------------------------------------------------------------------------
+
+
+def _fast_switching():
+    """Switch threads every microsecond until the returned callable restores the interval."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    return lambda: sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 5])
+def test_in_order_yields_every_result_in_submission_order(depth):
+    rng = np.random.default_rng(depth)
+    pauses = rng.uniform(0.0, 2e-3, 40)  # later calls often end first
+
+    def slow_square(i, _):
+        threading.Event().wait(pauses[i])
+        return i * i
+
+    restore = _fast_switching()
+    try:
+        assert list(transform._in_order(slow_square, range(40), depth)) == [i * i for i in range(40)]
+    finally:
+        restore()
+
+
+@pytest.mark.parametrize(("depth", "buffers"), [(3, 3), (4, 2), (2, 5)])
+def test_in_order_hands_a_buffer_on_only_after_the_next_result_is_drawn(depth, buffers):
+    # each call stamps its item into its buffer; the consumer finds its own stamp
+    # in the buffer it holds until it draws the next result, an item is drawn only
+    # once its buffer is free, and no more than min(depth, buffers) calls run at once
+    ring = [np.zeros(64, dtype=np.int64) for _ in range(buffers)]
+    lock, running, most = threading.Lock(), [0], [0]
+
+    def stamp(i, buffer):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        buffer.fill(i)
+        threading.Event().wait(1e-4)
+        with lock:
+            running[0] -= 1
+        return i, buffer
+
+    drawn = []
+
+    def items():
+        for i in range(60):
+            drawn.append(i)
+            yield i
+
+    restore = _fast_switching()
+    try:
+        for k, (i, buffer) in enumerate(transform._in_order(stamp, items(), depth, ring)):
+            assert i == k and buffer is ring[k % buffers]
+            assert (buffer == k).all()
+            threading.Event().wait(2e-4)  # calls ahead run meanwhile
+            assert (buffer == k).all()
+            assert len(drawn) <= k + buffers
+    finally:
+        restore()
+    assert most[0] <= min(depth, buffers)
+
+
+def test_in_order_at_depth_one_without_a_ring_starts_no_thread():
+    before = threading.active_count()
+    seen = []
+
+    def record(i, buffer):
+        seen.append((threading.current_thread(), threading.active_count(), buffer))
+        return i
+
+    assert list(transform._in_order(record, range(5), 1)) == list(range(5))
+    assert list(transform._in_order(record, range(5), 1, ["only"])) == list(range(5))
+    assert len(seen) == 10
+    assert all(thread is threading.main_thread() and live == before for thread, live, _ in seen)
+    assert [buffer for _, _, buffer in seen] == [None] * 5 + ["only"] * 5
+    # a ring of two lets one thread run a call ahead of the consumer
+    seen.clear()
+    assert list(transform._in_order(record, range(5), 1, ["a", "b"])) == list(range(5))
+    assert all(thread is not threading.main_thread() and live == before + 1 for thread, live, _ in seen)
+    assert [buffer for _, _, buffer in seen] == ["a", "b", "a", "b", "a"]
+    assert threading.active_count() == before
+
+
+def test_in_order_joins_its_threads_on_close_and_on_every_error():
+    before = threading.active_count()
+    started = []
+
+    def work(i, _):
+        started.append(i)
+        if i == 7:
+            raise RuntimeError("call 7 failed")
+        threading.Event().wait(1e-3)
+        return i
+
+    def items(fail_at=None):
+        for i in range(100):
+            if i == fail_at:
+                raise ValueError("drawing item 5 failed")
+            yield i
+
+    # closed after two results: the calls submitted end or are cancelled, no later one starts
+    results = transform._in_order(work, items(), 3, [None] * 3)
+    assert [next(results), next(results)] == [0, 1]
+    results.close()
+    assert threading.active_count() == before and {0, 1} <= set(started) <= {0, 1, 2, 3}
+    # without buffers every item is submitted at once; closing cancels the queued calls
+    started.clear()
+    results = transform._in_order(work, items(), 3)
+    assert next(results) == 0
+    results.close()
+    assert threading.active_count() == before and len(started) < 20
+    # an error in a call reaches the consumer at that call's turn
+    with pytest.raises(RuntimeError, match="call 7 failed"):
+        list(transform._in_order(work, items(), 3))
+    assert threading.active_count() == before
+    # an error in drawing an item
+    with pytest.raises(ValueError, match="drawing item 5 failed"):
+        list(transform._in_order(work, items(fail_at=5), 3))
+    assert threading.active_count() == before
+    # an error in a consumer that closes it
+    results = transform._in_order(work, items(), 3)
+    with pytest.raises(KeyError):
+        try:
+            for i in results:
+                if i == 3:
+                    raise KeyError(i)
+        finally:
+            results.close()
     assert threading.active_count() == before
 
 
@@ -1586,6 +1734,10 @@ def test_no_helper_thread_outlives_a_save_or_load(coeffs_a, coeffs_b, tmp_path):
     assert threading.active_count() == before
     norm_euclidean(coeffs_a), inner_product(coeffs_a, coeffs_b)
     assert threading.active_count() == before
+    abandoned = transform._read_coefficients(manifest).values
+    next(abandoned)  # slice 1 is being read
+    abandoned.close()
+    assert threading.active_count() == before
     blob = bytearray((tmp_path / "c.bin").read_bytes())
     blob[len(blob) // 2] ^= 0xFF  # a middle slice: the read may stop with hashes still queued
     (tmp_path / "c.bin").write_bytes(bytes(blob))
@@ -1600,6 +1752,11 @@ def test_no_helper_thread_outlives_a_save_or_load(coeffs_a, coeffs_b, tmp_path):
     (tmp_path / "c.bin").write_bytes(bytes(blob))
     with pytest.raises(EmwaveError, match="checksum"):
         load_coefficients(manifest)
+    assert threading.active_count() == before
+    values = transform._read_coefficients(manifest).values  # checked at the full length
+    (tmp_path / "c.bin").write_bytes(bytes(blob[: len(blob) * 7 // 80]))  # cut in the middle of slice 3
+    with pytest.raises(EmwaveError, match="payload ended after \\d+ bytes of slice 3"):
+        list(values)
     assert threading.active_count() == before
     meta = json.loads(manifest.read_text())
     meta["payload"] = "a-directory"
