@@ -47,7 +47,7 @@ _POLE_CUTOFF = 1e-6
 # relative residual outside the sheet's circular component that `amplitude_from_vectors` tolerates
 _CONSTRAINT_RTOL = 1e-10
 # complex entries (4 MiB) of the one bound on every transient block: the dense
-# sum's phases, an analysis stream's slices and a synthesis block's (k, N^2)
+# sum's phases, an analysis block's slices and a synthesis block's (k, N^2)
 # table, so no such block grows with the probe or the scale count
 _BLOCK_ENTRIES = 1 << 18
 
@@ -296,25 +296,18 @@ def _evaluate_many(
     amp: ConeAmplitude | _RawVectorField,
     xs: np.ndarray,
     t: float,
-    s: float | np.ndarray = 0.0,
-    out: np.ndarray | None = None,
+    s: float = 0.0,
 ) -> np.ndarray:
-    """Field values at many points at complex time t - is.
+    """Field values at many points at complex time t - is, shape (K, 3).
 
-    A scalar ``s`` gives shape (K, 3).  A 1-D array of scales gives shape
-    (len(s), K, 3), written into ``out`` when given.  Per call, the
-    scale-free (3, M) node table ``w e^{-i p0 t} f`` is built once, and so
-    is each scale's real damping ``gate e^{-p0 s}`` over the span of nodes
-    its gate leaves on.  The phases of a chunk of probes fill one reused
-    block of at most `_BLOCK_ENTRIES` complex entries in place:
-    ``(x p_x + y p_y) + z p_z`` goes into its imaginary part, with the real
-    part as the only scratch, then ``exp`` runs in place.  Per scale, the
-    product of the table and the damping fills one reused (3, M) buffer,
-    and ``np.einsum`` contracts the block against it, each entry summed
-    over the nodes in order without BLAS, so the bits depend neither on the
-    BLAS thread count nor on the chunk size.  Besides ``out`` the sum holds
-    the block, the table, the buffer and the dampings (at most one float
-    per scale and node).
+    The (3, M) node table ``w e^{-i p0 t} f`` is built once per call and
+    damped by ``gate e^{-p0 s}`` over the span of nodes the gate leaves on.
+    The phases of a chunk of probes fill one reused block of at most
+    `_BLOCK_ENTRIES` complex entries in place: ``(x p_x + y p_y) + z p_z``
+    goes into its imaginary part, with the real part as the only scratch,
+    then ``exp`` runs in place.  ``np.einsum`` contracts the block against
+    the table, each entry summed over the nodes in order without BLAS, so
+    the bits depend neither on the BLAS thread count nor on the chunk size.
     """
     grid = amp.grid
     if len(grid) == 0:
@@ -322,20 +315,14 @@ def _evaluate_many(
     omega = np.linalg.norm(grid.nodes, axis=1)
     p0 = grid.sheets * omega
     table = grid.weights * np.exp(-1j * p0 * t) * np.ascontiguousarray(amplitude_vectors(amp).T)
-    scales = np.atleast_1d(np.asarray(s, dtype=float))
-    dampings = []
-    for si in scales:
-        # the span the gate leaves on, and gate * exp(-p0 s) over it
-        gate = gate2(p0 * si)
-        live = np.flatnonzero(gate)
-        on = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
-        dampings.append((on, gate[on] * np.exp(-p0[on] * si)))
+    gate = gate2(p0 * s)
+    live = np.flatnonzero(gate)
+    on = slice(live[0], live[-1] + 1) if live.size else slice(0, 0)
+    table = table[:, on] * (gate[on] * np.exp(-p0[on] * s))
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if out is None:
-        out = np.empty((len(scales), len(xs), 3), dtype=complex)
+    out = np.empty((len(xs), 3), dtype=complex)
     chunk = max(1, _BLOCK_ENTRIES // len(grid))
     block = np.empty((min(chunk, len(xs)), len(grid)), dtype=complex)
-    damped = np.empty(table.size, dtype=complex)
     for lo in range(0, len(xs), chunk):
         x, y, z = (xs[lo : lo + chunk, axis, None] for axis in range(3))
         phase = block[: len(x)]
@@ -345,10 +332,8 @@ def _evaluate_many(
         theta += np.multiply(z, grid.nodes[:, 2], out=scratch)
         scratch.fill(0.0)
         np.exp(phase, out=phase)
-        for i, (on, damping) in enumerate(dampings):
-            node = np.multiply(table[:, on], damping, out=damped[: 3 * damping.size].reshape(3, -1))
-            np.einsum("km,cm->kc", phase[:, on], node, out=out[i, lo : lo + len(x)], optimize=False)
-    return out if np.ndim(s) else out[0]
+        np.einsum("km,cm->kc", phase[:, on], table, out=out[lo : lo + len(x)], optimize=False)
+    return out
 
 
 def evaluate_field(

@@ -42,7 +42,7 @@ from .errors import (
     check_array,
     check_real,
 )
-from .fieldcore import _BLOCK_ENTRIES, FieldSample, _evaluate_many, amplitude_vectors, gate2
+from .fieldcore import _BLOCK_ENTRIES, FieldSample, amplitude_vectors, gate2
 from .grids import QuadratureGrid, grids_equal
 
 __all__ = [
@@ -265,38 +265,37 @@ def _in_order(fn, items, depth: int, buffers=None):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _check_on_lattice(amp, ygrid: QuadratureGrid) -> None:
+    """Refuse an amplitude that is not on the Cartesian cone lattice of ``ygrid`` itself."""
+    meta = amp.grid.meta
+    if meta.get("builder") != "cartesian_cone" or meta["args"]["spatial"] != ygrid.meta["args"]:
+        raise GridMismatchError(
+            f"the amplitude's cone grid (builder {meta.get('builder')!r}) is not the momentum lattice of the "
+            f"spatial grid {ygrid.meta['args']}: build it with grids.build_cartesian_cone_grid on that grid"
+        )
+
+
 def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, out=None):
     """Yield F(y, t - is) at the nodes of ``ygrid`` for the scales ``s``, in blocks of shape (k, N, N, N, 3).
 
-    The per-amplitude set-up runs once, before the first block.  An
-    amplitude on the Cartesian cone lattice of ``ygrid`` itself is written,
-    per scale, only at the cone shell's lattice points: each sheet with
-    ``p0 = +-omega`` carries ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH``,
-    the sheets not gated off are summed, and `_pruned_ifftn` pushes them
-    onto the grid in place, transforming only the lines that the shell's
-    index runs (found once, in the set-up) can reach.  ``fill`` does that
-    for one block of at most `_BLOCK_ENTRIES` entries or one slice (21
-    slices at N = 16, 2 at N = 32, 1 at N = 64) through `_in_order`, on
-    ``threads = min(workers, blocks, cpus)`` threads: in place in the
-    zeroed payload ``out`` of a caller that passes one, or else in
-    ``threads + 1`` reused buffers (fewer for fewer blocks), so that
-    ``threads`` blocks fill while the caller reads one.  Each 1-D transform is the same whatever the
-    blocking or the thread, so the bits are too.  Other amplitudes are
-    summed densely by `_evaluate_many` on the calling thread, in one pass
-    into ``out`` or block by block.
+    ``amp`` is on the cone lattice of ``ygrid`` (`_check_on_lattice`).  Per
+    scale, each sheet with ``p0 = +-omega`` carries
+    ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH`` at the shell's lattice
+    points; the sheets not gated off are summed, and `_pruned_ifftn` pushes
+    them onto the grid in place through the shell's index runs, found once
+    before the first block.  ``fill`` does that for one block of at most
+    `_BLOCK_ENTRIES` entries or one slice through `_in_order`, on
+    ``threads = min(workers, blocks, cpus)`` threads: in place in the zeroed
+    payload ``out`` of a caller that passes one, or else in ``threads + 1``
+    reused buffers (fewer for fewer blocks), so that ``threads`` blocks fill
+    while the caller reads one.  Each 1-D transform is the same whatever the
+    blocking or the thread, so the bits are too.
     """
     N = ygrid.meta["args"]["N"]
     L = ygrid.meta["args"]["L"]
     s = np.atleast_1d(np.asarray(s, dtype=float))
     step = max(1, _BLOCK_ENTRIES // (3 * N**3))
     grid = amp.grid
-    if not (grid.meta.get("builder") == "cartesian_cone" and grid.meta["args"]["spatial"] == ygrid.meta["args"]):
-        buffer = np.zeros((min(step, len(s)), N, N, N, 3), dtype=complex) if out is None else out
-        for lo in range(0, len(s), len(buffer)):
-            block = buffer[: len(s) - lo]  # einsum overwrites every entry
-            _evaluate_many(amp, ygrid.nodes, t, s=s[lo : lo + len(block)], out=block.reshape(len(block), N**3, 3))
-            yield block
-        return
     Omega, PH = _lattice(ygrid)
     flat = np.asarray(grid.meta["flat_indices"])
     om, ph = Omega.ravel()[flat], PH.ravel()[flat]
@@ -340,6 +339,7 @@ def _analysis_record(amp, ygrid: QuadratureGrid, sgrid: QuadratureGrid, t, worke
     t = check_real(t, "analyze time t")
     if workers is not None and (isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1):
         raise EmwaveError(f"analyze workers={workers!r} is neither None nor an integer >= 1")
+    _check_on_lattice(amp, ygrid)
     _check_aliasing(amp, ygrid)
     cone = {"builder": amp.grid.meta.get("builder"), "args": amp.grid.meta.get("args")}
     return t, {"kind": type(amp).__name__, "cone_grid": cone}
@@ -354,13 +354,12 @@ def analyze(
 ) -> EuclideanCoefficients:
     """Complex-time field values F(y, t - is) over the (scale x space) grid.
 
-    `_field_on_grid` fills one zeroed payload in place, block by block
-    through `_in_order`: ``min(workers, blocks, os.cpu_count())`` blocks at a
-    time, each transformed by `_pruned_ifftn`, with the bits of one batched
-    inverse FFT.  ``t`` must be a finite real number.  Linear in ``amp``.
-    ``workers`` is ``None`` (1) or an integer >= 1, the number of threads
-    the call runs on; the result does not depend on it.  One worker starts
-    no thread.
+    `_field_on_grid` fills one zeroed payload in place, ``min(workers,
+    blocks, os.cpu_count())`` blocks at a time, with the bits of one batched
+    inverse FFT.  ``t`` must be a finite real number.  Linear in ``amp``,
+    which must lie on the cone lattice of ``ygrid``.  ``workers`` is
+    ``None`` (1) or an integer >= 1, the number of threads the call runs on;
+    the result does not depend on it.  One worker starts no thread.
     """
     t, provenance = _analysis_record(amp, ygrid, sgrid, t, workers)
     N = ygrid.meta["args"]["N"]
@@ -782,10 +781,11 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     (2N)^3 correlation grid, the singular diagonal included.  A separates
     into a 1-D log-time integral of three per-axis factors
     (`_cell_kernel_factors`), so all (2N)^3 weights are one matrix product.
-    F(y, 0) is `_field_on_grid` at t = 0, s = 0, the path of `analyze`.
-    The pair sum is a zero-padded FFT cross-correlation: the three
-    components' power spectra are summed before one inverse FFT.  Refuses
-    grids beyond 24^3 points per factor with a cost estimate.
+    F(y, 0) is `_field_on_grid` at t = 0, s = 0, the path of `analyze`,
+    so ``amp`` must lie on the cone lattice of ``ygrid``.  The pair sum is a
+    zero-padded FFT cross-correlation: the three components' power spectra
+    are summed before one inverse FFT.  Refuses grids beyond 24^3 points per
+    factor with a cost estimate.
     """
     if ygrid.kind != "spatial":
         raise GridMismatchError("norm_nonlocal_t0 needs a spatial grid")
@@ -797,6 +797,7 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
             f"covers {npts**2:.3e} pairs (~{_nonlocal_workspace(N) / 2**20:.0f} MiB of "
             f"workspace and O(N^3 log N) FFT work per component)"
         )
+    _check_on_lattice(amp, ygrid)
 
     dlt = ygrid.meta["spacing"]
     F = next(_field_on_grid(amp, ygrid, 0.0, 0.0))[0]

@@ -271,6 +271,25 @@ def test_complex_time_damps_and_gates(cone_grid):
     assert not np.allclose(plain.F, continued.F)
 
 
+@pytest.mark.parametrize("sheets", ["both", "plus"])
+def test_dense_sum_is_the_gated_damped_plane_wave_sum(sheets):
+    # at complex time t - is each mode carries 2 theta(p0 s) e^{-p0 s}: one
+    # sheet is kept and damped, and a plus-sheet field at s < 0 is exactly zero
+    grid = grids.build_cone_grid(0.5, 3.0, 8, 4, sheets=sheets)
+    amp = _radial_amp(grid)
+    xs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(5, 3))
+    p0 = grid.sheets * np.linalg.norm(grid.nodes, axis=1)
+    for s in (0.0, 0.6, -0.6):
+        modes = fieldcore.gate2(p0 * s) * np.exp(-p0 * s) * grid.weights * np.exp(1j * (xs @ grid.nodes.T - p0 * 0.3))
+        want = modes @ amplitude_vectors(amp)
+        got = fieldcore._evaluate_many(amp, xs, 0.3, s)
+        assert got.shape == (5, 3)
+        if sheets == "plus" and s < 0:
+            assert not np.any(want) and not np.any(got)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_empty_amplitude_rejected():
     empty = grids.QuadratureGrid(
         "cone",

@@ -95,7 +95,7 @@ def coeffs_b(amp_b, ygrid, sgrid):
 
 def _off_lattice(amp):
     """The same nodes and values on a grid that no longer advertises the conjugate
-    lattice, so analysis takes the dense plane-wave-sum path."""
+    lattice, so analysis refuses it."""
     g = amp.grid
     plain = grids.QuadratureGrid("cone", g.nodes, g.weights, g.sheets, {"builder": "custom", "args": {}})
     return ConeAmplitude(plain, amp.values)
@@ -119,9 +119,10 @@ def test_fft_path_matches_dense_evaluation():
     sgrid8 = grids.build_scale_grid((0.9, 2.8), 12)
     amp = amplitude_from_scalar(cone8, _profile_a)
     fast = analyze(amp, ygrid8, sgrid8, t=0.4)
-    dense = analyze(_off_lattice(amp), ygrid8, sgrid8, t=0.4)
-    worst = np.max(np.abs(fast.values - dense.values))
-    assert worst < 1e-12
+    assert np.any(sgrid8.nodes > 0) and np.any(sgrid8.nodes < 0)
+    for si, slice_ in zip(sgrid8.nodes, fast.values):
+        dense = _evaluate_many(amp, ygrid8.nodes, 0.4, s=si).reshape(slice_.shape)
+        assert np.max(np.abs(slice_ - dense)) < 1e-12
 
 
 def _traced_peak(run):
@@ -150,9 +151,6 @@ def _traced_peak(run):
         # warm: 200 probes without a (200, N^3) phase matrix, which alone
         # would take 1.7 payloads
         ("synthesize_many", 0.5),
-        # the dense plane-wave sum: the payload it fills, the scale-free node
-        # table and one real damping per scale, plus one phase block (added below)
-        ("analyze-dense", 2.5),
         # the CLI streams the payload: analyze holds two blocks of 4 of the
         # 40 slices, reconstruct folds one slice at a time into the table
         # (two sheet sums), plus the dense reference's phase block (added below)
@@ -168,7 +166,6 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
     probes = np.random.default_rng(5).uniform(-L / 2, L / 2, size=(200, 3))
     synthesize_many(coeffs_a, probes[:1], 0.0)  # the per-sheet sums are built once
-    dense = _off_lattice(amp_a)
     if stage.startswith("cli-"):
         # the scenario of coeffs_a, read from the saved set by reconstruct
         monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 4 * 3 * N**3)
@@ -184,7 +181,6 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
         }))
     run = {
         "analyze": lambda: analyze(amp_a, ygrid, sgrid),
-        "analyze-dense": lambda: analyze(dense, ygrid, sgrid),
         "load": lambda: load_coefficients(manifest),
         "save": lambda: save_coefficients(coeffs_a, tmp_path, name="again"),
         "norm_euclidean": lambda: norm_euclidean(coeffs_a),
@@ -194,7 +190,6 @@ def test_peak_memory_stays_near_payload(stage, bound, amp_a, ygrid, sgrid, coeff
     peak, result = _traced_peak(run)
     assert not stage.startswith("cli-") or result == 0
     blocks = {
-        "analyze-dense": 16 * fieldcore._BLOCK_ENTRIES,
         "cli-reconstruct": 24 * 50 * len(amp_a.grid),  # 50 probes, the default count
         "cli-reconstruct-unsaved": 24 * 50 * len(amp_a.grid),
     }.get(stage, 0)
@@ -222,48 +217,16 @@ def test_dense_sum_holds_one_phase_block(amp_a):
     assert peak <= 16 * fieldcore._BLOCK_ENTRIES + 2**20
 
 
-def test_multiscale_dense_sum_holds_one_block_and_scale_free_tables(monkeypatch, amp_a):
-    probes = np.random.default_rng(13).uniform(-L / 2, L / 2, size=(200, 3))
-    scales = grids.build_scale_grid(BAND, 6).nodes
-    M = len(amp_a.grid)
-    peak, out = _traced_peak(lambda: _evaluate_many(amp_a, probes, 0.3, s=scales))
-    # one phase block (107 probes here), the scale-free (3, M) node table and
-    # the buffer of its damped copy, one real damping per scale and node, the
-    # result, and 256 KiB for einsum's iteration buffers and the per-node
-    # vectors; a complex table per scale would add 0.7 MiB here
-    assert len(scales) == 12 and len(probes) > fieldcore._BLOCK_ENTRIES // M
-    assert peak <= 16 * fieldcore._BLOCK_ENTRIES + 2 * 48 * M + 8 * len(scales) * M + out.nbytes + 2**18
-    single = _evaluate_many(amp_a, probes, 0.3, s=0.7)
-    for chunk in (1, 2, 15, 64):
-        monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", chunk * M)
-        assert _evaluate_many(amp_a, probes, 0.3, s=scales).tobytes() == out.tobytes()
-        assert _evaluate_many(amp_a, probes, 0.3, s=0.7).tobytes() == single.tobytes()
-
-
-def test_dense_analysis_holds_no_table_per_scale(monkeypatch):
-    # an off-lattice cone of more nodes (2000) than grid points (512): a per-node
-    # (scale, component) table would hold 3.9 payloads here, and with its
-    # (scale, node) factors the sum peaked at 10.2; it builds one scale's table at a time
-    monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", 16 * 2000)
-    ygrid8 = grids.build_spatial_grid(8, 8.0)
-    cone = grids.build_cone_grid(0.9, 2.8, 5, 10)
-    sgrid8 = grids.build_scale_grid((0.9, 2.8), 24)
-    amp = amplitude_from_scalar(cone, _profile_a)
-    peak, coeffs = _traced_peak(lambda: analyze(amp, ygrid8, sgrid8, t=0.4))
-    assert len(cone) == 2000 and len(sgrid8) == 48
-    assert peak <= 4 * coeffs.values.nbytes
-
-
 def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
     probes = np.random.default_rng(10).uniform(-L / 2, L / 2, size=(200, 3))
-    scales = coeffs_a.sgrid.nodes[::7]
+    damped = _evaluate_many(amp_a, probes, 0.3, s=0.7)  # the default block: 107 probes here
 
     def sums():
         return (
             synthesize_many(coeffs_a, probes, 0.9),
             np.array([reproduce_complex_time(coeffs_a, x, 0.9, sigma).F for sigma in (0.6, -0.6) for x in probes[:5]]),
             _evaluate_many(amp_a, probes, 0.9),
-            _evaluate_many(amp_a, probes, 0.9, s=scales),
+            _evaluate_many(amp_a, probes, 0.9, s=0.6),
         )
 
     # one block of all 200 probes on either route: the synthesis's default
@@ -280,6 +243,10 @@ def test_blocking_changes_no_bits(monkeypatch, amp_a, coeffs_a):
     blocked = sums()
     for a, b in zip(whole, blocked):
         assert b.tobytes() == a.tobytes()
+    # the damped dense sum in blocks of 1, 2, 15 and 64 probes
+    for chunk in (1, 2, 15, 64):
+        monkeypatch.setattr(fieldcore, "_BLOCK_ENTRIES", chunk * len(amp_a.grid))
+        assert _evaluate_many(amp_a, probes, 0.3, s=0.7).tobytes() == damped.tobytes()
 
 
 def test_no_synthesis_block_holds_a_lone_probe(monkeypatch, coeffs_a):
@@ -381,11 +348,9 @@ digest = hashlib.sha256(transform.synthesize_many(coeffs, probes, 0.9).tobytes()
 for sigma in (0.6, -0.6):
     for x in probes[:5]:
         digest.update(transform.reproduce_complex_time(coeffs, x, 0.9, sigma).F.tobytes())
-# the dense plane-wave sum: the round-trip reference, and analyze off the lattice
-digest.update(_evaluate_many(amplitude_from_scalar(cone, profile), probes, 0.9, s=0.0).tobytes())
-dense = amplitude_from_scalar(grids.build_cone_grid(0.8, 3.5, 8, 8), profile)
-ygrid8, sgrid6 = grids.build_spatial_grid(8, 6.0), grids.build_scale_grid((0.8, 3.5), 6)
-digest.update(transform.analyze(dense, ygrid8, sgrid6, 0.4).values.tobytes())
+# the dense plane-wave sum: the round-trip reference, and its damped sums at either sign
+for s in (0.0, 0.6, -0.6):
+    digest.update(_evaluate_many(amplitude_from_scalar(cone, profile), probes, 0.9, s=s).tobytes())
 print(digest.hexdigest())
 """
 
@@ -581,10 +546,12 @@ def test_analyze_validates_grids(amp_a, ygrid, sgrid):
         analyze(amp_a, ygrid, empty)
 
 
-def test_aliasing_is_reported(amp_a, sgrid):
-    coarse = grids.build_spatial_grid(8, 12.0)  # Nyquist ~2.09 < band top 3.5
+def test_aliasing_is_reported(sgrid):
+    # Nyquist ~2.09 < band top 3.5: the coarse lattice's own cone reaches sqrt(3) * 2.09
+    coarse = grids.build_spatial_grid(8, 12.0)
+    amp = amplitude_from_scalar(grids.build_cartesian_cone_grid(coarse, *BAND), _profile_a)
     with pytest.warns(UserWarning, match="Nyquist"):
-        analyze(amp_a, coarse, sgrid)
+        analyze(amp, coarse, sgrid)
 
 
 def test_coefficients_shape_validation(ygrid, sgrid):
@@ -948,12 +915,11 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
 
 
 def test_worker_default_is_one_thread(monkeypatch):
-    # workers=None runs every fill on the calling thread, whatever a scipy.fft context says
+    # workers=None runs every fill on the calling thread, however many CPUs there are
     amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     calls = _recording_fills(monkeypatch)
-    with scipy.fft.set_workers(4):
-        default = analyze(amp, ygrid_n, sgrid_n)
+    default = analyze(amp, ygrid_n, sgrid_n)
     assert len(calls) == 3 and all(thread is threading.main_thread() for thread, _ in calls)
     assert default.values.tobytes() == analyze(amp, ygrid_n, sgrid_n, workers=1).values.tobytes()
 
@@ -1453,12 +1419,31 @@ def test_lattice_field_at_t0_equals_the_dense_sum(sheets):
     assert np.linalg.norm(lattice - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
-def test_nonlocal_field_of_another_lattice_is_summed_densely(amp_a):
-    # amp_a lives on the N = 16, L = 12 lattice; on another grid the FFT
-    # route does not apply
-    other = grids.build_spatial_grid(8, 6.0)
-    F = next(transform._field_on_grid(amp_a, other, 0.0, 0.0))[0]
-    assert np.array_equal(F, _evaluate_many(amp_a, other.nodes, 0.0).reshape(8, 8, 8, 3))
+@pytest.mark.parametrize("where", ["cone", "custom", "other-lattice"])
+def test_off_lattice_amplitudes_are_refused(monkeypatch, where, amp_a, ygrid, sgrid):
+    # F(y, t - is) has one route, the pruned FFT of the grid's own cone lattice:
+    # every entry that puts a field on the grid refuses any other amplitude
+    # before its first fill, and starts no thread
+    amp = {
+        "cone": lambda: amplitude_from_scalar(grids.build_cone_grid(*BAND, 8, 6), _profile_a),
+        "custom": lambda: _off_lattice(amp_a),
+        "other-lattice": lambda: amplitude_from_scalar(
+            grids.build_cartesian_cone_grid(grids.build_spatial_grid(8, L), *BAND), _profile_a),
+    }[where]()
+
+    def no_fill(*args, **kwargs):
+        raise AssertionError("a refused amplitude reached _field_on_grid")
+
+    monkeypatch.setattr(transform, "_field_on_grid", no_fill)
+    threads = threading.active_count()
+    for call in (
+        lambda: analyze(amp, ygrid, sgrid, workers=2),
+        lambda: transform._analysis_stream(amp, ygrid, sgrid, 0.0, 2),  # at the call, before any draw
+        lambda: norm_nonlocal_t0(amp, ygrid),
+    ):
+        with pytest.raises(GridMismatchError, match="build_cartesian_cone_grid"):
+            call()
+        assert threading.active_count() == threads
 
 
 def test_nonlocal_norm_refuses_oversized_grids(amp_a):
