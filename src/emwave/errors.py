@@ -43,10 +43,6 @@ class GridMismatchError(EmwaveError):
     """Two objects that must share a grid were built on different grids."""
 
 
-class BudgetExceededError(EmwaveError):
-    """A requested computation exceeds its documented cost budget."""
-
-
 class NonFiniteSampleError(EmwaveError):
     """A user-supplied sampler returned a non-finite value.
 

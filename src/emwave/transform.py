@@ -35,7 +35,6 @@ import numpy as np
 
 from . import grids as _grids
 from .errors import (
-    BudgetExceededError,
     EmwaveError,
     GridMismatchError,
     InvalidScaleError,
@@ -153,7 +152,7 @@ def _check_aliasing(amp, ygrid: QuadratureGrid) -> None:
 def _index_runs(indices, N: int) -> list:
     """The maximal runs of consecutive values among ``indices`` (each in 0..N-1), as slices in order."""
     occupied = np.zeros(N + 2, dtype=np.int8)
-    occupied[np.asarray(indices) + 1] = 1
+    occupied[np.asarray(indices, dtype=np.intp) + 1] = 1
     edges = np.flatnonzero(np.diff(occupied))
     return [slice(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
@@ -283,12 +282,15 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, ou
     ``gate2(p0 s) e^{-p0(s+it)} / (2 omega L^3) PH`` at the shell's lattice
     points; the sheets not gated off are summed, and `_pruned_ifftn` pushes
     them onto the grid in place through the shell's index runs, found once
-    before the first block.  ``fill`` does that for one block of at most
-    `_BLOCK_ENTRIES` entries or one slice through `_in_order`, on
-    ``threads = min(workers, blocks, cpus)`` threads: in place in the zeroed
-    payload ``out`` of a caller that passes one, or else in ``threads + 1``
-    reused buffers (fewer for fewer blocks), so that ``threads`` blocks fill
-    while the caller reads one.  Each 1-D transform is the same whatever the
+    before the first block.  It runs only on the runs of a block's slices
+    that some sheet's gate leaves on: a slice that every gate turns off
+    stays the zeros it was given, the bits its transform would have had,
+    and the choice reads the gates alone, never the values.  ``fill`` does
+    that for one block of at most `_BLOCK_ENTRIES` entries or one slice
+    through `_in_order`, on ``threads = min(workers, blocks, cpus)``
+    threads: in place in the zeroed payload ``out`` of a caller that passes
+    one, or else in ``threads + 1`` reused buffers (fewer for fewer blocks),
+    so that ``threads`` blocks fill while the caller reads one.  Each 1-D transform is the same whatever the
     blocking or the thread, so the bits are too.
     """
     N = ygrid.meta["args"]["N"]
@@ -315,6 +317,7 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, ou
         if buffer is not None and b >= len(buffers):
             block.fill(0.0)
         slices = block.reshape(len(scales), N**3, 3)
+        on = []
         for i, si in enumerate(scales):
             live = [
                 ((gate * 0.5 / om / L**3) * np.exp(-sheet * om * (si + 1j * t)) * ph)[:, None] * values
@@ -323,7 +326,10 @@ def _field_on_grid(amp, ygrid: QuadratureGrid, t: float, s, workers: int = 1, ou
             ]
             if live:
                 slices[i, flat] = sum(live[1:], live[0])
-        return _pruned_ifftn(block, y_runs, x_runs)
+                on.append(i)
+        for run in _index_runs(on, len(scales)):
+            _pruned_ifftn(block[run], y_runs, x_runs)
+        return block
 
     yield from _in_order(fill, range(len(blocks)), threads if out is not None else max(ahead, 1), buffers)
 
@@ -707,61 +713,121 @@ def inner_product(
 # nonlocal equal-time norm
 # ---------------------------------------------------------------------------
 
-_NONLOCAL_BUDGET = 24**3  # grid points per factor of the double sum
+_IMAGES = 7  # periodic images |n| <= 7 summed directly, for t >= 1
+_ALIASES = 6  # Poisson aliases |l| <= 6 summed, for t < 1
 
 
-def _nonlocal_workspace(N: int) -> int:
-    """Peak bytes of `norm_nonlocal_t0` at N^3 points, P = 2N.
+def _log_time_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``t`` and weights ``w`` of INT_0^inf dt: Gauss-Legendre in u = ln t, 40 panels of 20 nodes on
+    [-40, 80]."""
+    u, wu = _grids.gauss_legendre_panels(np.linspace(-40.0, 80.0, 41), 20)
+    t = np.exp(u)
+    return t, wu * t
 
-    8 * 800 P^2 for the (800, P^2) kernel-factor products and 48 P^3 for
-    the spectra, the correlation and the kernel weights.
+
+def _tent_factor(t, d) -> np.ndarray:
+    """g(t, d) = INT (1 - |v|) e^{-t (v+d)^2} dv over [-1, 1], for log times ``t`` > 0 and integers ``d``, with
+    shape ``np.shape(t) + np.shape(d)``.
+
+    g = h(d-1) - 2 h(d) + h(d+1), with the second antiderivative
+    h(c) = (e^{-t c^2} - 1)/(2t) + sqrt(pi)/(2 sqrt t) |c| (1 - erfc(sqrt(t) |c|))
+    of e^{-t c^2}, tabulated once at c = 0 .. max|d| + 1.  expm1 keeps the
+    first term exact as t -> 0, and the parts linear in |c|, whose second
+    difference is 2 at d = 0 and 0 elsewhere, are summed exactly before the
+    division by sqrt(t).  The rest of the second difference loses about
+    max(c^2, c / sqrt(t)) ulp over the c where it is not yet 0, so a few
+    tens of ulp for t >= 1.
     """
-    P = 2 * N
-    return 8 * 800 * P**2 + 48 * P**3
+    d = np.abs(np.asarray(d, dtype=np.int64))
+    t = np.asarray(t, dtype=float)[..., None]
+    rt = np.sqrt(t)
+    c = np.arange(d.max(initial=0) + 2, dtype=float)
+    h = np.expm1(-t * c**2) / (2.0 * t) - (0.5 * np.sqrt(np.pi)) * c * _erfc(rt * c) / rt
+    g = np.empty(h.shape[:-1] + (len(c) - 1,))
+    g[..., 0] = 2.0 * (h[..., 1] - h[..., 0])
+    g[..., 1:] = h[..., :-2] - 2.0 * h[..., 1:-1] + h[..., 2:]
+    g[..., 0] += np.sqrt(np.pi) / rt[..., 0]
+    return g[..., d]
 
 
 def _cell_kernel_factors(d) -> tuple[np.ndarray, np.ndarray]:
     """Log-time rule ``w`` and per-axis factors ``g`` with A(d) = sum_j w_j prod_i g[j, d_i].
 
-    With 1/r^2 = INT_0^inf e^{-t r^2} dt and the per-axis tent density
-    1 - |v| on [-1, 1] of the offset between two unit cells, the cell-pair
-    average separates: A(d) = INT dt g(t, d1) g(t, d2) g(t, d3), where
-    g(t, d) = INT (1 - |v|) e^{-t (v+d)^2} dv = h(d-1) - 2 h(d) + h(d+1) and
-    h(c) = (e^{-t c^2} - 1)/(2t) + sqrt(pi)/(2 sqrt t) |c| (1 - erfc(sqrt(t) |c|))
-    is a second antiderivative of e^{-t c^2}.  expm1 keeps the first term exact
-    as t -> 0 and the |c| parts are summed before the division by sqrt(t), so
-    neither small nor large t cancels digits.  The t integral is Gauss-Legendre
-    in u = ln t, 40 panels of 20 nodes on [-40, 80]; A then agrees with tensor
-    Gauss-Legendre over the cell pair to 5e-13 relative for every |d_i| <= 24.
-    ``g`` has shape ``(800,) + np.shape(d)``.
+    A(d) is the average of 1/|x - y|^2 over two unit cells displaced by the
+    integer vector d.  With 1/r^2 = INT_0^inf e^{-t r^2} dt and the per-axis
+    tent density 1 - |v| on [-1, 1] of the offset between two unit cells,
+    the cell-pair average separates: A(d) = INT dt g(t, d1) g(t, d2) g(t, d3),
+    with g = `_tent_factor`.  The t integral is `_log_time_rule`; A then
+    agrees with tensor Gauss-Legendre over the cell pair to 5e-13 relative
+    for every |d_i| <= 24.  ``g`` has shape ``(800,) + np.shape(d)``.
     """
-    u, wu = _grids.gauss_legendre_panels(np.linspace(-40.0, 80.0, 41), 20)
-    t = np.exp(u)
-    w = wu * t
-    d = np.asarray(d, dtype=float)
-    t = t.reshape(t.shape + (1,) * d.ndim)
-    rt = np.sqrt(t)
-    c = (np.abs(d - 1.0), np.abs(d), np.abs(d + 1.0))
-    g = (c[0] - 2.0 * c[1] + c[2]) * (0.5 * np.sqrt(np.pi)) / rt
-    for k, ck, erfc in zip((1.0, -2.0, 1.0), c, _erfc(np.stack([rt * ck for ck in c]))):
-        g = g + k * (np.expm1(-t * ck**2) / (2.0 * t) - (0.5 * np.sqrt(np.pi)) * ck * erfc / rt)
-    return w, g
+    t, w = _log_time_rule()
+    return w, _tent_factor(t, d)
 
 
 def _erfc(x) -> np.ndarray:
-    """``math.erfc`` of each entry of the float array ``x``, evaluated once per distinct value."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return np.array([math.erfc(v) for v in values.tolist()])[inverse].reshape(x.shape)
+    """``math.erfc`` of each entry of the float array ``x``, evaluated once per distinct value below 27.3
+    (``math.erfc`` is 0.0 from there on)."""
+    out = np.zeros(x.shape)
+    live = x < 27.3
+    values, inverse = np.unique(x[live], return_inverse=True)
+    out[live] = np.array([math.erfc(v) for v in values.tolist()])[inverse]
+    return out
 
 
-def _cell_kernel(d) -> float:
-    """Average of 1/|x - y|^2 over two unit cells displaced by the integer vector ``d``.
+def _periodic_cell_factors(t, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-axis factor of `_cell_kernel_factors` summed over the periodic images of an N-point axis,
+    split as ``G(t, d) = c + v[:, d]`` for the log times ``t`` and d = 0 .. N-1.
 
-    Exact up to the fixed log-time rule of `_cell_kernel_factors` (5e-13
-    relative), the singular diagonal and neighbour cells included.
+    ``G(t, d) = SUM_n g(t, d + nN)``.  Its mean over d is its k = 0 Fourier
+    part ``c = sqrt(pi/t) / N``; ``v`` is the rest.  For t >= 1 the images
+    |n| <= 7 are summed directly: the first one left out lies 7N >= 14
+    cells away, where g < e^{-169}, and `_tent_factor` loses a few tens of
+    ulp at most (it would lose about 36 N^2 near t = 1/N^2).  For t < 1 the
+    sum is Poisson's: the DFT of G over d is ``SUM_l gh(2 pi (k/N + l))``,
+    with the tent's transform times the Gaussian's
+    ``gh(xi) = (sin(xi/2) / (xi/2))^2 sqrt(pi/t) e^{-xi^2/4t}``, all
+    positive, whose aliases |l| <= 6 are summed (the first one left out is
+    below e^{-355}).  At k = 0 it is c N exactly, so ``v`` is the inverse
+    DFT of the k != 0 part alone and never cancels against c.
     """
-    w, g = _cell_kernel_factors(d)
-    return float(w @ np.prod(g, axis=1))
+    t = np.asarray(t, dtype=float)
+    c = np.sqrt(np.pi / t) / N
+    v = np.empty((len(t), N))
+    near = t >= 1.0
+    images = np.arange(N) + N * np.arange(-_IMAGES, _IMAGES + 1)[:, None]  # (images, N)
+    v[near] = _tent_factor(t[near], images).sum(axis=1) - c[near, None]
+    far = t[~near, None, None]
+    xi = 2.0 * np.pi * (np.arange(1, N)[:, None] / N + np.arange(-_ALIASES, _ALIASES + 1))  # (N - 1, aliases)
+    gh = (np.sin(0.5 * xi) / (0.5 * xi)) ** 2 * np.sqrt(np.pi / far) * np.exp(-xi**2 / (4.0 * far))
+    vhat = np.zeros((len(far), N))
+    vhat[:, 1:] = gh.sum(axis=2)
+    v[~near] = np.fft.ifft(vhat, axis=1).real
+    return c, v
+
+
+def _periodic_cell_kernel(N: int) -> np.ndarray:
+    """The cell-pair kernel of `_cell_kernel_factors` summed over the periodic images of an N^3 lattice,
+    less its k = 0 part: an (N, N, N) array over the lags d.
+
+    With per-axis factors ``G = c + v`` (`_periodic_cell_factors`), the
+    image sum is ``INT dt prod_i (c + v(d_i))``, which diverges at small t
+    through ``c^3`` alone.  ``c^3`` is the same at every lag, so against a
+    correlation it meets only ``SUM_d R(d) = |SUM_x F|^2 = 0`` (a field on
+    the cone has no k = 0 part); it is dropped exactly by expanding
+    ``prod (c + v) - c^3 = c^2 SUM v_i + c SUM_{i<j} v_i v_j + v_1 v_2 v_3``,
+    whose three sums over the rule are one (N,), one (N, N) and one
+    (N, N^2) matrix product.
+    """
+    t, w = _log_time_rule()
+    c, v = _periodic_cell_factors(t, N)
+    a = (w * c**2) @ v
+    b = ((w * c)[:, None] * v).T @ v
+    pairs = (v[:, :, None] * v[:, None, :]).reshape(len(w), N * N)
+    A = ((w[:, None] * v).T @ pairs).reshape(N, N, N)
+    A += b[:, :, None] + b[:, None, :] + b[None, :, :]
+    A += a[:, None, None] + a[None, :, None] + a[None, None, :]
+    return A
 
 
 @dataclass(frozen=True)
@@ -776,44 +842,30 @@ def norm_nonlocal_t0(amp, ygrid: QuadratureGrid) -> NonlocalNormResult:
     """Squared norm from the equal-time double integral.
 
     (1/pi^2) INT d^3x d^3y |x-y|^-2 conj(F(x,0)) . F(y,0), discretized on
-    ``ygrid`` x ``ygrid`` with cell-averaged kernel weights: A(d), the exact
-    average of 1/|x-y|^2 over two cells displaced by d, for every d of the
-    (2N)^3 correlation grid, the singular diagonal included.  A separates
-    into a 1-D log-time integral of three per-axis factors
-    (`_cell_kernel_factors`), so all (2N)^3 weights are one matrix product.
-    F(y, 0) is `_field_on_grid` at t = 0, s = 0, the path of `analyze`,
-    so ``amp`` must lie on the cone lattice of ``ygrid``.  The pair sum is a
-    zero-padded FFT cross-correlation: the three components' power spectra
-    are summed before one inverse FFT.  Refuses grids beyond 24^3 points per
-    factor with a cost estimate.
+    ``ygrid`` x ``ygrid`` with cell-averaged kernel weights.  A lattice
+    field is periodic, so the pair sum runs over the periodic images of the
+    lattice: each lag d of the N^3 circular correlation of F is weighted by
+    the sum over images of A(d), the exact average of 1/|x-y|^2 over two
+    cells displaced by d, the singular diagonal included
+    (`_periodic_cell_kernel`).  The weights' divergent k = 0 part meets a
+    field of zero mean, and is dropped exactly.  F(y, 0) is
+    `_field_on_grid` at t = 0, s = 0, the path of `analyze`, so ``amp``
+    must lie on the cone lattice of ``ygrid``.  The correlation is one
+    inverse FFT of the three components' summed power spectra, at size N
+    with no padding, and the work is a few N^3 arrays and an (800, N^2)
+    factor product.  The error is second order in the lattice spacing.
     """
     if ygrid.kind != "spatial":
         raise GridMismatchError("norm_nonlocal_t0 needs a spatial grid")
-    N = ygrid.meta["args"]["N"]
-    npts = N**3
-    if npts > _NONLOCAL_BUDGET:
-        raise BudgetExceededError(
-            f"{npts} points per factor exceeds budget {_NONLOCAL_BUDGET}: the double sum "
-            f"covers {npts**2:.3e} pairs (~{_nonlocal_workspace(N) / 2**20:.0f} MiB of "
-            f"workspace and O(N^3 log N) FFT work per component)"
-        )
     _check_on_lattice(amp, ygrid)
-
+    N = ygrid.meta["args"]["N"]
     dlt = ygrid.meta["spacing"]
     F = next(_field_on_grid(amp, ygrid, 0.0, 0.0))[0]
-
-    P = 2 * N
-    power = np.zeros((P, P, P))
-    for c in range(3):  # s= zero-pads each component to P^3
-        power += np.abs(np.fft.fftn(F[..., c], s=(P, P, P), axes=(0, 1, 2))) ** 2
+    power = np.zeros((N, N, N))
+    for c in range(3):
+        power += np.abs(np.fft.fftn(F[..., c])) ** 2
     corr = np.fft.ifftn(power)
-
-    idx = np.arange(P)
-    w, g = _cell_kernel_factors(np.where(idx < N, idx, idx - P))
-    pairs = (g[:, :, None] * g[:, None, :]).reshape(len(w), P * P)
-    A = ((w[:, None] * g).T @ pairs).reshape(P, P, P)
-
-    total = complex(dlt**4 / np.pi**2 * np.sum(A * corr))
+    total = complex(dlt**4 / np.pi**2 * np.sum(_periodic_cell_kernel(N) * corr))
     imag_ratio = abs(total.imag) / abs(total.real) if total.real != 0.0 else 0.0
     return NonlocalNormResult(total.real, imag_ratio)
 

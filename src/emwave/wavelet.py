@@ -85,12 +85,21 @@ def eval_kernel(x, t, sigma: float, y, s: float):
         np.broadcast_shapes(x.shape[:-1], t.shape)
     except ValueError:
         raise EmwaveError(f"kernel times t of shape {t.shape} do not broadcast against points x {x.shape}") from None
-    scalar = x.ndim == 1 and np.ndim(t) == 0
+    value = _kernel(x, t, sigma, y, s)
+    return complex(value) if x.ndim == 1 and np.ndim(t) == 0 else value
+
+
+def _kernel(x, t, sigma, y, s):
+    """`eval_kernel` at checked finite arguments that broadcast: points ``x`` and centers ``y`` along a
+    last axis of length 3, and times ``t``, offsets ``sigma`` and scales ``s`` against the points.
+
+    Scalars give a 0-d result, and arrays the value at each broadcast point.
+    """
     gate = gate2(sigma * s)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            r = np.linalg.norm(np.atleast_2d(x) - y[None, :], axis=-1)
-        if x.ndim == 1:
+            r = np.linalg.norm(np.atleast_2d(x - y), axis=-1)
+        if x.ndim == 1 and y.ndim == 1:
             r = r[0]
         tau = (s + sigma) + 1j * t
         # where the cube overflows it is taken again below; where it is 0 the singular check below refuses the point
@@ -107,11 +116,11 @@ def eval_kernel(x, t, sigma: float, y, s: float):
             raise SingularKernelError(complex(bad_tau), float(bad_r))
         over = ~np.isfinite(cube)
         if np.any(over):  # the same form in tau/m and r/m, with m = max(|tau|, r), over m^4
-            tau_o, r_o = (np.broadcast_to(v, over.shape)[over] for v in (tau, r))
+            gate_o, tau_o, r_o = (np.broadcast_to(v, over.shape)[over] for v in (gate, tau, r))
             m = np.maximum(np.abs(tau_o), r_o)
             u_sq, rho_sq = (tau_o / m) ** 2, (r_o / m) ** 2
             with np.errstate(over="raise", invalid="raise"):
-                scaled = gate * (3.0 * u_sq - rho_sq) / (PI_SQ * (u_sq + rho_sq) ** 3) / m**4
+                scaled = gate_o * (3.0 * u_sq - rho_sq) / (PI_SQ * (u_sq + rho_sq) ** 3) / m**4
             if np.any((scaled != 0.0) & (np.abs(scaled) < np.finfo(float).tiny)):
                 raise FloatingPointError  # subnormal: out of the normal range as well
             value = np.array(value)
@@ -121,7 +130,7 @@ def eval_kernel(x, t, sigma: float, y, s: float):
             f"the kernel at combined scale s + sigma = {s + sigma!r} overflows floating point: "
             "it leaves the normal float range once |tau| or r = |x - y| nears 1e77"
         ) from None
-    return complex(value) if scalar else value
+    return value
 
 
 def eval_wavelet(label: WaveletLabel, x, t):

@@ -463,6 +463,20 @@ def test_analyze_refuses_a_payload_beyond_the_free_disk_space(tmp_path, monkeypa
     assert not (tmp_path / "out").exists()
 
 
+def test_nonlocal_norms_above_the_size_bound_exit_2_before_any_grid(tmp_path, monkeypatch, capsys):
+    # the one size bound of the nonlocal route, checked with the scenario; N = NONLOCAL_MAX_N itself runs
+    _refuse_grid_builds(monkeypatch)
+    cfg = _norms_cfg("out")
+    cfg["norms"] = {"nonlocal": True}
+    cfg["grids"]["spatial"]["N"] = cli.NONLOCAL_MAX_N + 1
+    assert main(["norms", "--scenario", str(_write_cfg(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error at norms.nonlocal: needs grids.spatial.N <= {cli.NONLOCAL_MAX_N}, got N = " in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+    cfg["grids"]["spatial"]["N"] = cli.NONLOCAL_MAX_N
+    assert cli.load_scenario(_write_cfg(tmp_path, cfg, "at-bound.json"))["grids.spatial.N"] == cli.NONLOCAL_MAX_N
+
+
 def test_streamed_analyze_sets_the_amplitude_up_once(tmp_path, monkeypatch):
     # seven slices per block: six blocks, and one per-amplitude set-up for all of them
     calls = []
@@ -568,8 +582,8 @@ COMMANDS = {"norms": "norms", "reconstruct": "reconstruct", "verify-suite": "ver
         pytest.param(lambda c: _put(c, "grids.scale.nodes_per_sign", 4096), "grids.scale.nodes_per_sign",
                      id="nodes-4096"),
         pytest.param(lambda c: _put(c, "workers", 10**6), "workers", id="workers-1e6"),
-        pytest.param(lambda c: (_put(c, "grids.spatial.N", 32), _put(c, "norms.nonlocal", True)), "norms.nonlocal",
-                     id="nonlocal-N32"),
+        pytest.param(lambda c: (_put(c, "grids.spatial.N", 256), _put(c, "norms.nonlocal", True)), "norms.nonlocal",
+                     id="nonlocal-N256"),
         # a pool needs a thread; the table rejects these first
         pytest.param(lambda c: _put(c, "workers", 0), "workers", id="workers-0"),
         pytest.param(lambda c: _put(c, "workers", -1), "workers", id="workers-minus-1"),

@@ -19,7 +19,6 @@ from scipy.special import roots_laguerre
 
 from emwave import cli, fieldcore, grids, transform
 from emwave.errors import (
-    BudgetExceededError,
     EmwaveError,
     GridMismatchError,
     InvalidScaleError,
@@ -1063,6 +1062,24 @@ def test_block_fills_give_the_same_bytes_for_any_worker_count(monkeypatch, tmp_p
         sys.setswitchinterval(interval)
 
 
+def test_gated_off_slices_skip_the_transform_and_keep_its_bits(monkeypatch):
+    # a plus-sheet field on both signs of scales: every gate is off at s < 0, so only the runs of s > 0
+    # slices are transformed, and each s < 0 slice holds the bytes that a transform of its zeros gives
+    amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch, "plus")
+    real, lengths = transform._pruned_ifftn, []
+
+    def recording(block, y_runs, x_runs):
+        lengths.append(len(block))
+        return real(block, y_runs, x_runs)
+
+    monkeypatch.setattr(transform, "_pruned_ifftn", recording)
+    values = analyze(amp, ygrid_n, sgrid_n).values
+    live = sgrid_n.nodes > 0
+    assert sum(lengths) == np.count_nonzero(live) > 0
+    zeros = real(np.zeros((1,) + values.shape[1:], dtype=complex), *_lattice_runs(amp.grid, 8))[0].tobytes()
+    assert all(values[i].tobytes() == zeros for i in np.flatnonzero(~live))
+
+
 def test_analyze_runs_at_most_one_fill_thread_per_cpu(monkeypatch):
     amp, ygrid_n, sgrid_n = _blocked_set(monkeypatch)
     monkeypatch.setattr(transform, "_BLOCK_ENTRIES", 3 * 8**3)  # 12 blocks of one slice
@@ -1355,10 +1372,16 @@ def test_erfc_matches_scipy():
     assert transform._erfc(x).tolist() == [[math.erfc(v) for v in row] for row in x.tolist()]
 
 
+def _cell_kernel(d) -> float:
+    """Average of 1/|x - y|^2 over two unit cells displaced by the integer vector ``d``."""
+    w, g = transform._cell_kernel_factors(d)
+    return float(w @ np.prod(g, axis=1))
+
+
 def test_cell_kernel_frozen_anchors():
-    assert transform._cell_kernel([0, 0, 0]) == pytest.approx(5.633715158136, rel=1e-9)
-    assert transform._cell_kernel([1, 0, 0]) == pytest.approx(1.195319964104, rel=1e-9)
-    assert transform._cell_kernel([1, 1, 1]) == pytest.approx(0.359813176296, rel=1e-9)
+    assert _cell_kernel([0, 0, 0]) == pytest.approx(5.633715158136, rel=1e-9)
+    assert _cell_kernel([1, 0, 0]) == pytest.approx(1.195319964104, rel=1e-9)
+    assert _cell_kernel([1, 1, 1]) == pytest.approx(0.359813176296, rel=1e-9)
 
 
 def _cell_kernel_by_octants(d, n=24):
@@ -1383,12 +1406,12 @@ def _cell_kernel_by_octants(d, n=24):
 @pytest.mark.parametrize("d", [(2, 0, 0), (2, 1, 1), (3, 2, 1), (6, 6, 6)])
 def test_cell_kernel_matches_octant_quadrature(d):
     reference = _cell_kernel_by_octants(d)
-    assert abs(transform._cell_kernel(d) - reference) <= 1e-10 * reference
+    assert abs(_cell_kernel(d) - reference) <= 1e-10 * reference
 
 
 def test_cell_kernel_meets_asymptotic_form():
     d = np.array([6.0, 0.0, 0.0])
-    exact = transform._cell_kernel(d)
+    exact = _cell_kernel(d)
     k2 = 36.0
     assert abs(exact - (1.0 / k2 + 1.0 / (6.0 * k2**2))) / exact < 1e-4
 
@@ -1405,6 +1428,25 @@ def test_nonlocal_norm_agrees_with_momentum_norm():
     nm = norm_momentum(amp)
     assert abs(res.value - nm) / nm < 5e-2
     assert res.imag_ratio < 1e-8
+
+
+def _tent_by_quadrature(t, d, n=40):
+    """INT (1 - |v|) e^{-t (v+d)^2} dv over [-1, 1] by Gauss-Legendre on each half of the tent."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    v, w = 0.5 * (x + 1.0), 0.5 * w
+    d = np.asarray(d, dtype=float)[..., None]
+    return np.sum(w * (1.0 - v) * (np.exp(-t * (v + d) ** 2) + np.exp(-t * (v - d) ** 2)), axis=-1)
+
+
+@pytest.mark.parametrize("N", [2, 5, 16, 64])
+def test_periodic_cell_factor_is_the_image_sum(N):
+    # Poisson's aliases below the crossover at t = 1, the direct images from it on, against every image
+    # out to e^{-700} by plain quadrature; near t = 1/N^2 the direct sum would lose about 36 N^2 ulp
+    for t in (1e-3 / N**2, 0.25 / N**2, 1.0 / N**2, 4.0 / N**2, 0.05, 0.999, 1.0, 4.0):
+        c, v = transform._periodic_cell_factors(np.array([t]), N)
+        reach = int(np.sqrt(700.0 / t) / N) + 2
+        brute = _tent_by_quadrature(t, np.arange(N)[:, None] + N * np.arange(-reach, reach + 1)).sum(axis=1)
+        assert np.max(np.abs(c + v[0] - brute)) <= 1e-13 * np.max(brute), (t, c, v, brute)
 
 
 @pytest.mark.parametrize("sheets", ["both", "plus", "minus"])
@@ -1446,31 +1488,19 @@ def test_off_lattice_amplitudes_are_refused(monkeypatch, where, amp_a, ygrid, sg
         assert threading.active_count() == threads
 
 
-def test_nonlocal_norm_refuses_oversized_grids(amp_a):
-    big = grids.build_spatial_grid(32, 20.0)
-    with pytest.raises(BudgetExceededError, match="pairs"):
-        norm_nonlocal_t0(amp_a, big)
+def test_nonlocal_norm_runs_at_n32(amp_a):
+    # no size budget: N = 32 runs on its own N^3 lattice, here with both sheets and a complex minus sheet
+    # (gap 1.7e-2), and a scale grid is still refused
+    ygrid_n = grids.build_spatial_grid(32, 20.0)
+    cone_n = grids.build_cartesian_cone_grid(ygrid_n, 0.3, 2.5, sheets="both")
+    amp = amplitude_from_scalar(
+        cone_n, lambda om, nn, sh: (2.0 * om**2 * np.exp(-3.0 * om) * np.where(sh > 0, 1.0, 0.5j)).astype(complex))
+    res = norm_nonlocal_t0(amp, ygrid_n)
+    nm = norm_momentum(amp)
+    assert abs(res.value - nm) / nm < 2e-2
+    assert res.imag_ratio < 1e-8
     with pytest.raises(GridMismatchError):
         norm_nonlocal_t0(amp_a, grids.build_scale_grid(BAND, 12))
-
-
-def test_nonlocal_budget_message_quotes_the_traced_workspace(monkeypatch):
-    # the message used to quote 16 * 8 N^3 bytes (4 MiB at N = 32) against a traced 39 MiB
-    N = 32
-    ygrid = grids.build_spatial_grid(N, 20.0)
-    amp = amplitude_from_scalar(grids.build_cartesian_cone_grid(ygrid, 0.3, 2.5, sheets="plus"),
-                                lambda om, nn, sh: (om**2 * np.exp(-3.0 * om)).astype(complex))
-    quoted = transform._nonlocal_workspace(N)
-    with pytest.raises(BudgetExceededError, match=f"~{quoted / 2**20:.0f} MiB of workspace"):
-        norm_nonlocal_t0(amp, ygrid)
-    monkeypatch.setattr(transform, "_NONLOCAL_BUDGET", N**3)
-    tracemalloc.start()
-    try:
-        norm_nonlocal_t0(amp, ygrid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert abs(quoted - peak) <= 0.25 * peak
 
 
 # ---------------------------------------------------------------------------

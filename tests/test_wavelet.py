@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_laguerre
 
 from emwave.errors import EmwaveError, InvalidScaleError, SingularKernelError
+from emwave import wavelet
 from emwave.fieldcore import ConePoint
 from emwave.wavelet import WaveletLabel, eval_kernel, eval_wavelet, scaling_check, wavelet_momentum
 
@@ -172,6 +173,20 @@ def test_kernel_past_the_cube_overflow_matches_the_closed_form():
         assert eval_kernel(ORIGIN, 1e76, 0.5, ORIGIN, 0.5) != 0.0
         with pytest.raises(EmwaveError, match="overflows"):  # subnormal at 1e77
             eval_kernel(ORIGIN, 1e77, 0.5, ORIGIN, 0.5)
+
+
+def test_broadcast_kernel_agrees_with_each_point():
+    # one call over labels and points, as the scaling suite makes it: centers, scales and offsets of both
+    # signs broadcast against the points, and an overflowing cube beside ordinary points
+    rng = np.random.default_rng(11)
+    x, y = rng.uniform(-3, 3, (40, 3)), rng.uniform(-2, 2, (40, 3))
+    t, s = rng.uniform(-2, 2, 40), rng.choice([-1.0, 1.0], 40) * rng.uniform(0.2, 3.0, 40)
+    t[7] = 1.8e51
+    for sigma in (0.0, 0.6, -0.6):
+        got = wavelet._kernel(x, t, sigma, y, s)
+        want = np.array([eval_kernel(x[i], t[i], sigma, y[i], s[i]) for i in range(40)])
+        assert got.shape == (40,)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 # ---------------------------------------------------------------------------
