@@ -4,11 +4,14 @@ analysis/synthesis/norm/verification pipelines, and writes CSV/JSON artifacts.
 This module owns all I/O; the compute modules never read or write files.
 Outputs are deterministic for a fixed config and seed regardless of the
 worker count (``--workers``, else the scenario's ``workers`` key, else 1),
-the number of slice-pool threads that a run's transforms run on.  Every
-run writes a manifest recording the config hash, library versions, the FFT
-backend, the physical conventions baked into the package, the worker count
-and timings; the worker count and timings vary between runs, so the
-manifest is informational rather than part of the reproducible output set.
+the number of threads that fill a run's analysis blocks; the coefficient
+files and the Parseval sums run at a fixed depth of two, and the synthesis
+table builds on the calling thread.  Every run, ``emwave verify`` without a
+scenario included, writes a manifest recording the config hash, library
+versions, the FFT backend, the physical conventions baked into the package,
+the worker count and timings; the worker count and timings vary between
+runs, so the manifest is informational rather than part of the
+reproducible output set.
 """
 
 from __future__ import annotations
@@ -284,17 +287,18 @@ SCENARIO_KEYS = {
     "schema": (str, _REQUIRED, _one_of(SCHEMA)),
     "pipeline": (str, _REQUIRED, _one_of(*PIPELINES)),
     "seed": (int, 0, (lambda v: v >= 0, "must be >= 0")),
-    "workers": (int, 1, (lambda v: 1 <= v <= 256, "must be <= 256 and >= 1")),  # slice-pool threads
+    "workers": (int, 1, (lambda v: 1 <= v <= 256, "must be <= 256 and >= 1")),  # analysis-fill threads
     "time": (float, 0.0, _TIMES),
     "grids.spatial.N": (int, _FIELD, _at_most(256)),  # N = 256 takes 0.8 GB per scale slice
     "grids.spatial.L": (float, _FIELD, None),
     "grids.scale.omega_band": (list, _FIELD, _PAIR),
     # meta["recovery_bound"] on [0.5, 4]: 2.4e-4 at 8 nodes, 3.4e-6 at 12, 3.0e-8 at 16, 5.1e-12 at 24
     "grids.scale.nodes_per_sign": (int, 24, _at_most(1024)),
-    "grids.scale.signs": (str, "both", None),
+    # a one-sheet field takes the scales of its sign alone: plus gives plus, minus gives minus, both gives both
+    "grids.cone.sheets": (str, "both", _one_of("both", "plus", "minus")),
+    "grids.scale.signs": (str, lambda v: v["grids.cone.sheets"], None),
     "grids.cone.omega_min": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[0], None),
     "grids.cone.omega_max": (float, lambda v: (v["grids.scale.omega_band"] or [None, None])[1], None),
-    "grids.cone.sheets": (str, "both", None),
     "amplitude.profile": (str, _FIELD, _one_of(*AMPLITUDE_PROFILES)),
     "amplitude.center": (float, 2.0, None),
     "amplitude.width": (float, 0.4, _POSITIVE),
@@ -474,7 +478,7 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
     amp = _build_amplitude(cfg, cone)
     if coeffs_path is None:
         stream = transform._analysis_stream(amp, ygrid, sgrid, cfg["time"], cfg["workers"])
-        coeffs = transform._synthesis_table(stream, cfg["workers"])
+        coeffs = transform._synthesis_table(stream)
     else:
         cpath = Path(coeffs_path)
         try:
@@ -487,7 +491,7 @@ def _pipeline_reconstruct(cfg: dict, base: Path) -> tuple[int, list[Path]]:
                                   f"the scenario's is ({want['N']}, {want['L']})")
             # folded slice by slice into the synthesis table; the reader checks each
             # slice's digest before the table folds it, and the table refuses a non-finite sample or sum
-            coeffs = transform._synthesis_table(stream, cfg["workers"])
+            coeffs = transform._synthesis_table(stream)
         except EmwaveError as exc:
             _fail("coefficients", f"{coeffs_path}: {exc}")
     probes = _draw_probes(cfg, ygrid)
@@ -549,10 +553,7 @@ def _pipeline_norms(cfg: dict, base: Path) -> tuple[int, list[Path]]:
 
 
 def _pipeline_verify(cfg: dict, base: Path) -> tuple[int, list[Path]]:
-    return _run_verify(cfg, _out_dir(cfg, base) / cfg["outputs.report"])
-
-
-def _run_verify(cfg: dict, out_path: Path) -> tuple[int, list[Path]]:
+    out_path = _out_dir(cfg, base) / cfg["outputs.report"]
     name, seed = cfg["verify.suite"], cfg["seed"]
     records = []
     for n in list(VERIFY_SUITES) if name == "all" else [name]:
@@ -574,17 +575,30 @@ PIPELINE_RUNNERS = {
 
 
 def run(config_path, workers: int | None = None) -> int:
-    """Execute a scenario config on ``workers`` (else the scenario's) slice-pool threads; returns the exit status."""
+    """Execute a scenario config on ``workers`` (else the scenario's) fill threads; returns the exit status."""
     t_start = time.monotonic()
-    cfg = load_scenario(config_path)
-    base = Path(config_path).resolve().parent
+    return _execute(load_scenario(config_path), t_start, config_path, workers)
+
+
+def _execute(cfg: dict, t_start: float, config_path=None, workers: int | None = None, base: Path | None = None,
+             source: bytes | None = None) -> int:
+    """Run the resolved scenario ``cfg`` and write its manifest beside its outputs; returns the exit status.
+
+    Relative paths are resolved under ``base``, else the directory of the
+    scenario file ``config_path``.  A scenario built from command-line flags
+    has no file: its ``config_path`` is None and its canonical JSON
+    ``source`` is what the manifest hashes.
+    """
     if workers is not None:  # --workers overrides the scenario's key; the pipelines read cfg["workers"]
         cfg["workers"] = workers
+    if config_path is not None:
+        config_path = Path(config_path).resolve()
+        base, source = config_path.parent, config_path.read_bytes()
     pipeline = cfg["pipeline"]
     status, outputs = PIPELINE_RUNNERS[pipeline](cfg, base)
     manifest = {
-        "config_path": str(Path(config_path).resolve()),
-        "config_sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest(),
+        "config_path": None if config_path is None else str(config_path),
+        "config_sha256": hashlib.sha256(source).hexdigest(),
         "pipeline": pipeline,
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -608,7 +622,7 @@ def run(config_path, workers: int | None = None) -> int:
 def _add_scenario_arg(sub):
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON config")
     sub.add_argument("--workers", type=int, default=None,
-                     help="slice-pool threads, 1 to 256 (default: the scenario's workers key, else 1)")
+                     help="analysis-fill threads, 1 to 256 (default: the scenario's workers key, else 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -665,11 +679,16 @@ def main(argv=None) -> int:
             out.parent.mkdir(parents=True, exist_ok=True)
             out.write_text(emit_figure_data(args.s, r_values, t_values))
             return 0
+        t_start = time.monotonic()
         if args.command == "verify" and args.scenario is None:
-            cfg = _resolve({"schema": SCHEMA, "pipeline": "verify-suite", "seed": args.seed,
-                            "verify": {"suite": args.suite}})
-            status, _ = _run_verify(cfg, Path(args.out))
-            return status
+            # the flags as a scenario whose report, and so its manifest, lies beside --out
+            out = Path(args.out)
+            if not _PLAIN_NAME[0](out.name):
+                _fail("--out", f"expected a file path, got {args.out!r}")
+            cfg = {"schema": SCHEMA, "pipeline": "verify-suite", "seed": args.seed, "verify": {"suite": args.suite},
+                   "outputs": {"report": out.name}}
+            source = json.dumps(cfg, sort_keys=True).encode()
+            return _execute(_resolve(cfg), t_start, base=out.parent, source=source)
         expected = "verify-suite" if args.command == "verify" else args.command
         cfg = load_scenario(args.scenario)
         if cfg["pipeline"] != expected:
@@ -678,7 +697,7 @@ def main(argv=None) -> int:
         check, reason = SCENARIO_KEYS["workers"][2]
         if workers is not None and not check(workers):
             _fail("--workers", f"{reason}, got {workers}")
-        return run(args.scenario, workers=workers)
+        return _execute(cfg, t_start, args.scenario, workers)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -200,18 +200,6 @@ class ConeAmplitude:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
-class _RawVectorField:
-    """Diagnostic stand-in for ConeAmplitude carrying verbatim vectors.
-
-    Used by negative-control tests to inject constraint-violating
-    amplitudes; never produced by the public constructors.
-    """
-
-    grid: QuadratureGrid
-    fvecs: np.ndarray
-
-
 def _unit_directions(grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     omega = np.linalg.norm(grid.nodes, axis=1)
     return omega, grid.nodes / omega[:, None]
@@ -235,10 +223,8 @@ def amplitude_from_scalar(grid: QuadratureGrid, fn) -> ConeAmplitude:
     return ConeAmplitude(grid, values)
 
 
-def amplitude_vectors(amp: ConeAmplitude | _RawVectorField) -> np.ndarray:
+def amplitude_vectors(amp: ConeAmplitude) -> np.ndarray:
     """Vector amplitude f(p), shape (M, 3), reconstructed per node once per amplitude and read-only."""
-    if isinstance(amp, _RawVectorField):
-        return amp.fvecs
     if amp._vectors is None:
         vectors = amp.values[:, None] * _sheet_polarizations(amp.grid)
         vectors.setflags(write=False)
@@ -269,7 +255,7 @@ def amplitude_from_vectors(grid: QuadratureGrid, fvecs: np.ndarray) -> ConeAmpli
     return ConeAmplitude(grid, values)
 
 
-def constraint_residuals(amp: ConeAmplitude | _RawVectorField) -> tuple[np.ndarray, np.ndarray]:
+def constraint_residuals(amp: ConeAmplitude) -> tuple[np.ndarray, np.ndarray]:
     """Per-node relative residuals of the two cone constraints.
 
     Returns ``(transversality, curl)`` where entry i is ``|p.f| / (omega
@@ -293,7 +279,7 @@ def gate2(x) -> np.ndarray:
 
 
 def _evaluate_many(
-    amp: ConeAmplitude | _RawVectorField,
+    amp: ConeAmplitude,
     xs: np.ndarray,
     t: float,
     s: float = 0.0,
@@ -337,7 +323,7 @@ def _evaluate_many(
 
 
 def evaluate_field(
-    amp: ConeAmplitude | _RawVectorField,
+    amp: ConeAmplitude,
     pt: SpacetimePoint,
     s: float = 0.0,
 ) -> FieldSample:
@@ -356,7 +342,7 @@ def evaluate_field(
 
 
 def maxwell_residual(
-    amp: ConeAmplitude | _RawVectorField,
+    amp: ConeAmplitude,
     grid: QuadratureGrid,
     t: float,
     h: float,

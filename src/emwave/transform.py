@@ -423,26 +423,24 @@ def _close(values) -> None:
         close()
 
 
-def _synthesis_table(coeffs, workers: int = 1) -> _SynthesisTable:
+def _synthesis_table(coeffs) -> _SynthesisTable:
     """The `_SynthesisTable` of a set or a stream; a table is its own, and a set keeps the one it gets.
 
     The band box is the run of indices (`_box_runs`) that the ball
     ``|k| <= omega_band[1]`` of the scale grid reaches on each axis.  Each
-    slice's box is one `_pruned_fftn` in a reused slice buffer, and the
-    symbol products and sums are formed on the box alone.  The box keeps
-    fftn's bits for every entry it keeps; content outside it, which the
-    scale rule weights with an R(omega) that nothing bounds outside the
-    band, is dropped.  A band that reaches past the Nyquist frequency
-    gives the whole lattice.  `_in_order` transforms and weights
-    ``threads = min(workers, slices, cpus)`` slices at a time, each in its
-    own of ``threads`` buffers, and the boxes are folded as they are
-    yielded, in fixed scale order on the calling thread, so the sums have
-    the same bits from memory, from a file or from an analysis stream, at
-    any ``workers``.  A non-finite box would reach every probe through the
-    sums, so a slice whose box is not finite is refused once the slices
-    have run to their end, and so are sums that overflow.  A stream is
-    closed once the fold stops reading it, whether or not it ran to its
-    end.
+    slice's box is one `_pruned_fftn` in one reused work buffer, whose copy
+    of the slice is the only one a stream needs, and the symbol products
+    and sums are formed on the box alone.  The box keeps fftn's bits for
+    every entry it keeps; content outside it, which the scale rule weights
+    with an R(omega) that nothing bounds outside the band, is dropped.  A
+    band that reaches past the Nyquist frequency gives the whole lattice.
+    The slices are transformed, weighted and folded one at a time, in scale
+    order on the calling thread, so the sums have the same bits from
+    memory, from a file or from an analysis stream.  A non-finite box would
+    reach every probe through the sums, so a slice whose box is not finite
+    is refused once the slices have run to their end, and so are sums that
+    overflow.  A stream is closed once the fold stops reading it, whether
+    or not it ran to its end.
     """
     if isinstance(coeffs, _SynthesisTable):
         return coeffs
@@ -457,42 +455,23 @@ def _synthesis_table(coeffs, workers: int = 1) -> _SynthesisTable:
     omega, index = np.unique(Omega[box].ravel(), return_inverse=True)
     index = index.reshape((len(keep),) * 3)
     PH = PH[box]
-    threads = min(workers, len(coeffs.sgrid), os.cpu_count() or 1)
-    spare = [np.empty((N, N, N, 3), dtype=complex) for _ in range(threads)]
-
-    def staged():
-        """The slices, nodes and weights; on the pool each slice is copied into its item's buffer first."""
-        # a drawn stream is short
-        for k, (c, s, w) in enumerate(zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True)):
-            if threads > 1:  # a stream's slice is overwritten once the next is drawn
-                np.copyto(spare[k % threads], c)
-                c = spare[k % threads]
-            yield c, s, w
-
-    def weighted(item, work):
-        """The sheet and the weighted box of a slice (which may be ``work``), the box None when it is not finite."""
-        c, s, w = item
-        sheet = 1 if s > 0 else -1
-        with np.errstate(invalid="ignore", over="ignore"):  # numpy's FFT warns on a non-finite sample
-            chat = _pruned_fftn(c, runs, work)
-            if not np.isfinite(chat).all():  # a non-finite sample anywhere in c reaches every entry of its box
-                return sheet, None
-            chat *= (w * np.exp(-sheet * omega * s))[index] * PH
-        return sheet, chat
-
+    work = np.empty((N, N, N, 3), dtype=complex)
     sums, bad = {}, 0
-    boxes = _in_order(weighted, staged(), threads, spare)
     try:
-        for sheet, chat in boxes:
-            if chat is None:
-                bad += 1
-            elif sheet in sums:
-                with np.errstate(invalid="ignore", over="ignore"):  # refused below
+        # a drawn stream is short
+        for c, s, w in zip(coeffs.values, coeffs.sgrid.nodes, coeffs.sgrid.weights, strict=True):
+            sheet = 1 if s > 0 else -1
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite sample or sum is refused below
+                chat = _pruned_fftn(c, runs, work)
+                if not np.isfinite(chat).all():  # a non-finite sample anywhere in c reaches every entry of its box
+                    bad += 1
+                    continue
+                chat *= (w * np.exp(-sheet * omega * s))[index] * PH
+                if sheet in sums:
                     sums[sheet] += chat
-            else:
-                sums[sheet] = chat
+                else:
+                    sums[sheet] = chat
     finally:
-        boxes.close()
         _close(coeffs.values)
     if bad:
         raise EmwaveError(f"{bad} of {len(coeffs.sgrid)} coefficient slices hold a non-finite sample "
@@ -729,6 +708,13 @@ def _tent_factor(t, d) -> np.ndarray:
     """g(t, d) = INT (1 - |v|) e^{-t (v+d)^2} dv over [-1, 1], for log times ``t`` > 0 and integers ``d``, with
     shape ``np.shape(t) + np.shape(d)``.
 
+    The cell-pair kernel A(d), the average of 1/|x - y|^2 over two unit
+    cells displaced by the integer vector d, separates into these factors:
+    with 1/r^2 = INT_0^inf e^{-t r^2} dt and the per-axis tent density
+    1 - |v| on [-1, 1] of the offset between two unit cells,
+    A(d) = INT dt g(t, d1) g(t, d2) g(t, d3), the t integral on
+    `_log_time_rule`.
+
     g = h(d-1) - 2 h(d) + h(d+1), with the second antiderivative
     h(c) = (e^{-t c^2} - 1)/(2t) + sqrt(pi)/(2 sqrt t) |c| (1 - erfc(sqrt(t) |c|))
     of e^{-t c^2}, tabulated once at c = 0 .. max|d| + 1.  expm1 keeps the
@@ -750,21 +736,6 @@ def _tent_factor(t, d) -> np.ndarray:
     return g[..., d]
 
 
-def _cell_kernel_factors(d) -> tuple[np.ndarray, np.ndarray]:
-    """Log-time rule ``w`` and per-axis factors ``g`` with A(d) = sum_j w_j prod_i g[j, d_i].
-
-    A(d) is the average of 1/|x - y|^2 over two unit cells displaced by the
-    integer vector d.  With 1/r^2 = INT_0^inf e^{-t r^2} dt and the per-axis
-    tent density 1 - |v| on [-1, 1] of the offset between two unit cells,
-    the cell-pair average separates: A(d) = INT dt g(t, d1) g(t, d2) g(t, d3),
-    with g = `_tent_factor`.  The t integral is `_log_time_rule`; A then
-    agrees with tensor Gauss-Legendre over the cell pair to 5e-13 relative
-    for every |d_i| <= 24.  ``g`` has shape ``(800,) + np.shape(d)``.
-    """
-    t, w = _log_time_rule()
-    return w, _tent_factor(t, d)
-
-
 def _erfc(x) -> np.ndarray:
     """``math.erfc`` of each entry of the float array ``x``, evaluated once per distinct value below 27.3
     (``math.erfc`` is 0.0 from there on)."""
@@ -776,7 +747,7 @@ def _erfc(x) -> np.ndarray:
 
 
 def _periodic_cell_factors(t, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The per-axis factor of `_cell_kernel_factors` summed over the periodic images of an N-point axis,
+    """The per-axis factor `_tent_factor` summed over the periodic images of an N-point axis,
     split as ``G(t, d) = c + v[:, d]`` for the log times ``t`` and d = 0 .. N-1.
 
     ``G(t, d) = SUM_n g(t, d + nN)``.  Its mean over d is its k = 0 Fourier
@@ -807,7 +778,7 @@ def _periodic_cell_factors(t, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _periodic_cell_kernel(N: int) -> np.ndarray:
-    """The cell-pair kernel of `_cell_kernel_factors` summed over the periodic images of an N^3 lattice,
+    """The cell-pair kernel of `_tent_factor` summed over the periodic images of an N^3 lattice,
     less its k = 0 part: an (N, N, N) array over the lags d.
 
     With per-axis factors ``G = c + v`` (`_periodic_cell_factors`), the

@@ -186,6 +186,35 @@ def test_verify_flags_are_checked_like_a_scenario(tmp_path, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+def test_verify_flags_write_a_manifest_beside_the_report(tmp_path):
+    out = tmp_path / "deeper" / "v.json"
+    assert main(["verify", "--suite", "anchor", "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "deeper" / "run_manifest.json").read_text())
+    assert manifest["pipeline"] == "verify-suite" and manifest["exit_status"] == 0
+    assert manifest["config_path"] is None and manifest["outputs"] == [str(out)]
+    assert len(manifest["config_sha256"]) == 64
+
+
+@pytest.mark.parametrize("out", ["", ".", ".."])
+def test_verify_out_must_name_a_file(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "anchor", "--out", out]) == 2
+    assert f"config error at --out: expected a file path, got {out!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_scenario_is_resolved_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    real = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", lambda cfg: calls.append(cfg) or real(cfg))
+    path = _write_cfg(tmp_path, _norms_cfg("out"))
+    assert main(["norms", "--scenario", str(path)]) == 0
+    assert len(calls) == 1
+    assert cli.run(path, workers=2) == 0
+    assert len(calls) == 2
+    assert json.loads((tmp_path / "out" / "run_manifest.json").read_text())["workers"] == 2
+
+
 def test_verify_scenario_route(tmp_path):
     cfg = {
         "schema": SCHEMA,
@@ -461,6 +490,34 @@ def test_analyze_refuses_a_payload_beyond_the_free_disk_space(tmp_path, monkeypa
     assert "config error at grids.scale.nodes_per_sign: " in err
     assert f"{need} bytes" in err and f"{need - 1} are free" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_scale_signs_default_to_the_cone_sheets(tmp_path, monkeypatch, capsys):
+    # plus gives plus, minus gives minus, both gives both; an explicit signs is honoured,
+    # and a zero sheet weight (the wavelet profile's default [1, 0]) does not narrow the default
+    cfg = _analyze_cfg("out")
+    for sheets in ("both", "plus", "minus"):
+        cfg["grids"]["cone"] = {"sheets": sheets}
+        assert load_scenario(_write_cfg(tmp_path, cfg))["grids.scale.signs"] == sheets
+    cfg["grids"]["scale"]["signs"] = "both"
+    assert load_scenario(_write_cfg(tmp_path, cfg))["grids.scale.signs"] == "both"
+    wavelet = _analyze_cfg("out")
+    wavelet["amplitude"] = {"profile": "wavelet"}
+    assert load_scenario(_write_cfg(tmp_path, wavelet))["grids.scale.signs"] == "both"
+    # the disk check reads the derived value: a plus-sheet payload takes one sign of scales
+    cfg = _analyze_cfg("out")
+    cfg["grids"]["cone"] = {"sheets": "plus"}
+    need = 48 * 16**3 * 20
+    usage = shutil.disk_usage(tmp_path)
+    monkeypatch.setattr(cli.shutil, "disk_usage", lambda path: usage._replace(free=need - 1))
+    _refuse_grid_builds(monkeypatch)
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, cfg))]) == 2
+    assert f"takes {need} bytes" in capsys.readouterr().err
+    # a sheet selection the cone cannot take is named at its own key, not at the scales it would give
+    cfg["grids"]["cone"] = {"sheets": "up"}
+    assert main(["analyze", "--scenario", str(_write_cfg(tmp_path, cfg))]) == 2
+    assert "config error at grids.cone.sheets: expected one of ['both', 'plus', 'minus'], got 'up'" in (
+        capsys.readouterr().err)
 
 
 def test_nonlocal_norms_above_the_size_bound_exit_2_before_any_grid(tmp_path, monkeypatch, capsys):

@@ -14,7 +14,6 @@ from emwave.fieldcore import (
     ConePoint,
     FieldSample,
     SpacetimePoint,
-    _RawVectorField,
     amplitude_from_scalar,
     amplitude_from_vectors,
     amplitude_vectors,
@@ -187,11 +186,19 @@ def test_vector_import_rejects_constraint_violations(cone_grid):
         amplitude_from_vectors(cone_grid, fvecs)
 
 
+def _wrong_helicity(amp):
+    """``amp`` with the circular vectors swapped between sheets (conjugated), injected through the vector slot
+    that `amplitude_vectors` reads: an amplitude that no public constructor produces."""
+    flipped = ConeAmplitude(amp.grid, amp.values)
+    object.__setattr__(flipped, "_vectors", np.conj(amplitude_vectors(amp)))
+    return flipped
+
+
 def test_wrong_helicity_violates_curl_constraint(cone_grid):
     # swap the circular vectors between sheets: transversality survives,
     # the curl constraint fails with residual exactly 2
     amp = _radial_amp(cone_grid)
-    flipped = _RawVectorField(cone_grid, np.conj(amplitude_vectors(amp)))
+    flipped = _wrong_helicity(amp)
     trans, curl = constraint_residuals(flipped)
     assert trans.max() < 1e-13
     assert np.allclose(curl, 2.0, atol=1e-12)
@@ -322,7 +329,7 @@ def test_wrong_helicity_fails_maxwell(cone_grid):
     # negative control: conjugated vectors satisfy div F = 0 but not the
     # dynamic equation; the curl residual must not vanish with h
     amp = _radial_amp(cone_grid)
-    flipped = _RawVectorField(cone_grid, np.conj(amplitude_vectors(amp)))
+    flipped = _wrong_helicity(amp)
     probe = grids.build_spatial_grid(2, 2.0)
     r1 = maxwell_residual(flipped, probe, 0.4, 1e-2)
     r2 = maxwell_residual(flipped, probe, 0.4, 5e-3)

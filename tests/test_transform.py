@@ -891,15 +891,12 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     assert np.array_equal(c1.values, c8.values)
     probes = np.array([[0.3, -0.8, 0.5], [1.2, 0.4, -0.9]])
     s1 = synthesize_many(c1, probes, 0.7)
-    transform._synthesis_table(c8, 8)  # the set keeps the table built on 8 threads
     s8 = synthesize_many(c8, probes, 0.7)
     assert np.array_equal(s1, s8)
-    # kernel reproduction from a table built on 1 and on 8 threads
+    # kernel reproduction from sets analyzed on 1 and on 8 threads
     for sigma in (0.6, -0.4):
         r1 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid), probes[0], 0.2, sigma)
-        c8 = analyze(amp_a, ygrid, sgrid)
-        transform._synthesis_table(c8, 8)
-        r8 = reproduce_complex_time(c8, probes[0], 0.2, sigma)
+        r8 = reproduce_complex_time(analyze(amp_a, ygrid, sgrid, workers=8), probes[0], 0.2, sigma)
         assert np.array_equal(r1.F, r8.F)
     # single-sheet amplitude: the negative-scale slices are gated off
     plus = grids.build_cartesian_cone_grid(ygrid, *BAND, sheets="plus")
@@ -908,7 +905,6 @@ def test_worker_count_does_not_change_bits(amp_a, ygrid, sgrid):
     p8 = analyze(single, ygrid, sgrid, workers=8)
     assert np.array_equal(p1.values, p8.values)
     q1 = synthesize_many(p1, probes, 0.7)
-    transform._synthesis_table(p8, 8)
     q8 = synthesize_many(p8, probes, 0.7)
     assert np.array_equal(q1, q8)
 
@@ -1170,7 +1166,7 @@ def test_a_consumer_closes_the_stream_it_stops_reading(monkeypatch, tmp_path, co
     elif case == "file-stream-checksum":
         _flip_in_slice(payload, 2)
         stream = transform._read_coefficients(manifest)
-        consume = lambda: transform._synthesis_table(stream, 2)
+        consume = lambda: transform._synthesis_table(stream)
         error, match = EmwaveError, "checksum mismatch in slice 2 of c.bin"
     else:
         stream = transform._read_coefficients(manifest)  # checked at the full length
@@ -1373,9 +1369,10 @@ def test_erfc_matches_scipy():
 
 
 def _cell_kernel(d) -> float:
-    """Average of 1/|x - y|^2 over two unit cells displaced by the integer vector ``d``."""
-    w, g = transform._cell_kernel_factors(d)
-    return float(w @ np.prod(g, axis=1))
+    """Average of 1/|x - y|^2 over two unit cells displaced by the integer vector ``d``: the log-time rule
+    against the product of the per-axis tent factors (`transform._tent_factor`)."""
+    t, w = transform._log_time_rule()
+    return float(w @ np.prod(transform._tent_factor(t, d), axis=1))
 
 
 def test_cell_kernel_frozen_anchors():
@@ -1582,8 +1579,8 @@ def test_a_non_finite_sample_anywhere_reaches_the_band_box(coeffs_a, bad, where)
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_table_sums_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, amp_a, ygrid, sgrid, coeffs_a, workers):
-    # slices transformed workers at a time on the slice pool, from a set, a file
-    # stream and an analysis stream, fold into the bytes of the one-thread table
+    # a set analyzed on workers threads, a file stream and an analysis stream
+    # filled on workers threads fold into the bytes of the one-thread table
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     want = transform._synthesis_table(analyze(amp_a, ygrid, sgrid)).sums
     manifest = save_coefficients(coeffs_a, tmp_path, name="c")
@@ -1592,9 +1589,9 @@ def test_table_sums_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, amp
     sys.setswitchinterval(1e-6)  # more threads than cores, switching every microsecond
     try:
         tables = [
-            transform._synthesis_table(analyze(amp_a, ygrid, sgrid), workers),
-            transform._synthesis_table(transform._read_coefficients(manifest), workers),
-            transform._synthesis_table(transform._analysis_stream(amp_a, ygrid, sgrid, 0.0, workers), workers),
+            transform._synthesis_table(analyze(amp_a, ygrid, sgrid, workers=workers)),
+            transform._synthesis_table(transform._read_coefficients(manifest)),
+            transform._synthesis_table(transform._analysis_stream(amp_a, ygrid, sgrid, 0.0, workers)),
         ]
     finally:
         sys.setswitchinterval(interval)
@@ -1605,8 +1602,29 @@ def test_table_sums_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, amp
     values = coeffs_a.values.copy()
     values[5, 7, 15, 8, 2] = np.nan
     with pytest.raises(EmwaveError, match="1 of 40 coefficient slices hold a non-finite sample"):
-        transform._synthesis_table(EuclideanCoefficients(ygrid, sgrid, values), workers)
+        transform._synthesis_table(EuclideanCoefficients(ygrid, sgrid, values))
     assert threading.active_count() == before
+
+
+def test_every_table_builds_on_the_calling_thread(monkeypatch, tmp_path, amp_a, ygrid, sgrid, coeffs_a):
+    # the stream's two blocks fill on pool threads at workers=3, but every
+    # slice's box is transformed on the main thread, from a set, a file
+    # stream and an analysis stream alike
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    manifest = save_coefficients(coeffs_a, tmp_path, name="c")
+    threads = []
+    real = transform._pruned_fftn
+
+    def recording(c, runs, work):
+        threads.append(threading.current_thread())
+        return real(c, runs, work)
+
+    monkeypatch.setattr(transform, "_pruned_fftn", recording)
+    for coeffs in (analyze(amp_a, ygrid, sgrid, workers=3), transform._read_coefficients(manifest),
+                   transform._analysis_stream(amp_a, ygrid, sgrid, 0.0, 3)):
+        transform._synthesis_table(coeffs)
+    assert len(threads) == 3 * len(sgrid)
+    assert all(thread is threading.main_thread() for thread in threads)
 
 
 def test_the_table_refuses_weighted_sums_that_overflow(coeffs_a):
